@@ -444,22 +444,8 @@ def run_workload(spec: WorkloadSpec) -> tuple[RunResult, list[TraceEvent]]:
 # Sweeps and CSV.
 
 
-def result_row(spec: WorkloadSpec, result: RunResult) -> dict:
-    return {
-        "design": spec.design,
-        "transport": spec.transport,
-        "n_clients": spec.n_clients,
-        "n_items": spec.n_items,
-        "contention_rate": f"{result.contention_rate:.6g}",
-        "shared_fraction": f"{spec.shared_fraction:.6g}",
-        "total_locks": result.total_locks_granted,
-        "elapsed_s": f"{result.elapsed:.6f}",
-        "throughput_lps": f"{result.throughput:.2f}",
-        "seed": spec.rng_seed,
-    }
-
-
-def _failed_row(spec: WorkloadSpec) -> dict:
+def result_row(spec: WorkloadSpec, result: RunResult | None) -> dict:
+    """One CSV row; a failed run (`result` None) leaves the metric columns empty."""
     return {
         "design": spec.design,
         "transport": spec.transport,
@@ -467,14 +453,14 @@ def _failed_row(spec: WorkloadSpec) -> dict:
         "n_items": spec.n_items,
         "contention_rate": f"{contention_rate(spec.n_items, spec.n_clients):.6g}",
         "shared_fraction": f"{spec.shared_fraction:.6g}",
-        "total_locks": "",
-        "elapsed_s": "",
-        "throughput_lps": "",
+        "total_locks": "" if result is None else result.total_locks_granted,
+        "elapsed_s": "" if result is None else f"{result.elapsed:.6f}",
+        "throughput_lps": "" if result is None else f"{result.throughput:.2f}",
         "seed": spec.rng_seed,
     }
 
 
-def _sweep(base: WorkloadSpec, specs, errors_out: list | None) -> list[dict]:
+def _sweep(specs, errors_out: list | None) -> list[dict]:
     rows = []
     for spec in specs:
         try:
@@ -482,8 +468,7 @@ def _sweep(base: WorkloadSpec, specs, errors_out: list | None) -> list[dict]:
         except Exception as exc:
             if errors_out is not None:
                 errors_out.append((spec, exc))
-            rows.append(_failed_row(spec))
-            continue
+            result = None
         rows.append(result_row(spec, result))
     return rows
 
@@ -493,7 +478,7 @@ def sweep_clients(base: WorkloadSpec, client_counts, errors_out: list | None = N
     row with empty metric columns and the sweep continues."""
     if not client_counts:
         raise ConfigurationError("client_counts must be nonempty")
-    return _sweep(base, (replace(base, n_clients=n) for n in client_counts), errors_out)
+    return _sweep((replace(base, n_clients=n) for n in client_counts), errors_out)
 
 
 def sweep_contention(base: WorkloadSpec, item_counts, errors_out: list | None = None) -> list[dict]:
@@ -501,7 +486,7 @@ def sweep_contention(base: WorkloadSpec, item_counts, errors_out: list | None = 
     computed contention rate."""
     if not item_counts:
         raise ConfigurationError("item_counts must be nonempty")
-    return _sweep(base, (replace(base, n_items=n) for n in item_counts), errors_out)
+    return _sweep((replace(base, n_items=n) for n in item_counts), errors_out)
 
 
 def write_csv(path, rows) -> None:

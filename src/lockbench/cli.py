@@ -17,7 +17,6 @@ from .bench import (
     write_csv,
 )
 from .checker import (
-    DESIGN_CLIENT_CENTRIC,
     DESIGN_SERVER_SR,
     DESIGN_SERVER_TCP,
     DESIGNS,
@@ -27,7 +26,14 @@ from .checker import (
 )
 from .errors import RunCheckError
 from .locktable import LockTable
-from .server_lm import FRONTEND_SEND_RECV, FRONTEND_TCP, LockServer, ServerConfig
+from .server_lm import (
+    DEFAULT_SR_MESSAGE_COST,
+    DEFAULT_TCP_MESSAGE_COST,
+    FRONTEND_SEND_RECV,
+    FRONTEND_TCP,
+    LockServer,
+    ServerConfig,
+)
 from .tcp_transport import TcpAgent
 from .trace import TraceParseError, read_trace, write_trace
 
@@ -113,33 +119,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Server designs: the frontend each one serves and its default message cost.
+_SERVER_FRONTENDS = {
+    DESIGN_SERVER_TCP: (FRONTEND_TCP, DEFAULT_TCP_MESSAGE_COST),
+    DESIGN_SERVER_SR: (FRONTEND_SEND_RECV, DEFAULT_SR_MESSAGE_COST),
+}
+
+
 def _cmd_server(args) -> int:
-    if args.design == DESIGN_SERVER_TCP:
-        cost = args.per_message_cost_us
-        server = LockServer(
-            ServerConfig(
-                args.items,
-                FRONTEND_TCP,
-                20e-6 if cost is None else cost / 1e6,
-                args.worker_limit,
-            )
-        )
-        host, port = server.serve_tcp(args.host, args.port)
-        print(f"server-tcp listening on {host}:{port} with {args.items} items", flush=True)
-    elif args.design == DESIGN_SERVER_SR:
-        agent = TcpAgent(args.host, args.port)
-        host, port = agent.start()
-        cost = args.per_message_cost_us
-        server = LockServer(
-            ServerConfig(
-                args.items,
-                FRONTEND_SEND_RECV,
-                2e-6 if cost is None else cost / 1e6,
-                args.worker_limit,
-            )
-        )
-        server.serve_sr_listener(agent.sr_listen())
-        print(f"server-sr listening on {host}:{port} with {args.items} items", flush=True)
+    if args.design in _SERVER_FRONTENDS:
+        frontend, cost = _SERVER_FRONTENDS[args.design]
+        if args.per_message_cost_us is not None:
+            cost = args.per_message_cost_us / 1e6
+        server = LockServer(ServerConfig(args.items, frontend, cost, args.worker_limit))
+        if frontend == FRONTEND_TCP:
+            host, port = server.serve_tcp(args.host, args.port)
+        else:
+            agent = TcpAgent(args.host, args.port)
+            host, port = agent.start()
+            server.serve_sr_listener(agent.sr_listen())
+        print(f"{args.design} listening on {host}:{port} with {args.items} items", flush=True)
     else:
         agent = TcpAgent(args.host, args.port)
         host, port = agent.start()

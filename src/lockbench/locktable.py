@@ -39,11 +39,6 @@ def decode(word: int) -> tuple[int, int]:
     return (word >> 32) & U32_MASK, word & U32_MASK
 
 
-def shared_half_offset(word_offset: int) -> int:
-    """Byte offset of the 4-byte shared count within a word at `word_offset`."""
-    return word_offset
-
-
 def exclusive_half_offset(word_offset: int) -> int:
     """Byte offset of the 4-byte exclusive-owner field within a word."""
     return word_offset + HALF_SIZE
@@ -99,9 +94,7 @@ class LockTable:
 
     def word_offset(self, item: int) -> int:
         """Byte offset of item `item`'s lock word."""
-        if not 0 <= item < self.item_count:
-            raise ValueError(f"item {item} out of range [0, {self.item_count})")
-        return item * WORD_SIZE
+        return self.handle().word_offset(item)
 
     def words(self) -> list[int]:
         """Snapshot of every lock word (for quiescence assertions)."""

@@ -68,17 +68,12 @@ def unpack_message(data: bytes) -> tuple[int, int, int, int]:
     return MESSAGE.unpack(data)
 
 
-ACQUIRE = "ACQUIRE"
-RELEASE = "RELEASE"
-
-
 @dataclass(frozen=True, slots=True)
 class LockRequest:
     request_id: int
     client_id: int
     item_id: int
     mode: str
-    op: str = ACQUIRE
 
 
 @dataclass(slots=True)
@@ -380,7 +375,6 @@ class LockServer:
         self.cost = MessageCostModel(config.per_message_cost, config.worker_limit)
         self._endpoints: dict[int, object] = {}
         self._endpoint_lock = threading.Lock()
-        self._threads: list[threading.Thread] = []
         self._listeners: list[object] = []
         self._tcp_socket: socket.socket | None = None
         self._closing = False
@@ -425,9 +419,7 @@ class LockServer:
     # -- request handling ------------------------------------------------
 
     def _spawn(self, target, name: str) -> None:
-        thread = threading.Thread(target=target, name=f"lockserver-{name}", daemon=True)
-        thread.start()
-        self._threads.append(thread)
+        threading.Thread(target=target, name=f"lockserver-{name}", daemon=True).start()
 
     def _spawn_handler(self, endpoint) -> None:
         self._spawn(lambda: self._handle(endpoint), "handler")
@@ -442,6 +434,13 @@ class LockServer:
         if endpoint is None:
             raise RuntimeError(f"no endpoint bound for client {client_id}")
         endpoint.send_reply(message)
+
+    def _push_grants(self, grants: list[LockRequest]) -> None:
+        for grant in grants:
+            self._reply_to(
+                grant.client_id,
+                pack_message(MSG_GRANT, grant.client_id, grant.item_id, grant.request_id),
+            )
 
     def _handle(self, endpoint) -> None:
         while True:
@@ -463,22 +462,14 @@ class LockServer:
                 if error is not None:
                     endpoint.send_reply(pack_message(MSG_ERROR, client_id, item_id, request_id))
                     continue
-                for grant in grants:
-                    self._reply_to(
-                        grant.client_id,
-                        pack_message(MSG_GRANT, grant.client_id, grant.item_id, grant.request_id),
-                    )
+                self._push_grants(grants)
             elif op == MSG_RELEASE:
                 error, grants = self.core.release(client_id, item_id)
                 if error is not None:
                     endpoint.send_reply(pack_message(MSG_ERROR, client_id, item_id, request_id))
                     continue
                 endpoint.send_reply(pack_message(MSG_ACK, client_id, item_id, request_id))
-                for grant in grants:
-                    self._reply_to(
-                        grant.client_id,
-                        pack_message(MSG_GRANT, grant.client_id, grant.item_id, grant.request_id),
-                    )
+                self._push_grants(grants)
             else:
                 endpoint.send_reply(pack_message(MSG_ERROR, client_id, item_id, request_id))
 

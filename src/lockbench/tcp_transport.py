@@ -37,8 +37,8 @@ from .framing import recv_frame, send_frame
 from .verbs import (
     Completion,
     CompletionStatus,
-    MemoryRegion,
     RegionAccessError,
+    RegionRegistry,
     SrListener,
     VerbKind,
 )
@@ -147,7 +147,7 @@ class _AgentServerQp:
             self._sock.close()
 
 
-class TcpAgent:
+class TcpAgent(RegionRegistry):
     """Passive-side host: region registry, verb executor, SEND bridge.
 
     Runs no application logic — the lock managers' passive side is pure
@@ -155,32 +155,18 @@ class TcpAgent:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
+        super().__init__()
         self._host = host
         self._port = port
         self._lock = threading.Lock()
-        self._regions: dict[int, MemoryRegion] = {}
-        self._region_ids = itertools.count(1)
         self._client_ids = itertools.count(1)
         self._server_qps: dict[int, _AgentServerQp] = {}
         self._verb_socks: list[socket.socket] = []
         self._listener: SrListener | None = None
         self._listen_sock: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
         self._closing = False
 
     # -- host surface (mirrors InprocFabric) ----------------------------
-
-    def register_region(self, length: int) -> MemoryRegion:
-        if length <= 0:
-            raise ValueError("region length must be positive")
-        with self._lock:
-            region = MemoryRegion(next(self._region_ids), length)
-            self._regions[region.region_id] = region
-            return region
-
-    def lookup_region(self, region_id: int) -> MemoryRegion | None:
-        with self._lock:
-            return self._regions.get(region_id)
 
     def sr_listen(self) -> SrListener:
         with self._lock:
@@ -218,9 +204,7 @@ class TcpAgent:
     # -- connection handling ---------------------------------------------
 
     def _spawn(self, target, name: str, *args) -> None:
-        thread = threading.Thread(target=target, args=args, name=f"tcpagent-{name}", daemon=True)
-        thread.start()
-        self._threads.append(thread)
+        threading.Thread(target=target, args=args, name=f"tcpagent-{name}", daemon=True).start()
 
     def _accept_loop(self) -> None:
         while True:

@@ -89,12 +89,18 @@ def read_trace(path) -> list[TraceEvent]:
     return events
 
 
+_clock = time.monotonic_ns
+_new_tuple = tuple.__new__
+
+
 class TraceRecorder:
     """Append-only event sink shared by concurrently running actors.
 
     list.append is atomic under the GIL, so recording takes no lock; the
     per-source strictly-increasing timestamp is maintained with a plain
     dict keyed by recording source (client ID, or 0 for the server).
+    `record` builds each event with `tuple.__new__`, skipping the
+    NamedTuple constructor's Python-level frame.
     """
 
     def __init__(self):
@@ -102,12 +108,13 @@ class TraceRecorder:
         self._last_ts: dict[int, int] = {}
 
     def record(self, source: int, client_id: int, item_id: int, op: str, mode: str, outcome: str) -> None:
-        ts = time.monotonic_ns()
-        last = self._last_ts.get(source, 0)
+        ts = _clock()
+        last_ts = self._last_ts
+        last = last_ts.get(source, 0)
         if ts <= last:
             ts = last + 1
-        self._last_ts[source] = ts
-        self._events.append(TraceEvent(ts, client_id, item_id, op, mode, outcome))
+        last_ts[source] = ts
+        self._events.append(_new_tuple(TraceEvent, (ts, client_id, item_id, op, mode, outcome)))
 
     def extend(self, events: Iterable[TraceEvent]) -> None:
         self._events.extend(events)

@@ -6,11 +6,13 @@ SEND/RECV between paired endpoints.  This module implements the in-process
 transport (clients are threads in one process); the TCP-emulated transport
 in `tcp_transport` exposes the same queue-pair surface.
 
-All one-sided effects on a given 8-byte word are serialized by a per-word
-lock, so any mix of CAS, FA, half-word WRITE and READ on one word is
-linearizable.  Ordinary WRITEs that overlap a word participate in the same
-per-word locking; without that, a 4-byte release WRITE could tear a
-concurrent FA on the other half of the word.
+A region stores one Python int per 8-byte little-endian word, so CAS and
+FA are plain integer operations, and a READ or WRITE confined to one word
+is a shift and a mask.  All one-sided effects on a given word are
+serialized by a per-word lock, so any mix of CAS, FA, half-word WRITE and
+READ on one word is linearizable.  READs and WRITEs that span several
+words take every overlapped word's lock; without that, a 4-byte release
+WRITE could tear a concurrent FA on the other half of the word.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import itertools
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 WORD_SIZE = 8
 U64_MASK = 0xFFFFFFFFFFFFFFFF
@@ -43,9 +45,14 @@ class CompletionStatus(IntEnum):
     BAD_REQUEST = 4
 
 
-@dataclass(frozen=True)
-class Completion:
-    """Result of one posted verb.
+# Enum members read as module globals: class attribute access on an enum
+# costs several times a global lookup, and these sit on every verb.
+_READ, _WRITE, _CAS, _FA = VerbKind.READ, VerbKind.WRITE, VerbKind.CAS, VerbKind.FA
+_OK = CompletionStatus.OK
+
+
+class Completion(NamedTuple):
+    """Result of one posted verb (immutable).
 
     `payload` carries the old value (little-endian, 8 bytes) for atomics,
     the data snapshot for READ, and the message for RECV.  `serial` is the
@@ -60,7 +67,7 @@ class Completion:
 
     @property
     def ok(self) -> bool:
-        return self.status == CompletionStatus.OK
+        return self.status == _OK
 
     @property
     def value(self) -> int:
@@ -78,6 +85,7 @@ class MemoryRegion:
     8-byte atomics must target 8-byte-aligned offsets.  READ/WRITE may
     target any in-bounds (offset, length); they lock every overlapped word
     so multi-byte accesses are atomic with respect to word-level atomics.
+    Only accesses confined to one word return a serial stamp.
     """
 
     def __init__(self, region_id: int, length: int):
@@ -85,8 +93,8 @@ class MemoryRegion:
             raise ValueError("region length must be positive")
         self.region_id = region_id
         self.length = length
-        self._buf = bytearray(length)
         n_words = (length + WORD_SIZE - 1) // WORD_SIZE
+        self._words = [0] * n_words
         self._word_locks = [threading.Lock() for _ in range(n_words)]
         self._word_serials = [0] * n_words
 
@@ -97,8 +105,8 @@ class MemoryRegion:
             )
 
     def _check_word(self, offset: int) -> int:
-        self._check_bounds(offset, WORD_SIZE)
-        if offset % WORD_SIZE != 0:
+        if offset % WORD_SIZE or not 0 <= offset <= self.length - WORD_SIZE:
+            self._check_bounds(offset, WORD_SIZE)
             raise RegionAccessError(f"atomic offset {offset} not 8-byte aligned")
         return offset // WORD_SIZE
 
@@ -106,56 +114,70 @@ class MemoryRegion:
         self._word_serials[word_index] += 1
         return self._word_serials[word_index]
 
-    def _word_span(self, offset: int, length: int) -> range:
-        return range(offset // WORD_SIZE, (offset + length - 1) // WORD_SIZE + 1)
+    def _span(self, offset: int, length: int, payload: bytes | None = None) -> bytes:
+        """READ (no payload) or WRITE of bytes that straddle words, under
+        every overlapped word's lock; returns the span's bytes."""
+        first, last = offset // WORD_SIZE, (offset + length - 1) // WORD_SIZE
+        locks = self._word_locks[first : last + 1]
+        for lock in locks:
+            lock.acquire()
+        try:
+            words = self._words
+            buf = bytearray(b"".join(w.to_bytes(WORD_SIZE, "little") for w in words[first : last + 1]))
+            start = offset - first * WORD_SIZE
+            if payload is not None:
+                buf[start : start + length] = payload
+                for i in range(first, last + 1):
+                    at = (i - first) * WORD_SIZE
+                    words[i] = int.from_bytes(buf[at : at + WORD_SIZE], "little")
+            return bytes(buf[start : start + length])
+        finally:
+            for lock in reversed(locks):
+                lock.release()
 
     def read(self, offset: int, length: int) -> tuple[bytes, int | None]:
         """Atomic snapshot of `length` bytes; returns (data, serial)."""
         self._check_bounds(offset, length)
-        span = self._word_span(offset, length)
-        locks = [self._word_locks[w] for w in span]
-        for lock in locks:
-            lock.acquire()
-        try:
-            data = bytes(self._buf[offset : offset + length])
-            serial = self._stamp(span[0]) if len(span) == 1 else None
-        finally:
-            for lock in reversed(locks):
-                lock.release()
-        return data, serial
+        w = offset // WORD_SIZE
+        if (offset + length - 1) // WORD_SIZE != w:
+            return self._span(offset, length), None
+        shift = (offset % WORD_SIZE) * 8
+        with self._word_locks[w]:
+            word = self._words[w]
+            serial = self._stamp(w)
+        return ((word >> shift) & ((1 << 8 * length) - 1)).to_bytes(length, "little"), serial
 
     def write(self, offset: int, payload: bytes) -> int | None:
         """Atomic store of `payload`; returns the serial for single-word writes."""
-        self._check_bounds(offset, len(payload))
-        span = self._word_span(offset, len(payload))
-        locks = [self._word_locks[w] for w in span]
-        for lock in locks:
-            lock.acquire()
-        try:
-            self._buf[offset : offset + len(payload)] = payload
-            serial = self._stamp(span[0]) if len(span) == 1 else None
-        finally:
-            for lock in reversed(locks):
-                lock.release()
-        return serial
+        length = len(payload)
+        self._check_bounds(offset, length)
+        w = offset // WORD_SIZE
+        if (offset + length - 1) // WORD_SIZE != w:
+            self._span(offset, length, payload)
+            return None
+        shift = (offset % WORD_SIZE) * 8
+        keep = ~(((1 << 8 * length) - 1) << shift)
+        value = int.from_bytes(payload, "little") << shift
+        with self._word_locks[w]:
+            self._words[w] = (self._words[w] & keep) | value
+            return self._stamp(w)
 
     def compare_and_swap(self, offset: int, expected: int, swap: int) -> tuple[int, int]:
         """Atomic 8-byte CAS; returns (old value, serial). Old value is
         returned whether or not the swap took place."""
         w = self._check_word(offset)
         with self._word_locks[w]:
-            old = int.from_bytes(self._buf[offset : offset + 8], "little")
+            old = self._words[w]
             if old == expected:
-                self._buf[offset : offset + 8] = (swap & U64_MASK).to_bytes(8, "little")
+                self._words[w] = swap & U64_MASK
             return old, self._stamp(w)
 
     def fetch_and_add(self, offset: int, addend: int) -> tuple[int, int]:
         """Atomic 8-byte add modulo 2^64; returns (old value, serial)."""
         w = self._check_word(offset)
         with self._word_locks[w]:
-            old = int.from_bytes(self._buf[offset : offset + 8], "little")
-            new = (old + addend) & U64_MASK
-            self._buf[offset : offset + 8] = new.to_bytes(8, "little")
+            old = self._words[w]
+            self._words[w] = (old + addend) & U64_MASK
             return old, self._stamp(w)
 
     def snapshot_word(self, item: int) -> int:
@@ -164,12 +186,33 @@ class MemoryRegion:
         return int.from_bytes(data, "little")
 
 
-def _old_value_completion(kind: VerbKind, old: int, serial: int | None) -> Completion:
-    return Completion(kind, CompletionStatus.OK, old.to_bytes(8, "little"), serial)
+class RegionRegistry:
+    """Registered regions of one host (`InprocFabric` or `TcpAgent`).
+
+    Regions are only ever added, under a lock; a dict read is atomic, so
+    lookups on the verb path take no lock.
+    """
+
+    def __init__(self):
+        self._regions: dict[int, MemoryRegion] = {}
+        self._region_ids = itertools.count(1)
+        self._region_lock = threading.Lock()
+
+    def register_region(self, length: int) -> MemoryRegion:
+        with self._region_lock:
+            region = MemoryRegion(next(self._region_ids), length)
+            self._regions[region.region_id] = region
+            return region
+
+    def lookup_region(self, region_id: int) -> MemoryRegion | None:
+        return self._regions.get(region_id)
 
 
-def _access_error(kind: VerbKind) -> Completion:
-    return Completion(kind, CompletionStatus.LOCAL_ACCESS_ERROR)
+def _completion(kind: VerbKind, payload: bytes, serial: int | None) -> Completion:
+    return tuple.__new__(Completion, (kind, _OK, payload, serial))
+
+
+_ACCESS_ERRORS = {kind: Completion(kind, CompletionStatus.LOCAL_ACCESS_ERROR) for kind in VerbKind}
 
 
 class QueuePair:
@@ -194,51 +237,51 @@ class QueuePair:
         self._closed = False
 
     # -- one-sided -----------------------------------------------------
+    # Each leg (request, completion) sleeps the fabric's injected latency.
+    # An unknown region or a rejected access completes LOCAL_ACCESS_ERROR.
 
-    def _delay(self) -> None:
-        if self.fabric.latency > 0:
-            time.sleep(self.fabric.latency)
-
-    def _one_sided(self, kind: VerbKind, region_id: int, fn) -> Completion:
-        self._delay()
-        region = self.fabric.lookup_region(region_id)
-        if region is None:
-            completion = _access_error(kind)
-        else:
-            try:
-                completion = fn(region)
-            except RegionAccessError:
-                completion = _access_error(kind)
-        self._delay()
+    def _leg(self, completion: Completion | None = None) -> Completion | None:
+        """Sleep one leg's injected latency; passes `completion` through."""
+        latency = self.fabric.latency
+        if latency > 0:
+            time.sleep(latency)
         return completion
 
-    def post_read(self, region_id: int, offset: int, length: int) -> Completion:
-        def run(region: MemoryRegion) -> Completion:
-            data, serial = region.read(offset, length)
-            return Completion(VerbKind.READ, CompletionStatus.OK, data, serial)
+    def _target(self, region_id: int) -> MemoryRegion:
+        """The request leg, then the lock-free registry lookup."""
+        self._leg()
+        region = self.fabric.lookup_region(region_id)
+        if region is None:
+            raise RegionAccessError(f"unknown region {region_id}")
+        return region
 
-        return self._one_sided(VerbKind.READ, region_id, run)
+    def post_read(self, region_id: int, offset: int, length: int) -> Completion:
+        try:
+            data, serial = self._target(region_id).read(offset, length)
+        except RegionAccessError:
+            return self._leg(_ACCESS_ERRORS[_READ])
+        return self._leg(_completion(_READ, data, serial))
 
     def post_write(self, region_id: int, offset: int, payload: bytes) -> Completion:
-        def run(region: MemoryRegion) -> Completion:
-            serial = region.write(offset, payload)
-            return Completion(VerbKind.WRITE, CompletionStatus.OK, b"", serial)
-
-        return self._one_sided(VerbKind.WRITE, region_id, run)
+        try:
+            serial = self._target(region_id).write(offset, payload)
+        except RegionAccessError:
+            return self._leg(_ACCESS_ERRORS[_WRITE])
+        return self._leg(_completion(_WRITE, b"", serial))
 
     def post_cas(self, region_id: int, offset: int, expected: int, swap: int) -> Completion:
-        def run(region: MemoryRegion) -> Completion:
-            old, serial = region.compare_and_swap(offset, expected, swap)
-            return _old_value_completion(VerbKind.CAS, old, serial)
-
-        return self._one_sided(VerbKind.CAS, region_id, run)
+        try:
+            old, serial = self._target(region_id).compare_and_swap(offset, expected, swap)
+        except RegionAccessError:
+            return self._leg(_ACCESS_ERRORS[_CAS])
+        return self._leg(_completion(_CAS, old.to_bytes(8, "little"), serial))
 
     def post_fa(self, region_id: int, offset: int, addend: int) -> Completion:
-        def run(region: MemoryRegion) -> Completion:
-            old, serial = region.fetch_and_add(offset, addend)
-            return _old_value_completion(VerbKind.FA, old, serial)
-
-        return self._one_sided(VerbKind.FA, region_id, run)
+        try:
+            old, serial = self._target(region_id).fetch_and_add(offset, addend)
+        except RegionAccessError:
+            return self._leg(_ACCESS_ERRORS[_FA])
+        return self._leg(_completion(_FA, old.to_bytes(8, "little"), serial))
 
     # -- two-sided -----------------------------------------------------
 
@@ -248,13 +291,11 @@ class QueuePair:
             self._recv_buffers.append(capacity)
 
     def post_send(self, payload: bytes) -> Completion:
-        self._delay()
+        self._leg()
         peer = self.peer
         if peer is None:
             return Completion(VerbKind.SEND, CompletionStatus.RECEIVER_NOT_READY)
-        status = peer._deliver(payload)
-        self._delay()
-        return Completion(VerbKind.SEND, status)
+        return self._leg(Completion(VerbKind.SEND, peer._deliver(payload)))
 
     def _deliver(self, payload: bytes) -> CompletionStatus:
         with self._lock:
@@ -325,7 +366,7 @@ class SrListener:
             self._ready.notify_all()
 
 
-class InprocFabric:
+class InprocFabric(RegionRegistry):
     """In-process transport: a region registry plus queue-pair wiring.
 
     `latency` is the injected one-way delay applied to each verb leg
@@ -333,25 +374,12 @@ class InprocFabric:
     """
 
     def __init__(self, latency: float = 0.0):
+        super().__init__()
         self.latency = latency
         self._lock = threading.Lock()
-        self._regions: dict[int, MemoryRegion] = {}
-        self._region_ids = itertools.count(1)
         self._qp_ids = itertools.count(1)
         self._client_ids = itertools.count(1)
         self._listener: SrListener | None = None
-
-    def register_region(self, length: int) -> MemoryRegion:
-        if length <= 0:
-            raise ValueError("region length must be positive")
-        with self._lock:
-            region = MemoryRegion(next(self._region_ids), length)
-            self._regions[region.region_id] = region
-            return region
-
-    def lookup_region(self, region_id: int) -> MemoryRegion | None:
-        with self._lock:
-            return self._regions.get(region_id)
 
     def sr_listen(self) -> SrListener:
         with self._lock:

@@ -4,7 +4,9 @@ import csv
 
 import pytest
 
+from lockbench import cli
 from lockbench.cli import main
+from lockbench.server_lm import DEFAULT_SR_MESSAGE_COST, DEFAULT_TCP_MESSAGE_COST
 from lockbench.trace import TraceEvent, write_trace
 
 BENCH_FAST = [
@@ -91,3 +93,29 @@ def test_check_malformed_trace_exits_2(tmp_path, capsys):
 def test_unknown_design_is_an_argparse_error():
     with pytest.raises(SystemExit):
         main(["bench", "--design", "wishful"])
+
+
+class _ServerBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "argv,cost",
+    [
+        (["--design", "server-tcp"], DEFAULT_TCP_MESSAGE_COST),
+        (["--design", "server-sr"], DEFAULT_SR_MESSAGE_COST),
+        (["--design", "server-sr", "--per-message-cost-us", "7"], 7e-6),
+    ],
+)
+def test_server_message_cost_defaults_per_frontend(monkeypatch, argv, cost):
+    configs = []
+
+    def fake_server(config, recorder=None):
+        configs.append(config)
+        raise _ServerBuilt  # stop before anything binds a port
+
+    monkeypatch.setattr(cli, "LockServer", fake_server)
+    with pytest.raises(_ServerBuilt):
+        main(["server"] + argv)
+    assert len(configs) == 1
+    assert configs[0].per_message_cost == pytest.approx(cost)

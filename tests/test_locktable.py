@@ -14,7 +14,6 @@ from lockbench.locktable import (
     decode,
     encode,
     exclusive_half_offset,
-    shared_half_offset,
 )
 from lockbench.verbs import InprocFabric
 
@@ -54,7 +53,6 @@ def test_encode_rejects_out_of_range_fields():
 
 
 def test_half_offsets():
-    assert shared_half_offset(24) == 24
     assert exclusive_half_offset(24) == 24 + HALF_SIZE
 
 

@@ -3,6 +3,7 @@
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lockbench.verbs import (
     Completion,
@@ -281,6 +282,66 @@ def test_completion_value_decodes_little_endian():
     c = Completion(VerbKind.FA, CompletionStatus.OK, (258).to_bytes(8, "little"), 1)
     assert c.value == 258
     assert c.ok
+
+
+def test_completion_is_immutable_with_defaults(fabric, region):
+    c = Completion(VerbKind.CAS, CompletionStatus.LOCAL_ACCESS_ERROR)
+    assert (c.payload, c.serial, c.value, c.ok) == (b"", None, 0, False)
+    with pytest.raises(AttributeError):
+        c.status = CompletionStatus.OK
+    posted = fabric.connect().post_read(region.region_id, 0, 2)
+    assert isinstance(posted, Completion)
+    assert (posted.op_kind, posted.status, posted.payload) == (VerbKind.READ, CompletionStatus.OK, b"\0\0")
+    with pytest.raises(AttributeError):
+        posted.payload = b"x"
+
+
+U64S = st.integers(min_value=0, max_value=U64 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(length=st.integers(min_value=1, max_value=40), data=st.data())
+def test_region_matches_bytearray_model(length, data):
+    """Random READ/WRITE (any in-bounds span) and aligned CAS/FA against a
+    plain bytearray; only single-word accesses carry a serial, and a word's
+    serials strictly increase."""
+    region = MemoryRegion(1, length)
+    model = bytearray(length)
+    last_serial = {}
+    kinds = ["read", "write"] + (["cas", "fa"] if length >= 8 else [])
+    for _ in range(data.draw(st.integers(min_value=1, max_value=25))):
+        kind = data.draw(st.sampled_from(kinds))
+        if kind in ("read", "write"):
+            offset = data.draw(st.integers(min_value=0, max_value=length - 1))
+            size = data.draw(st.integers(min_value=1, max_value=length - offset))
+            if kind == "read":
+                got, serial = region.read(offset, size)
+                assert got == bytes(model[offset : offset + size])
+            else:
+                payload = data.draw(st.binary(min_size=size, max_size=size))
+                serial = region.write(offset, payload)
+                model[offset : offset + size] = payload
+            word = offset // 8
+            assert (serial is not None) == ((offset + size - 1) // 8 == word)
+        else:
+            word = data.draw(st.integers(min_value=0, max_value=length // 8 - 1))
+            offset = word * 8
+            before = int.from_bytes(model[offset : offset + 8], "little")
+            if kind == "cas":
+                expected = data.draw(st.one_of(st.just(before), U64S))
+                swap = data.draw(U64S)
+                old, serial = region.compare_and_swap(offset, expected, swap)
+                after = swap if before == expected else before
+            else:
+                addend = data.draw(U64S)
+                old, serial = region.fetch_and_add(offset, addend)
+                after = (before + addend) % U64
+            assert old == before
+            model[offset : offset + 8] = after.to_bytes(8, "little")
+        if serial is not None:
+            assert serial > last_serial.get(word, 0)
+            last_serial[word] = serial
+        assert region.read(0, length)[0] == bytes(model)
 
 
 def test_injected_latency_slows_verbs():
