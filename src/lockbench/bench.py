@@ -13,7 +13,8 @@ numbers.  The in-process transport runs clients as threads; the TCP
 transport runs each client in its own process (forkserver start method,
 so worker startup does not fork a thread-laden parent).
 
-Design x transport matrix:
+Design x transport matrix, hosted by `host_design` and connected to by
+`connect_client`:
 
 * server-tcp / inproc — in-process channels emulating the socket frontend
 * server-tcp / tcp    — real sockets against the server's TCP port
@@ -31,7 +32,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .checker import (
     CONSERVATION,
@@ -71,6 +72,14 @@ from .tcp_transport import TcpAgent, TcpFabric
 TRANSPORT_INPROC = "inproc"
 TRANSPORT_TCP = "tcp"
 TRANSPORTS = (TRANSPORT_INPROC, TRANSPORT_TCP)
+
+# Design -> (server frontend, default per-message cost).  The client-centric
+# design runs no server, so it has no frontend and no message cost.
+DESIGN_FRONTENDS = {
+    DESIGN_SERVER_TCP: (FRONTEND_TCP, DEFAULT_TCP_MESSAGE_COST),
+    DESIGN_SERVER_SR: (FRONTEND_SEND_RECV, DEFAULT_SR_MESSAGE_COST),
+    DESIGN_CLIENT_CENTRIC: (None, 0.0),
+}
 
 CSV_COLUMNS = [
     "design",
@@ -131,11 +140,7 @@ class WorkloadSpec:
     def effective_message_cost(self) -> float:
         if self.per_message_cost is not None:
             return self.per_message_cost
-        return (
-            DEFAULT_SR_MESSAGE_COST
-            if self.design == DESIGN_SERVER_SR
-            else DEFAULT_TCP_MESSAGE_COST
-        )
+        return DESIGN_FRONTENDS[self.design][1]
 
 
 class LatencyStats(NamedTuple):
@@ -175,92 +180,119 @@ def _drive(client, ops) -> tuple[int, int, list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# In-process transport: clients are threads.
+# Design x transport: one place hosts each passive side, one connects clients.
 
 
-def _build_inproc(spec: WorkloadSpec, recorder: TraceRecorder):
-    """Returns (clients, teardown callable, quiescence words callable)."""
-    if spec.design == DESIGN_CLIENT_CENTRIC:
-        fabric = InprocFabric()
-        table = LockTable.allocate(fabric, spec.n_items)
-        clients = [
-            ClientSession(
-                fabric.connect(i),
-                table.handle(),
-                i,
-                backoff=spec.backoff,
-                max_retries=spec.max_retries,
-                recorder=recorder,
-            )
-            for i in range(1, spec.n_clients + 1)
-        ]
-        return clients, fabric.close, table.words
-    cost = spec.effective_message_cost()
-    if spec.design == DESIGN_SERVER_TCP:
+class HostedDesign(NamedTuple):
+    target: object  # what connect_client connects to
+    region_id: int  # the lock table's region (client-centric), else 0
+    words: Callable[[], list[int]] | None  # lock words for the quiescence check
+    teardown: Callable[[], None]
+
+
+def host_design(
+    spec: WorkloadSpec, recorder: TraceRecorder | None = None, host: str = "127.0.0.1", port: int = 0
+) -> HostedDesign:
+    """Host the passive side of `spec`'s design on its transport.
+
+    A server design gets a LockServer on its frontend: in process, the
+    server itself (server-tcp) or an InprocFabric's listener (server-sr);
+    over TCP, its socket port or a TcpAgent's listener.  The client-centric
+    design gets a LockTable on an InprocFabric or a TcpAgent.  Over TCP the
+    target is the (host, port) address clients connect to.
+    """
+    frontend, _ = DESIGN_FRONTENDS[spec.design]
+    inproc = spec.transport == TRANSPORT_INPROC
+    server = None
+    if frontend is not None:
         server = LockServer(
-            ServerConfig(spec.n_items, FRONTEND_TCP, cost, spec.worker_limit), recorder
+            ServerConfig(spec.n_items, frontend, spec.effective_message_cost(), spec.worker_limit),
+            recorder,
         )
-        clients = []
-        for i in range(1, spec.n_clients + 1):
-            channel = InprocChannel()
-            server.attach_channel(channel)
-            clients.append(ServerLockClient(channel, i, recorder))
-        return clients, server.shutdown, None
-    server = LockServer(
-        ServerConfig(spec.n_items, FRONTEND_SEND_RECV, cost, spec.worker_limit), recorder
-    )
-    fabric = InprocFabric()
+        if frontend == FRONTEND_TCP:
+            target = server if inproc else server.serve_tcp(host, port)
+            return HostedDesign(target, 0, None, server.shutdown)
+    if inproc:
+        fabric = InprocFabric()
+        target, stop = fabric, fabric.close
+    else:
+        fabric = TcpAgent(host, port)
+        target, stop = fabric.start(), fabric.stop
+    if server is None:
+        table = LockTable.allocate(fabric, spec.n_items)
+        return HostedDesign(target, table.region_id, table.words, stop)
     server.serve_sr_listener(fabric.sr_listen())
 
     def teardown():
         server.shutdown()
-        fabric.close()
+        stop()
 
-    clients = [
-        ServerLockClient(QpConn(fabric.connect(i)), i, recorder)
-        for i in range(1, spec.n_clients + 1)
-    ]
-    return clients, teardown, None
+    return HostedDesign(target, 0, None, teardown)
 
 
-def _run_inproc(spec: WorkloadSpec) -> tuple[RunResult, list[TraceEvent]]:
-    recorder = TraceRecorder()
-    clients, teardown, quiesce = _build_inproc(spec, recorder)
-    barrier = threading.Barrier(spec.n_clients)
-    results: list[object] = [None] * spec.n_clients
+def connect_client(spec: WorkloadSpec, client_index: int, target, region_id: int, recorder):
+    """Client `client_index` of `spec`'s design, connected to a
+    `host_design` target on `spec.transport`."""
+    inproc = spec.transport == TRANSPORT_INPROC
+    if spec.design == DESIGN_SERVER_TCP:
+        if inproc:
+            conn = InprocChannel()
+            target.attach_channel(conn)
+        else:
+            conn = SocketConn(*target)
+        return ServerLockClient(conn, client_index, recorder)
+    qp = (target if inproc else TcpFabric(*target)).connect(client_index)
+    if spec.design == DESIGN_SERVER_SR:
+        return ServerLockClient(QpConn(qp), client_index, recorder)
+    return ClientSession(
+        qp,
+        TableHandle(region_id, spec.n_items),
+        client_index,
+        backoff=spec.backoff,
+        max_retries=spec.max_retries,
+        recorder=recorder,
+    )
 
-    def work(idx: int) -> None:
-        try:
-            ops = client_op_stream(spec, idx + 1)
-            barrier.wait()
-            results[idx] = _drive(clients[idx], ops)
-        except Exception as exc:  # re-raised in the harness thread
-            results[idx] = exc
 
-    threads = [
-        threading.Thread(target=work, args=(i,), name=f"bench-client-{i + 1}")
-        for i in range(spec.n_clients)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+# ---------------------------------------------------------------------------
+# In-process transport: clients are threads.
+
+
+def _run_inproc(spec: WorkloadSpec, hosted: HostedDesign, recorder: TraceRecorder):
+    """Returns {client index: (start_ns, end_ns, acquire latencies)}."""
+    clients = []
     try:
+        for i in range(1, spec.n_clients + 1):
+            clients.append(connect_client(spec, i, hosted.target, hosted.region_id, recorder))
+        barrier = threading.Barrier(spec.n_clients)
+        results: list[object] = [None] * spec.n_clients
+
+        def work(idx: int) -> None:
+            try:
+                ops = client_op_stream(spec, idx + 1)
+                barrier.wait()
+                results[idx] = _drive(clients[idx], ops)
+            except Exception as exc:  # re-raised in the harness thread
+                results[idx] = exc
+
+        threads = [
+            threading.Thread(target=work, args=(i,), name=f"bench-client-{i + 1}")
+            for i in range(spec.n_clients)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
         for i, outcome in enumerate(results):
             if isinstance(outcome, Exception):
                 raise RuntimeError(f"client {i + 1} failed") from outcome
-        words = quiesce() if quiesce is not None else None
-        per_client = {
-            i + 1: outcome for i, outcome in enumerate(results)
-        }
-        return _finish(spec, recorder.sorted_events(), per_client, words)
+        return {i + 1: outcome for i, outcome in enumerate(results)}
     finally:
         for client in clients:
             try:
                 client.close()
             except Exception:
                 pass
-        teardown()
 
 
 # ---------------------------------------------------------------------------
@@ -278,28 +310,10 @@ def _mp_context():
     return _MP_CONTEXT
 
 
-def _connect_tcp_client(spec, client_index, address, region_id, recorder):
-    host, port = address
-    if spec.design == DESIGN_SERVER_TCP:
-        return ServerLockClient(SocketConn(host, port), client_index, recorder)
-    if spec.design == DESIGN_SERVER_SR:
-        qp = TcpFabric(host, port).connect(client_index)
-        return ServerLockClient(QpConn(qp), client_index, recorder)
-    qp = TcpFabric(host, port).connect(client_index)
-    return ClientSession(
-        qp,
-        TableHandle(region_id, spec.n_items),
-        client_index,
-        backoff=spec.backoff,
-        max_retries=spec.max_retries,
-        recorder=recorder,
-    )
-
-
-def _tcp_client_worker(spec, client_index, address, region_id, barrier, results_queue):
+def _tcp_client_worker(spec, client_index, target, region_id, barrier, results_queue):
     try:
         recorder = TraceRecorder()
-        client = _connect_tcp_client(spec, client_index, address, region_id, recorder)
+        client = connect_client(spec, client_index, target, region_id, recorder)
         ops = client_op_stream(spec, client_index)
         barrier.wait()
         start, end, latencies = _drive(client, ops)
@@ -311,41 +325,16 @@ def _tcp_client_worker(spec, client_index, address, region_id, barrier, results_
         results_queue.put((client_index, 0, 0, [], [], f"{type(exc).__name__}: {exc}"))
 
 
-def _run_tcp(spec: WorkloadSpec) -> tuple[RunResult, list[TraceEvent]]:
-    recorder = TraceRecorder()
-    agent = None
-    server = None
-    table = None
-    region_id = 0
-    if spec.design == DESIGN_SERVER_TCP:
-        server = LockServer(
-            ServerConfig(spec.n_items, FRONTEND_TCP, spec.effective_message_cost(), spec.worker_limit),
-            recorder,
-        )
-        address = server.serve_tcp()
-    elif spec.design == DESIGN_SERVER_SR:
-        agent = TcpAgent()
-        address = agent.start()
-        server = LockServer(
-            ServerConfig(
-                spec.n_items, FRONTEND_SEND_RECV, spec.effective_message_cost(), spec.worker_limit
-            ),
-            recorder,
-        )
-        server.serve_sr_listener(agent.sr_listen())
-    else:
-        agent = TcpAgent()
-        address = agent.start()
-        table = LockTable.allocate(agent, spec.n_items)
-        region_id = table.region_id
-
+def _run_tcp(spec: WorkloadSpec, hosted: HostedDesign, recorder: TraceRecorder):
+    """Returns {client index: (start_ns, end_ns, acquire latencies)}; the
+    client processes' trace events go into `recorder`."""
     ctx = _mp_context()
     barrier = ctx.Barrier(spec.n_clients)
     results_queue = ctx.Queue()
     procs = [
         ctx.Process(
             target=_tcp_client_worker,
-            args=(spec, i, address, region_id, barrier, results_queue),
+            args=(spec, i, hosted.target, hosted.region_id, barrier, results_queue),
             daemon=True,
         )
         for i in range(1, spec.n_clients + 1)
@@ -372,16 +361,11 @@ def _run_tcp(spec: WorkloadSpec) -> tuple[RunResult, list[TraceEvent]]:
             proc.join(timeout=30)
         if errors:
             raise RuntimeError("; ".join(errors))
-        words = table.words() if table is not None else None
-        return _finish(spec, recorder.sorted_events(), per_client, words)
+        return per_client
     finally:
         for proc in procs:
             if proc.is_alive():
                 proc.terminate()
-        if server is not None:
-            server.shutdown()
-        if agent is not None:
-            agent.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +417,15 @@ def run_workload(spec: WorkloadSpec) -> tuple[RunResult, list[TraceEvent]]:
     never reports throughput from an unverified trace.
     """
     spec.validate()
-    if spec.transport == TRANSPORT_INPROC:
-        result, events = _run_inproc(spec)
-    else:
-        result, events = _run_tcp(spec)
-    return result, events
+    recorder = TraceRecorder()
+    hosted = host_design(spec, recorder)
+    try:
+        run = _run_inproc if spec.transport == TRANSPORT_INPROC else _run_tcp
+        per_client = run(spec, hosted, recorder)
+        words = hosted.words() if hosted.words is not None else None
+        return _finish(spec, recorder.sorted_events(), per_client, words)
+    finally:
+        hosted.teardown()
 
 
 # ---------------------------------------------------------------------------

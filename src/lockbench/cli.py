@@ -8,8 +8,10 @@ import time
 
 from .bench import (
     TRANSPORT_INPROC,
+    TRANSPORT_TCP,
     TRANSPORTS,
     WorkloadSpec,
+    host_design,
     result_row,
     run_workload,
     sweep_clients,
@@ -17,7 +19,6 @@ from .bench import (
     write_csv,
 )
 from .checker import (
-    DESIGN_SERVER_SR,
     DESIGN_SERVER_TCP,
     DESIGNS,
     check_all,
@@ -25,16 +26,6 @@ from .checker import (
     check_safety,
 )
 from .errors import RunCheckError
-from .locktable import LockTable
-from .server_lm import (
-    DEFAULT_SR_MESSAGE_COST,
-    DEFAULT_TCP_MESSAGE_COST,
-    FRONTEND_SEND_RECV,
-    FRONTEND_TCP,
-    LockServer,
-    ServerConfig,
-)
-from .tcp_transport import TcpAgent
 from .trace import TraceParseError, read_trace, write_trace
 
 
@@ -119,32 +110,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Server designs: the frontend each one serves and its default message cost.
-_SERVER_FRONTENDS = {
-    DESIGN_SERVER_TCP: (FRONTEND_TCP, DEFAULT_TCP_MESSAGE_COST),
-    DESIGN_SERVER_SR: (FRONTEND_SEND_RECV, DEFAULT_SR_MESSAGE_COST),
-}
-
-
 def _cmd_server(args) -> int:
-    if args.design in _SERVER_FRONTENDS:
-        frontend, cost = _SERVER_FRONTENDS[args.design]
-        if args.per_message_cost_us is not None:
-            cost = args.per_message_cost_us / 1e6
-        server = LockServer(ServerConfig(args.items, frontend, cost, args.worker_limit))
-        if frontend == FRONTEND_TCP:
-            host, port = server.serve_tcp(args.host, args.port)
-        else:
-            agent = TcpAgent(args.host, args.port)
-            host, port = agent.start()
-            server.serve_sr_listener(agent.sr_listen())
+    cost = args.per_message_cost_us
+    spec = WorkloadSpec(
+        design=args.design,
+        n_items=args.items,
+        transport=TRANSPORT_TCP,
+        per_message_cost=None if cost is None else cost / 1e6,
+        worker_limit=args.worker_limit,
+    )
+    hosted = host_design(spec, host=args.host, port=args.port)
+    host, port = hosted.target
+    if hosted.words is None:
         print(f"{args.design} listening on {host}:{port} with {args.items} items", flush=True)
     else:
-        agent = TcpAgent(args.host, args.port)
-        host, port = agent.start()
-        table = LockTable.allocate(agent, args.items)
         print(
-            f"lock-table host on {host}:{port}, region {table.region_id}, "
+            f"lock-table host on {host}:{port}, region {hosted.region_id}, "
             f"{args.items} items",
             flush=True,
         )
@@ -153,6 +134,8 @@ def _cmd_server(args) -> int:
             time.sleep(3600)
     except KeyboardInterrupt:
         return 0
+    finally:
+        hosted.teardown()
 
 
 def _spec_from_args(args) -> WorkloadSpec:

@@ -39,7 +39,7 @@ from .trace import (
     OUT_REQ,
     TraceRecorder,
 )
-from .verbs import CompletionStatus, QueuePair, SrListener
+from .verbs import _OK, _RNR, QueuePair, SrListener
 
 MESSAGE = struct.Struct("<BIIQ")  # op, client_id, item_id, request_id
 MESSAGE_SIZE = MESSAGE.size
@@ -227,7 +227,8 @@ class MessageCostModel:
 
 
 class InprocChannel:
-    """In-process stand-in for one client's TCP connection."""
+    """In-process stand-in for one client's TCP connection.  Closing either
+    side ends both directions, as closing a socket does."""
 
     def __init__(self):
         self._to_server: queue.SimpleQueue = queue.SimpleQueue()
@@ -243,6 +244,7 @@ class InprocChannel:
 
     def close(self) -> None:
         self._to_server.put(None)
+        self._to_client.put(None)
 
     # server side
     def recv_request(self) -> bytes | None:
@@ -250,9 +252,6 @@ class InprocChannel:
 
     def send_reply(self, message: bytes) -> None:
         self._to_client.put(message)
-
-    def close_server_side(self) -> None:
-        self._to_client.put(None)
 
 
 class SocketConn:
@@ -320,15 +319,15 @@ class QpConn:
         deadline = time.monotonic() + self._timeout
         while True:
             completion = self._qp.post_send(message)
-            if completion.status == CompletionStatus.OK:
+            if completion.status == _OK:
                 break
-            if completion.status != CompletionStatus.RECEIVER_NOT_READY:
+            if completion.status != _RNR:
                 raise ConnectionError(f"send failed: {completion.status.name}")
             if time.monotonic() > deadline:
                 raise ConnectionError("server never posted a receive")
             time.sleep(self.RETRY_PAUSE)
         reply = self._qp.poll_recv(self._timeout)
-        if reply is None or reply.status != CompletionStatus.OK:
+        if reply is None or reply.status != _OK:
             raise ConnectionError("no reply from server")
         return reply.payload
 
@@ -351,7 +350,7 @@ class _QpEndpoint:
         if completion is None:
             return None
         self._qp.post_recv(MESSAGE_SIZE)
-        if completion.status != CompletionStatus.OK:
+        if completion.status != _OK:
             return None
         return completion.payload
 
@@ -443,17 +442,17 @@ class LockServer:
             )
 
     def _handle(self, endpoint) -> None:
+        """Serve one connection until it closes, the server shuts down or a
+        malformed frame arrives; then close the connection."""
         while True:
             data = endpoint.recv_request()
             if data is None or self._closing:
-                if isinstance(endpoint, InprocChannel):
-                    endpoint.close_server_side()
-                return
+                break
             self.cost.charge()
             try:
                 op, client_id, item_id, request_id = unpack_message(data)
             except struct.error:
-                continue
+                break
             self._bind(client_id, endpoint)
             if op in (MSG_ACQ_SHARED, MSG_ACQ_EXCL):
                 error, grants = self.core.acquire(
@@ -472,6 +471,7 @@ class LockServer:
                 self._push_grants(grants)
             else:
                 endpoint.send_reply(pack_message(MSG_ERROR, client_id, item_id, request_id))
+        endpoint.close()
 
     def shutdown(self) -> None:
         self._closing = True
@@ -485,12 +485,10 @@ class LockServer:
         with self._endpoint_lock:
             endpoints = list(self._endpoints.values())
         for endpoint in endpoints:
-            close = getattr(endpoint, "close", None)
-            if close is not None:
-                try:
-                    close()
-                except Exception:
-                    pass
+            try:
+                endpoint.close()
+            except Exception:
+                pass
 
 
 class ServerLockClient:

@@ -19,9 +19,13 @@ Each connected client holds two sockets:
 
 SENDs from a client land in a server-side queue-pair object the agent
 offers to its accept queue; a lock server attaches to that queue exactly
-as it does in process.  Atomic completions carry the region's per-word
-serial stamps across the wire, so linearizability checks work on this
-transport too.
+as it does in process.  Both receiving ends, that server-side object and
+the client's `TcpQueuePair`, are a `verbs.Mailbox`, so a SEND is matched
+against posted receives by the same code as in process.  On the delivery
+channel the client matches, puts the status byte on the wire, and only
+then makes the completion visible.  Atomic completions carry the region's
+per-word serial stamps across the wire, so linearizability checks work on
+this transport too.
 """
 
 from __future__ import annotations
@@ -30,13 +34,19 @@ import itertools
 import socket
 import struct
 import threading
-import time
-from collections import deque
 
 from .framing import recv_frame, send_frame
 from .verbs import (
+    _CAS,
+    _FA,
+    _OK,
+    _READ,
+    _RNR,
+    _SEND,
+    _WRITE,
     Completion,
     CompletionStatus,
+    Mailbox,
     RegionAccessError,
     RegionRegistry,
     SrListener,
@@ -68,7 +78,7 @@ def _unpack_reply(frame: bytes) -> tuple[CompletionStatus, int | None, bytes]:
     return CompletionStatus(status), serial, frame[REPLY_HEADER.size :]
 
 
-class _AgentServerQp:
+class _AgentServerQp(Mailbox):
     """Server-side queue pair living inside the agent process.
 
     Receives are local; a SEND travels the delivery channel and completes
@@ -76,66 +86,29 @@ class _AgentServerQp:
     receive buffers.
     """
 
-    def __init__(self, agent: "TcpAgent", client_id: int, delivery_sock: socket.socket):
+    def __init__(self, client_id: int, delivery_sock: socket.socket):
+        super().__init__()
         self.client_id = client_id
-        self._agent = agent
         self._sock = delivery_sock
         self._send_lock = threading.Lock()
-        self._lock = threading.Lock()
-        self._ready = threading.Condition(self._lock)
-        self._recv_buffers: deque[int] = deque()
-        self._inbox: deque[Completion] = deque()
-        self._closed = False
-
-    def post_recv(self, capacity: int) -> None:
-        with self._lock:
-            self._recv_buffers.append(capacity)
-
-    def deliver_from_client(self, payload: bytes) -> CompletionStatus:
-        with self._lock:
-            if self._closed or not self._recv_buffers:
-                return CompletionStatus.RECEIVER_NOT_READY
-            capacity = self._recv_buffers.popleft()
-            if capacity < len(payload):
-                self._inbox.append(Completion(VerbKind.RECV, CompletionStatus.TRUNCATED))
-                status = CompletionStatus.TRUNCATED
-            else:
-                self._inbox.append(Completion(VerbKind.RECV, CompletionStatus.OK, payload))
-                status = CompletionStatus.OK
-            self._ready.notify()
-            return status
-
-    def poll_recv(self, timeout: float | None = None) -> Completion | None:
-        with self._lock:
-            deadline = None if timeout is None else time.monotonic() + timeout
-            while not self._inbox:
-                if self._closed:
-                    return None
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return None
-                self._ready.wait(remaining)
-            return self._inbox.popleft()
 
     def post_send(self, payload: bytes) -> Completion:
         with self._send_lock:
             if self._closed:
-                return Completion(VerbKind.SEND, CompletionStatus.RECEIVER_NOT_READY)
+                return Completion(_SEND, _RNR)
             try:
                 send_frame(self._sock, payload)
                 status_frame = recv_frame(self._sock)
             except OSError:
                 status_frame = None
             if status_frame is None or len(status_frame) != 1:
-                return Completion(VerbKind.SEND, CompletionStatus.RECEIVER_NOT_READY)
-            return Completion(VerbKind.SEND, CompletionStatus(status_frame[0]))
+                return Completion(_SEND, _RNR)
+            return Completion(_SEND, CompletionStatus(status_frame[0]))
 
     def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._ready.notify_all()
+        if self._closed:
+            return
+        super().close()
         # Taking the send lock lets an in-flight post_send finish reading
         # its status byte before the socket is torn down; otherwise a reply
         # that was in fact delivered would report a phantom failure.
@@ -231,7 +204,7 @@ class TcpAgent(RegionRegistry):
             self._verb_loop(conn, client_id)
         elif kind == CHANNEL_DELIVERY and client_id > 0:
             send_frame(conn, HELLO.pack(_HELLO_OK, client_id))
-            qp = _AgentServerQp(self, client_id, conn)
+            qp = _AgentServerQp(client_id, conn)
             with self._lock:
                 self._server_qps[client_id] = qp
                 listener = self._listener
@@ -265,46 +238,42 @@ class TcpAgent(RegionRegistry):
             return _pack_reply(CompletionStatus.BAD_REQUEST, None)
         kind, region_id, offset, length, op_a, op_b = VERB_HEADER.unpack_from(frame)
         payload = frame[VERB_HEADER.size :]
-        if kind == VerbKind.SEND:
+        if kind == _SEND:
             with self._lock:
                 qp = self._server_qps.get(client_id)
             if qp is None:
-                return _pack_reply(CompletionStatus.RECEIVER_NOT_READY, None)
-            return _pack_reply(qp.deliver_from_client(payload), None)
+                return _pack_reply(_RNR, None)
+            return _pack_reply(qp._deliver(payload), None)
         region = self.lookup_region(region_id)
         if region is None:
             return _pack_reply(CompletionStatus.LOCAL_ACCESS_ERROR, None)
         try:
-            if kind == VerbKind.READ:
+            if kind == _READ:
                 data, serial = region.read(offset, length)
-                return _pack_reply(CompletionStatus.OK, serial, data)
-            if kind == VerbKind.WRITE:
+                return _pack_reply(_OK, serial, data)
+            if kind == _WRITE:
                 serial = region.write(offset, payload)
-                return _pack_reply(CompletionStatus.OK, serial)
-            if kind == VerbKind.CAS:
+                return _pack_reply(_OK, serial)
+            if kind == _CAS:
                 old, serial = region.compare_and_swap(offset, op_a, op_b)
-                return _pack_reply(CompletionStatus.OK, serial, old.to_bytes(8, "little"))
-            if kind == VerbKind.FA:
+                return _pack_reply(_OK, serial, old.to_bytes(8, "little"))
+            if kind == _FA:
                 old, serial = region.fetch_and_add(offset, op_a)
-                return _pack_reply(CompletionStatus.OK, serial, old.to_bytes(8, "little"))
+                return _pack_reply(_OK, serial, old.to_bytes(8, "little"))
         except RegionAccessError:
             return _pack_reply(CompletionStatus.LOCAL_ACCESS_ERROR, None)
         return _pack_reply(CompletionStatus.BAD_REQUEST, None)
 
 
-class TcpQueuePair:
+class TcpQueuePair(Mailbox):
     """Client-side queue pair over the two-socket TCP channel pair."""
 
     def __init__(self, client_id: int, verb_sock: socket.socket, delivery_sock: socket.socket):
+        super().__init__()
         self.client_id = client_id
         self._verb_sock = verb_sock
         self._verb_lock = threading.Lock()
         self._delivery_sock = delivery_sock
-        self._lock = threading.Lock()
-        self._ready = threading.Condition(self._lock)
-        self._recv_buffers: deque[int] = deque()
-        self._inbox: deque[Completion] = deque()
-        self._closed = False
         self._reader = threading.Thread(
             target=self._delivery_loop, name=f"tcpqp-delivery-{client_id}", daemon=True
         )
@@ -329,56 +298,30 @@ class TcpQueuePair:
         return Completion(kind, status, data, serial)
 
     def post_read(self, region_id: int, offset: int, length: int) -> Completion:
-        return self._rpc(VerbKind.READ, region_id, offset, length)
+        return self._rpc(_READ, region_id, offset, length)
 
     def post_write(self, region_id: int, offset: int, payload: bytes) -> Completion:
-        return self._rpc(VerbKind.WRITE, region_id, offset, payload=payload)
+        return self._rpc(_WRITE, region_id, offset, payload=payload)
 
     def post_cas(self, region_id: int, offset: int, expected: int, swap: int) -> Completion:
-        return self._rpc(VerbKind.CAS, region_id, offset, op_a=expected, op_b=swap)
+        return self._rpc(_CAS, region_id, offset, op_a=expected, op_b=swap)
 
     def post_fa(self, region_id: int, offset: int, addend: int) -> Completion:
-        return self._rpc(VerbKind.FA, region_id, offset, op_a=addend)
+        return self._rpc(_FA, region_id, offset, op_a=addend)
 
     def post_send(self, payload: bytes) -> Completion:
-        return self._rpc(VerbKind.SEND, payload=payload)
+        return self._rpc(_SEND, payload=payload)
 
     # -- delivery channel ------------------------------------------------
-
-    def post_recv(self, capacity: int) -> None:
-        with self._lock:
-            self._recv_buffers.append(capacity)
-
-    def poll_recv(self, timeout: float | None = None) -> Completion | None:
-        with self._lock:
-            deadline = None if timeout is None else time.monotonic() + timeout
-            while not self._inbox:
-                if self._closed:
-                    return None
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return None
-                self._ready.wait(remaining)
-            return self._inbox.popleft()
 
     def _delivery_loop(self) -> None:
         while True:
             payload = recv_frame(self._delivery_sock)
             if payload is None:
-                with self._lock:
-                    self._closed = True
-                    self._ready.notify_all()
+                Mailbox.close(self)
                 return
-            completion = None
-            with self._lock:
-                if not self._recv_buffers:
-                    status = CompletionStatus.RECEIVER_NOT_READY
-                elif self._recv_buffers.popleft() < len(payload):
-                    status = CompletionStatus.TRUNCATED
-                    completion = Completion(VerbKind.RECV, status)
-                else:
-                    status = CompletionStatus.OK
-                    completion = Completion(VerbKind.RECV, status, payload)
+            completion = self._match(payload)
+            status = _RNR if completion is None else completion.status
             # The status byte must be on the wire before the completion is
             # visible locally: a consumer that wakes and closes this queue
             # pair must not be able to cut off the in-flight status reply.
@@ -387,14 +330,10 @@ class TcpQueuePair:
             except OSError:
                 pass
             if completion is not None:
-                with self._lock:
-                    self._inbox.append(completion)
-                    self._ready.notify()
+                self._inbox.put(completion)
 
     def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            self._ready.notify_all()
+        super().close()
         for sock in (self._verb_sock, self._delivery_sock):
             try:
                 sock.shutdown(socket.SHUT_RDWR)

@@ -18,6 +18,7 @@ WRITE could tear a concurrent FA on the other half of the word.
 from __future__ import annotations
 
 import itertools
+import queue
 import threading
 import time
 from collections import deque
@@ -48,7 +49,8 @@ class CompletionStatus(IntEnum):
 # Enum members read as module globals: class attribute access on an enum
 # costs several times a global lookup, and these sit on every verb.
 _READ, _WRITE, _CAS, _FA = VerbKind.READ, VerbKind.WRITE, VerbKind.CAS, VerbKind.FA
-_OK = CompletionStatus.OK
+_SEND, _RECV = VerbKind.SEND, VerbKind.RECV
+_OK, _RNR = CompletionStatus.OK, CompletionStatus.RECEIVER_NOT_READY
 
 
 class Completion(NamedTuple):
@@ -213,9 +215,71 @@ def _completion(kind: VerbKind, payload: bytes, serial: int | None) -> Completio
 
 
 _ACCESS_ERRORS = {kind: Completion(kind, CompletionStatus.LOCAL_ACCESS_ERROR) for kind in VerbKind}
+_TRUNCATED_RECV = Completion(VerbKind.RECV, CompletionStatus.TRUNCATED)
+
+# The sentinel `close` queues; a poll that reaches it puts it back.
+_CLOSED = object()
 
 
-class QueuePair:
+class Mailbox:
+    """Receive side of a two-sided endpoint: posted-receive capacities and
+    an inbox of completions.
+
+    `deque.append`/`popleft` are atomic, so posting a receive and matching
+    a SEND against it take no lock, even with several senders; the inbox is
+    a C-level `queue.SimpleQueue`.  `close` queues a sentinel behind every
+    item delivered so far: those are still polled, and the poll that reaches
+    the sentinel puts it back and returns None, as does every later one.
+    """
+
+    def __init__(self):
+        self._recv_buffers: deque[int] = deque()
+        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
+        self._closed = False
+
+    def post_recv(self, capacity: int) -> None:
+        """Post a receive buffer; must happen before the matching SEND."""
+        self._recv_buffers.append(capacity)
+
+    def _match(self, payload: bytes) -> Completion | None:
+        """Consume the oldest posted receive for an arriving SEND: its OK or
+        TRUNCATED RECV completion, or None when the receiver is not ready."""
+        if self._closed:
+            return None
+        try:
+            capacity = self._recv_buffers.popleft()
+        except IndexError:
+            return None
+        if capacity < len(payload):
+            return _TRUNCATED_RECV
+        return tuple.__new__(Completion, (_RECV, _OK, payload, None))
+
+    def _deliver(self, payload: bytes) -> CompletionStatus:
+        """Match an arriving SEND and make its completion visible."""
+        completion = self._match(payload)
+        if completion is None:
+            return _RNR
+        self._inbox.put(completion)
+        return completion.status
+
+    def poll_recv(self, timeout: float | None = None):
+        """Pop the next receive completion; None on timeout or close."""
+        try:
+            item = self._inbox.get(timeout=timeout)
+        except queue.Empty:
+            return None
+        if item is _CLOSED:
+            self._inbox.put(_CLOSED)
+            return None
+        return item
+
+    def close(self) -> None:
+        if not self._closed:
+            self._closed = True
+            self._inbox.put(_CLOSED)
+
+
+class QueuePair(Mailbox):
     """In-process queue pair.
 
     One-sided verbs execute directly against the fabric's region registry
@@ -225,16 +289,11 @@ class QueuePair:
     time, and only the owner polls receives.
     """
 
-    def __init__(self, fabric: "InprocFabric", qp_id: int, client_id: int):
+    def __init__(self, fabric: "InprocFabric", client_id: int):
+        super().__init__()
         self.fabric = fabric
-        self.qp_id = qp_id
         self.client_id = client_id
         self.peer: QueuePair | None = None
-        self._lock = threading.Lock()
-        self._ready = threading.Condition(self._lock)
-        self._recv_buffers: deque[int] = deque()
-        self._inbox: deque[Completion] = deque()
-        self._closed = False
 
     # -- one-sided -----------------------------------------------------
     # Each leg (request, completion) sleeps the fabric's injected latency.
@@ -285,85 +344,29 @@ class QueuePair:
 
     # -- two-sided -----------------------------------------------------
 
-    def post_recv(self, capacity: int) -> None:
-        """Post a receive buffer; must happen before the matching SEND."""
-        with self._lock:
-            self._recv_buffers.append(capacity)
-
     def post_send(self, payload: bytes) -> Completion:
         self._leg()
         peer = self.peer
         if peer is None:
-            return Completion(VerbKind.SEND, CompletionStatus.RECEIVER_NOT_READY)
-        return self._leg(Completion(VerbKind.SEND, peer._deliver(payload)))
-
-    def _deliver(self, payload: bytes) -> CompletionStatus:
-        with self._lock:
-            if self._closed or not self._recv_buffers:
-                return CompletionStatus.RECEIVER_NOT_READY
-            capacity = self._recv_buffers.popleft()
-            if capacity < len(payload):
-                self._inbox.append(Completion(VerbKind.RECV, CompletionStatus.TRUNCATED))
-                status = CompletionStatus.TRUNCATED
-            else:
-                self._inbox.append(Completion(VerbKind.RECV, CompletionStatus.OK, payload))
-                status = CompletionStatus.OK
-            self._ready.notify()
-            return status
-
-    def poll_recv(self, timeout: float | None = None) -> Completion | None:
-        """Pop the next receive completion; None on timeout or close."""
-        with self._lock:
-            deadline = None if timeout is None else time.monotonic() + timeout
-            while not self._inbox:
-                if self._closed:
-                    return None
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return None
-                self._ready.wait(remaining)
-            return self._inbox.popleft()
+            return Completion(_SEND, _RNR)
+        return self._leg(Completion(_SEND, peer._deliver(payload)))
 
     def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            self._ready.notify_all()
+        super().close()
         peer = self.peer
         if peer is not None and not peer._closed:
             self.peer = None
             peer.close()
 
 
-class SrListener:
-    """Accept queue for server-side queue pairs created by client connects."""
+class SrListener(Mailbox):
+    """Accept queue for server-side queue pairs created by client connects:
+    a mailbox without receive credits, whose items are queue pairs."""
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._ready = threading.Condition(self._lock)
-        self._pending: deque[QueuePair] = deque()
-        self._closed = False
+    accept = Mailbox.poll_recv
 
-    def _offer(self, qp: QueuePair) -> None:
-        with self._lock:
-            self._pending.append(qp)
-            self._ready.notify()
-
-    def accept(self, timeout: float | None = None) -> QueuePair | None:
-        with self._lock:
-            deadline = None if timeout is None else time.monotonic() + timeout
-            while not self._pending:
-                if self._closed:
-                    return None
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return None
-                self._ready.wait(remaining)
-            return self._pending.popleft()
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            self._ready.notify_all()
+    def _offer(self, qp: Mailbox) -> None:
+        self._inbox.put(qp)
 
 
 class InprocFabric(RegionRegistry):
@@ -377,7 +380,6 @@ class InprocFabric(RegionRegistry):
         super().__init__()
         self.latency = latency
         self._lock = threading.Lock()
-        self._qp_ids = itertools.count(1)
         self._client_ids = itertools.count(1)
         self._listener: SrListener | None = None
 
@@ -395,10 +397,10 @@ class InprocFabric(RegionRegistry):
                 client_id = next(self._client_ids)
             if client_id < 1:
                 raise ValueError("client IDs start at 1")
-            qp = QueuePair(self, next(self._qp_ids), client_id)
+            qp = QueuePair(self, client_id)
             listener = self._listener
             if listener is not None:
-                server_qp = QueuePair(self, next(self._qp_ids), client_id)
+                server_qp = QueuePair(self, client_id)
                 qp.peer = server_qp
                 server_qp.peer = qp
         if listener is not None:

@@ -6,6 +6,8 @@ import pytest
 
 from lockbench.bench import (
     CSV_COLUMNS,
+    TRANSPORT_INPROC,
+    TRANSPORT_TCP,
     WorkloadSpec,
     client_op_stream,
     contention_rate,
@@ -79,9 +81,15 @@ def test_effective_message_cost_defaults():
     ).effective_message_cost() == 5e-6
 
 
-@pytest.mark.parametrize("design", DESIGNS)
-def test_small_run_produces_consistent_metrics(design):
-    spec = WorkloadSpec(design=design, **FAST)
+# One run per design x transport build; the in-process runs keep their
+# design-only ids.
+@pytest.mark.parametrize(
+    "design,transport",
+    [(d, TRANSPORT_INPROC) for d in DESIGNS] + [(d, TRANSPORT_TCP) for d in DESIGNS],
+    ids=[*DESIGNS, *(f"{d}-tcp" for d in DESIGNS)],
+)
+def test_small_run_produces_consistent_metrics(design, transport):
+    spec = WorkloadSpec(design=design, transport=transport, **FAST)
     result, events = run_workload(spec)
     expected = spec.n_clients * spec.ops_per_client
     assert result.total_locks_granted == expected

@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from lockbench import cli
+from lockbench import bench
 from lockbench.cli import main
 from lockbench.server_lm import DEFAULT_SR_MESSAGE_COST, DEFAULT_TCP_MESSAGE_COST
 from lockbench.trace import TraceEvent, write_trace
@@ -114,7 +114,7 @@ def test_server_message_cost_defaults_per_frontend(monkeypatch, argv, cost):
         configs.append(config)
         raise _ServerBuilt  # stop before anything binds a port
 
-    monkeypatch.setattr(cli, "LockServer", fake_server)
+    monkeypatch.setattr(bench, "LockServer", fake_server)
     with pytest.raises(_ServerBuilt):
         main(["server"] + argv)
     assert len(configs) == 1

@@ -1,11 +1,13 @@
 """Server-centric manager: admission rule, core state, frontends, cost model."""
 
+import socket
 import threading
 import time
 
 import pytest
 
 from lockbench.errors import ProtocolError
+from lockbench.framing import send_frame
 from lockbench.server_lm import (
     DEFAULT_SR_MESSAGE_COST,
     DEFAULT_TCP_MESSAGE_COST,
@@ -27,6 +29,7 @@ from lockbench.server_lm import (
     unpack_message,
 )
 from lockbench.server_lm import upper_bound_throughput
+from lockbench.tcp_transport import TcpAgent, TcpFabric
 from lockbench.trace import MODE_EXCLUSIVE, MODE_SHARED, TraceRecorder
 from lockbench.verbs import InprocFabric
 
@@ -337,3 +340,36 @@ def test_acquire_release_over_real_socket():
         client.close()
     finally:
         server.shutdown()
+
+
+# -- malformed frames from outside the program -------------------------------
+# A frame that is not a 17-byte message ends its connection, as EOF does,
+# instead of leaving the client waiting for a reply that never comes.
+
+
+def test_malformed_frame_closes_socket_connection():
+    server = LockServer(ServerConfig(2, FRONTEND_TCP, per_message_cost=0.0))
+    host, port = server.serve_tcp()
+    try:
+        with socket.create_connection((host, port), timeout=5) as sock:
+            send_frame(sock, b"bad")
+            assert sock.recv(1) == b""  # EOF; a hang raises TimeoutError
+    finally:
+        server.shutdown()
+
+
+def test_malformed_send_closes_queue_pair_connection():
+    agent = TcpAgent()
+    host, port = agent.start()
+    server = LockServer(ServerConfig(2, FRONTEND_SEND_RECV, per_message_cost=0.0))
+    server.serve_sr_listener(agent.sr_listen())
+    conn = QpConn(TcpFabric(host, port).connect(1), timeout=5)
+    try:
+        start = time.monotonic()
+        with pytest.raises(ConnectionError):
+            conn.rpc(b"bad")
+        assert time.monotonic() - start < 4
+    finally:
+        conn.close()
+        server.shutdown()
+        agent.stop()

@@ -1,4 +1,7 @@
-"""TCP-emulated transport: same queue-pair surface, honest RNR, serials."""
+"""TCP-emulated transport: same queue-pair surface, honest RNR, serials.
+
+The shared two-sided SEND/RECV set in test_verbs runs on this transport too.
+"""
 
 import threading
 

@@ -1,6 +1,9 @@
 """Verb-layer contracts: region atomics, serial stamps, SEND/RECV flow."""
 
+import itertools
+import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,85 +175,148 @@ def test_out_of_bounds_verb_yields_local_access_error(fabric, region):
     assert c.status == CompletionStatus.LOCAL_ACCESS_ERROR
 
 
-def test_send_without_posted_receive_is_rnr(fabric):
-    listener = fabric.sr_listen()
-    client = fabric.connect()
-    server = listener.accept(timeout=1)
-    assert server is not None
-    c = client.post_send(b"hello")
-    assert c.status == CompletionStatus.RECEIVER_NOT_READY
-    # The failed SEND consumed nothing; a posted receive fixes the next one.
-    server.post_recv(16)
-    assert client.post_send(b"hello").ok
-    recv = server.poll_recv(timeout=1)
-    assert recv is not None and recv.ok and recv.payload == b"hello"
+# -- two-sided: every case runs on each transport (see conftest.sr_hosts) --
+
+RNR = CompletionStatus.RECEIVER_NOT_READY
 
 
-def test_send_larger_than_receive_buffer_truncates(fabric):
-    listener = fabric.sr_listen()
-    client = fabric.connect()
-    server = listener.accept(timeout=1)
-    server.post_recv(4)
-    c = client.post_send(b"way too long")
-    assert c.status == CompletionStatus.TRUNCATED
-    recv = server.poll_recv(timeout=1)
-    assert recv.status == CompletionStatus.TRUNCATED
-    assert recv.payload == b""
+def test_send_without_posted_receive_is_rnr(sr_hosts):
+    for host in sr_hosts:
+        client, server = host.couple()
+        c = client.post_send(b"hello")
+        assert c.status == RNR, host.name
+        # The failed SEND consumed nothing; a posted receive fixes the next one.
+        server.post_recv(16)
+        assert client.post_send(b"hello").ok, host.name
+        recv = server.poll_recv(timeout=5)
+        assert recv is not None and recv.ok and recv.payload == b"hello", host.name
 
 
-def test_receives_consume_buffers_in_order(fabric):
-    listener = fabric.sr_listen()
-    client = fabric.connect()
-    server = listener.accept(timeout=1)
-    server.post_recv(8)
-    server.post_recv(8)
-    assert client.post_send(b"one").ok
-    assert client.post_send(b"two").ok
-    assert client.post_send(b"three").status == CompletionStatus.RECEIVER_NOT_READY
-    assert server.poll_recv(timeout=1).payload == b"one"
-    assert server.poll_recv(timeout=1).payload == b"two"
+def test_send_larger_than_receive_buffer_truncates(sr_hosts):
+    for host in sr_hosts:
+        client, server = host.couple()
+        for sender, receiver in ((client, server), (server, client)):
+            receiver.post_recv(4)
+            c = sender.post_send(b"way too long")
+            assert c.status == CompletionStatus.TRUNCATED, host.name
+            recv = receiver.poll_recv(timeout=5)
+            assert recv.status == CompletionStatus.TRUNCATED, host.name
+            assert recv.payload == b"", host.name
 
 
-def test_reply_flows_server_to_client(fabric):
-    listener = fabric.sr_listen()
-    client = fabric.connect()
-    server = listener.accept(timeout=1)
-    client.post_recv(8)
-    assert server.post_send(b"grant").ok
-    assert client.poll_recv(timeout=1).payload == b"grant"
+def test_receives_consume_buffers_in_order(sr_hosts):
+    for host in sr_hosts:
+        client, server = host.couple()
+        server.post_recv(8)
+        server.post_recv(8)
+        assert client.post_send(b"one").ok, host.name
+        assert client.post_send(b"two").ok, host.name
+        assert client.post_send(b"three").status == RNR, host.name
+        assert server.poll_recv(timeout=5).payload == b"one", host.name
+        assert server.poll_recv(timeout=5).payload == b"two", host.name
 
 
-def test_poll_recv_times_out(fabric):
-    listener = fabric.sr_listen()
-    client = fabric.connect()
-    server = listener.accept(timeout=1)
-    assert server.poll_recv(timeout=0.01) is None
+def test_reply_flows_server_to_client(sr_hosts):
+    for host in sr_hosts:
+        client, server = host.couple()
+        assert server.post_send(b"grant").status == RNR, host.name
+        client.post_recv(8)
+        assert server.post_send(b"grant").ok, host.name
+        assert client.poll_recv(timeout=5).payload == b"grant", host.name
 
 
-def test_close_unblocks_peer_poll(fabric):
-    listener = fabric.sr_listen()
-    client = fabric.connect()
-    server = listener.accept(timeout=1)
-    result = []
-
-    def wait():
-        result.append(server.poll_recv(timeout=5))
-
-    t = threading.Thread(target=wait)
-    t.start()
-    client.close()
-    t.join(timeout=5)
-    assert not t.is_alive()
-    assert result == [None]
+def test_poll_recv_times_out(sr_hosts):
+    for host in sr_hosts:
+        client, server = host.couple()
+        assert server.poll_recv(timeout=0.01) is None, host.name
+        assert client.poll_recv(timeout=0.01) is None, host.name
 
 
-def test_send_after_peer_close_is_rnr(fabric):
-    listener = fabric.sr_listen()
-    client = fabric.connect()
-    server = listener.accept(timeout=1)
-    server.post_recv(8)
-    server.close()
-    assert client.post_send(b"x").status == CompletionStatus.RECEIVER_NOT_READY
+def test_close_unblocks_peer_poll(sr_hosts):
+    # A blocked poll at either end ends when either end closes.
+    for host in sr_hosts:
+        for poller_end, closer_end in itertools.product((0, 1), repeat=2):
+            ends = host.couple()
+            result = []
+            t = threading.Thread(target=lambda: result.append(ends[poller_end].poll_recv(timeout=5)))
+            t.start()
+            ends[closer_end].close()
+            t.join(timeout=5)
+            assert not t.is_alive(), (host.name, poller_end, closer_end)
+            assert result == [None], (host.name, poller_end, closer_end)
+
+
+def test_send_after_peer_close_is_rnr(sr_hosts):
+    for host in sr_hosts:
+        for sender_end in (0, 1):
+            ends = host.couple()
+            sender, receiver = ends[sender_end], ends[1 - sender_end]
+            receiver.post_recv(8)
+            receiver.close()
+            status = sender.post_send(b"x").status
+            # Over TCP the peer's close can also end the sender's delivery
+            # channel first, which closes the sender: LOCAL_ACCESS_ERROR.
+            tcp_closed = host.name == "tcp" and status == CompletionStatus.LOCAL_ACCESS_ERROR
+            assert status == RNR or tcp_closed, (host.name, sender_end)
+
+
+def test_listener_close_unblocks_accept(sr_hosts):
+    for host in sr_hosts:
+        listener = host.host.sr_listen()
+        got = []
+        t = threading.Thread(target=lambda: got.append(listener.accept(timeout=5)))
+        t.start()
+        listener.close()
+        t.join(timeout=5)
+        assert got == [None], host.name
+
+
+def test_concurrent_sends_match_exactly_the_posted_receives(sr_hosts):
+    # Several server handler threads push grants to one client: each posted
+    # receive is matched by exactly one SEND, the rest are RNR.
+    n_senders, n_posted = 16, 5
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for host in sr_hosts:
+            client, server = host.couple()
+            for _ in range(n_posted):
+                client.post_recv(8)
+            start = threading.Barrier(n_senders)
+            statuses = [None] * n_senders
+
+            def send(i):
+                start.wait()
+                statuses[i] = server.post_send(bytes([i])).status
+
+            threads = [threading.Thread(target=send, args=(i,)) for i in range(n_senders)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads), host.name
+            delivered = {i for i, status in enumerate(statuses) if status == CompletionStatus.OK}
+            assert len(delivered) == n_posted, host.name
+            assert statuses.count(RNR) == n_senders - n_posted, host.name
+            polled = [client.poll_recv(timeout=5) for _ in range(n_posted)]
+            assert sorted(c.payload[0] for c in polled) == sorted(delivered), host.name
+            assert client.poll_recv(timeout=0.05) is None, host.name
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+def test_close_drains_delivered_then_every_poll_is_none(sr_hosts):
+    for host in sr_hosts:
+        client, server = host.couple()
+        server.post_recv(8)
+        server.post_recv(8)
+        assert client.post_send(b"a").ok, host.name
+        assert client.post_send(b"b").ok, host.name
+        server.close()
+        start = time.monotonic()
+        polled = [server.poll_recv(timeout=5) for _ in range(5)]
+        assert [c and c.payload for c in polled] == [b"a", b"b", None, None, None], host.name
+        assert time.monotonic() - start < 4, host.name  # closed, not timed out
 
 
 def test_connect_assigns_dense_client_ids(fabric):
@@ -262,20 +328,6 @@ def test_connect_assigns_dense_client_ids(fabric):
 def test_connect_rejects_nonpositive_client_id(fabric):
     with pytest.raises(ValueError):
         fabric.connect(client_id=0)
-
-
-def test_listener_close_unblocks_accept(fabric):
-    listener = fabric.sr_listen()
-    got = []
-
-    def wait():
-        got.append(listener.accept(timeout=5))
-
-    t = threading.Thread(target=wait)
-    t.start()
-    listener.close()
-    t.join(timeout=5)
-    assert got == [None]
 
 
 def test_completion_value_decodes_little_endian():
@@ -348,8 +400,6 @@ def test_injected_latency_slows_verbs():
     fabric = InprocFabric(latency=0.005)
     region = fabric.register_region(8)
     qp = fabric.connect()
-    import time
-
     t0 = time.perf_counter()
     qp.post_read(region.region_id, 0, 8)
     # Two legs (request + completion) of 5 ms each.
