@@ -14,7 +14,7 @@ from .checker import (
     check_fifo,
     check_safety,
 )
-from .client_lm import ClientSession, HeldLock
+from .client_lm import ClientSession
 from .errors import (
     AcquisitionTimeout,
     ConfigurationError,
@@ -38,7 +38,6 @@ __all__ = [
     "DESIGN_CLIENT_CENTRIC",
     "DESIGN_SERVER_SR",
     "DESIGN_SERVER_TCP",
-    "HeldLock",
     "InprocFabric",
     "LockServer",
     "LockTable",

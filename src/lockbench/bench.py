@@ -143,18 +143,11 @@ class WorkloadSpec:
         return DESIGN_FRONTENDS[self.design][1]
 
 
-class LatencyStats(NamedTuple):
-    count: int
-    mean_s: float
-    max_s: float
-
-
 @dataclass
 class RunResult:
     total_locks_granted: int
     elapsed: float
     throughput: float
-    per_client_latency_stats: dict[int, LatencyStats]
     contention_rate: float
 
 
@@ -167,16 +160,13 @@ def client_op_stream(spec: WorkloadSpec, client_index: int) -> list[tuple[int, b
     ]
 
 
-def _drive(client, ops) -> tuple[int, int, list[int]]:
-    """Run the closed loop; returns (start_ns, end_ns, acquire latencies ns)."""
-    latencies = []
+def _drive(client, ops) -> tuple[int, int, int]:
+    """Run the closed loop; returns (start_ns, end_ns, locks acquired)."""
     start = time.monotonic_ns()
     for item, shared in ops:
-        t0 = time.monotonic_ns()
         client.acquire(item, shared)
-        latencies.append(time.monotonic_ns() - t0)
         client.release(item)
-    return start, time.monotonic_ns(), latencies
+    return start, time.monotonic_ns(), len(ops)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +249,7 @@ def connect_client(spec: WorkloadSpec, client_index: int, target, region_id: int
 
 
 def _run_inproc(spec: WorkloadSpec, hosted: HostedDesign, recorder: TraceRecorder):
-    """Returns {client index: (start_ns, end_ns, acquire latencies)}."""
+    """Returns {client index: (start_ns, end_ns, locks acquired)}."""
     clients = []
     try:
         for i in range(1, spec.n_clients + 1):
@@ -316,17 +306,15 @@ def _tcp_client_worker(spec, client_index, target, region_id, barrier, results_q
         client = connect_client(spec, client_index, target, region_id, recorder)
         ops = client_op_stream(spec, client_index)
         barrier.wait()
-        start, end, latencies = _drive(client, ops)
+        start, end, locks = _drive(client, ops)
         client.close()
-        results_queue.put(
-            (client_index, start, end, latencies, recorder.sorted_events(), None)
-        )
+        results_queue.put((client_index, start, end, locks, recorder.sorted_events(), None))
     except Exception as exc:
-        results_queue.put((client_index, 0, 0, [], [], f"{type(exc).__name__}: {exc}"))
+        results_queue.put((client_index, 0, 0, 0, [], f"{type(exc).__name__}: {exc}"))
 
 
 def _run_tcp(spec: WorkloadSpec, hosted: HostedDesign, recorder: TraceRecorder):
-    """Returns {client index: (start_ns, end_ns, acquire latencies)}; the
+    """Returns {client index: (start_ns, end_ns, locks acquired)}; the
     client processes' trace events go into `recorder`."""
     ctx = _mp_context()
     barrier = ctx.Barrier(spec.n_clients)
@@ -342,11 +330,11 @@ def _run_tcp(spec: WorkloadSpec, hosted: HostedDesign, recorder: TraceRecorder):
     try:
         for proc in procs:
             proc.start()
-        per_client: dict[int, tuple[int, int, list[int]]] = {}
+        per_client: dict[int, tuple[int, int, int]] = {}
         errors = []
         for _ in procs:
             try:
-                idx, start, end, latencies, events, error = results_queue.get(timeout=120)
+                idx, start, end, locks, events, error = results_queue.get(timeout=120)
             except queue.Empty:
                 codes = [proc.exitcode for proc in procs]
                 raise RuntimeError(
@@ -355,7 +343,7 @@ def _run_tcp(spec: WorkloadSpec, hosted: HostedDesign, recorder: TraceRecorder):
             if error is not None:
                 errors.append(f"client {idx}: {error}")
             else:
-                per_client[idx] = (start, end, latencies)
+                per_client[idx] = (start, end, locks)
                 recorder.extend(events)
         for proc in procs:
             proc.join(timeout=30)
@@ -379,7 +367,7 @@ def _finish(spec, events, per_client, words):
             for item, word in enumerate(words)
             if word != 0
         )
-    total = sum(len(latencies) for _, _, latencies in per_client.values())
+    total = sum(locks for _, _, locks in per_client.values())
     grants = sum(1 for e in events if e.op == OP_ACQ and e.outcome == OUT_GRANT)
     if grants != total:
         violations.append(
@@ -393,18 +381,10 @@ def _finish(spec, events, per_client, words):
     start = min(s for s, _, _ in per_client.values())
     end = max(e for _, e, _ in per_client.values())
     elapsed = max(end - start, 1) / 1e9
-    stats = {
-        client_id: LatencyStats(
-            len(latencies), sum(latencies) / len(latencies) / 1e9, max(latencies) / 1e9
-        )
-        for client_id, (_, _, latencies) in sorted(per_client.items())
-        if latencies
-    }
     result = RunResult(
         total_locks_granted=total,
         elapsed=elapsed,
         throughput=total / elapsed,
-        per_client_latency_stats=stats,
         contention_rate=contention_rate(spec.n_items, spec.n_clients),
     )
     return result, events

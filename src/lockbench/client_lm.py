@@ -12,8 +12,13 @@ intact; shared release is FA(2^64-1), a modular decrement of the count.
 
 There is no fairness here: readers that pre-increment while a writer
 holds the lock keep CAS(0) failing after the writer leaves, so a steady
-reader stream can starve writers.  That behavior is intentional and gets
-measured rather than fixed.
+reader stream can starve writers.  That behavior is intentional; the
+trace stamps every request and grant, so it can be measured.
+
+A session's surface is `acquire(item, shared)` and `release(item)`, as for
+the server-centric client; the session records each held lock's mode.  A
+release whose verb fails raises ReleaseError and leaves the lock held, so
+the release may be retried.
 
 A shared acquirer that exhausts its retry budget must undo its
 pre-increment with FA(-1), otherwise the leaked count would block
@@ -24,7 +29,6 @@ the checker can confirm the count returned to balance.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .errors import AcquisitionTimeout, ProtocolError, ReleaseError
 from .locktable import HALF_SIZE, decode, encode, exclusive_half_offset
@@ -42,12 +46,6 @@ from .trace import (
 
 U64_MINUS_ONE = (1 << 64) - 1
 _ZERO_HALF = bytes(HALF_SIZE)
-
-
-@dataclass(frozen=True, slots=True)
-class HeldLock:
-    item_id: int
-    mode: str
 
 
 class ClientSession:
@@ -81,6 +79,7 @@ class ClientSession:
         self.max_retries = max_retries
         self._recorder = recorder
         self._held: dict[int, str] = {}
+        self._owner_word = encode(client_id, 0)
 
     # -- plumbing --------------------------------------------------------
 
@@ -109,20 +108,19 @@ class ClientSession:
 
     # -- acquire ---------------------------------------------------------
 
-    def acquire_exclusive(self, item_id: int) -> HeldLock:
+    def acquire_exclusive(self, item_id: int) -> None:
         self._check_not_held(item_id)
         offset = self.table.word_offset(item_id)
-        swap = encode(self.client_id, 0)
         self._record(item_id, OP_ACQ, MODE_EXCLUSIVE, OUT_REQ)
         failures = 0
         while True:
             completion = self._verb_ok(
-                self.qp.post_cas(self.table.region_id, offset, 0, swap), "exclusive CAS"
+                self.qp.post_cas(self.table.region_id, offset, 0, self._owner_word), "exclusive CAS"
             )
             if completion.value == 0:
                 self._held[item_id] = MODE_EXCLUSIVE
                 self._record(item_id, OP_ACQ, MODE_EXCLUSIVE, OUT_GRANT)
-                return HeldLock(item_id, MODE_EXCLUSIVE)
+                return
             failures += 1
             if self.max_retries is not None and failures > self.max_retries:
                 # The failed CASes never modified the word: nothing to undo.
@@ -132,7 +130,7 @@ class ClientSession:
                 )
             self._pause()
 
-    def acquire_shared(self, item_id: int) -> HeldLock:
+    def acquire_shared(self, item_id: int) -> None:
         self._check_not_held(item_id)
         offset = self.table.word_offset(item_id)
         self._record(item_id, OP_ACQ, MODE_SHARED, OUT_REQ)
@@ -140,85 +138,58 @@ class ClientSession:
             self.qp.post_fa(self.table.region_id, offset, 1), "shared FA"
         )
         owner, _ = decode(completion.value)
-        if owner == 0:
-            self._held[item_id] = MODE_SHARED
-            self._record(item_id, OP_ACQ, MODE_SHARED, OUT_GRANT)
-            return HeldLock(item_id, MODE_SHARED)
-        owner_offset = exclusive_half_offset(offset)
         polls = 0
-        while True:
+        while owner:
             polls += 1
             if self.max_retries is not None and polls > self.max_retries:
                 self._record(item_id, OP_ACQ, MODE_SHARED, OUT_TIMEOUT)
-                self._rollback_shared(item_id, offset)
+                self._release_shared(item_id, offset, ProtocolError)  # the rollback
+                self._record(item_id, OP_REL, MODE_SHARED, OUT_TIMEOUT)
                 raise AcquisitionTimeout(
                     f"shared acquire of item {item_id} gave up after {polls - 1} polls"
                 )
             self._pause()
-            read = self._verb_ok(
-                self.qp.post_read(self.table.region_id, owner_offset, HALF_SIZE),
+            owner = self._verb_ok(
+                self.qp.post_read(self.table.region_id, exclusive_half_offset(offset), HALF_SIZE),
                 "shared owner poll",
-            )
-            if read.value == 0:
-                self._held[item_id] = MODE_SHARED
-                self._record(item_id, OP_ACQ, MODE_SHARED, OUT_GRANT)
-                return HeldLock(item_id, MODE_SHARED)
-
-    def _rollback_shared(self, item_id: int, offset: int) -> None:
-        completion = self._verb_ok(
-            self.qp.post_fa(self.table.region_id, offset, U64_MINUS_ONE),
-            "shared rollback FA",
-        )
-        _, count = decode(completion.value)
-        if count < 1:
-            raise ProtocolError(f"shared count underflow on item {item_id}")
-        self._record(item_id, OP_REL, MODE_SHARED, OUT_TIMEOUT)
+            ).value
+        self._held[item_id] = MODE_SHARED
+        self._record(item_id, OP_ACQ, MODE_SHARED, OUT_GRANT)
 
     # -- release ---------------------------------------------------------
+    # The two protocols are private: `release(item)` picks one from the
+    # recorded mode.  A failed verb leaves the lock held.
 
-    def release_exclusive(self, lock: HeldLock) -> None:
-        if lock.mode != MODE_EXCLUSIVE or self._held.get(lock.item_id) != MODE_EXCLUSIVE:
-            raise ProtocolError(
-                f"client {self.client_id} does not hold item {lock.item_id} exclusively"
-            )
-        offset = exclusive_half_offset(self.table.word_offset(lock.item_id))
-        self._record(lock.item_id, OP_REL, MODE_EXCLUSIVE, OUT_REQ)
-        completion = self.qp.post_write(self.table.region_id, offset, _ZERO_HALF)
+    def _release_exclusive(self, offset: int) -> None:
+        completion = self.qp.post_write(self.table.region_id, exclusive_half_offset(offset), _ZERO_HALF)
         if not completion.ok:
             raise ReleaseError(f"exclusive release WRITE failed: {completion.status.name}")
-        del self._held[lock.item_id]
-        self._record(lock.item_id, OP_REL, MODE_EXCLUSIVE, OUT_ACK)
 
-    def release_shared(self, lock: HeldLock) -> None:
-        if lock.mode != MODE_SHARED or self._held.get(lock.item_id) != MODE_SHARED:
-            raise ProtocolError(
-                f"client {self.client_id} does not hold item {lock.item_id} in shared mode"
-            )
-        offset = self.table.word_offset(lock.item_id)
-        self._record(lock.item_id, OP_REL, MODE_SHARED, OUT_REQ)
+    def _release_shared(self, item_id: int, offset: int, error=ReleaseError) -> None:
+        """FA(-1) on the reader count; raises `error` if the FA fails."""
         completion = self.qp.post_fa(self.table.region_id, offset, U64_MINUS_ONE)
         if not completion.ok:
-            raise ReleaseError(f"shared release FA failed: {completion.status.name}")
-        _, count = decode(completion.value)
-        if count < 1:
-            raise ProtocolError(f"shared count underflow on item {lock.item_id}")
-        del self._held[lock.item_id]
-        self._record(lock.item_id, OP_REL, MODE_SHARED, OUT_ACK)
+            raise error(f"shared release FA failed: {completion.status.name}")
+        if decode(completion.value)[1] < 1:
+            raise ProtocolError(f"shared count underflow on item {item_id}")
 
     # -- uniform driver surface (same shape as the server-centric client) --
 
-    def acquire(self, item_id: int, shared: bool) -> HeldLock:
+    def acquire(self, item_id: int, shared: bool) -> None:
         return self.acquire_shared(item_id) if shared else self.acquire_exclusive(item_id)
 
     def release(self, item_id: int) -> None:
         mode = self._held.get(item_id)
         if mode is None:
             raise ProtocolError(f"releasing item {item_id} that is not held")
-        lock = HeldLock(item_id, mode)
+        offset = self.table.word_offset(item_id)
+        self._record(item_id, OP_REL, mode, OUT_REQ)
         if mode == MODE_SHARED:
-            self.release_shared(lock)
+            self._release_shared(item_id, offset)
         else:
-            self.release_exclusive(lock)
+            self._release_exclusive(offset)
+        del self._held[item_id]
+        self._record(item_id, OP_REL, mode, OUT_ACK)
 
     def close(self) -> None:
         self.qp.close()

@@ -8,6 +8,24 @@ import struct
 _LEN = struct.Struct("<I")
 
 
+def connect(host: str, port: int) -> socket.socket:
+    """A TCP connection with Nagle's algorithm off: every frame is one
+    small request or reply that must not wait for more data."""
+    sock = socket.create_connection((host, port))
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def close(sock: socket.socket) -> None:
+    """Shut down both directions, which wakes a thread blocked in recv on
+    this socket, then close it; a socket the peer already reset is fine."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    sock.close()
+
+
 def recv_exactly(sock: socket.socket, n: int) -> bytes | None:
     """Read exactly n bytes; None on EOF or a closed/reset socket."""
     chunks = []

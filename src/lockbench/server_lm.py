@@ -27,6 +27,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
+from . import framing
 from .errors import ProtocolError
 from .framing import recv_frame, send_frame
 from .trace import (
@@ -205,19 +206,30 @@ class ServerConfig:
 
 class MessageCostModel:
     """Burns `cost` seconds of CPU per message on at most `worker_limit`
-    concurrent workers (a semaphore emulating a bounded core budget)."""
+    concurrent workers, emulating a bounded core budget.
+
+    The slots are tokens in a C-level `queue.SimpleQueue`: taking and
+    returning one costs far less than the modeled charge, unlike a
+    `threading.Semaphore`, which is written in Python.  A charge with no
+    token free blocks, releasing the GIL, until one is returned.
+    """
 
     def __init__(self, cost: float, worker_limit: int):
         self._cost_ns = int(cost * 1e9)
-        self._slots = threading.Semaphore(worker_limit)
+        self._slots: queue.SimpleQueue = queue.SimpleQueue()
+        for _ in range(worker_limit):
+            self._slots.put(None)
 
     def charge(self) -> None:
         if self._cost_ns <= 0:
             return
-        with self._slots:
+        self._slots.get()
+        try:
             end = time.perf_counter_ns() + self._cost_ns
             while time.perf_counter_ns() < end:
                 pass
+        finally:
+            self._slots.put(None)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +271,7 @@ class SocketConn:
     long-lived connection."""
 
     def __init__(self, host: str, port: int):
-        self._sock = socket.create_connection((host, port))
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock = framing.connect(host, port)
 
     def rpc(self, message: bytes) -> bytes:
         send_frame(self._sock, message)
@@ -270,11 +281,7 @@ class SocketConn:
         return reply
 
     def close(self) -> None:
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._sock.close()
+        framing.close(self._sock)
 
 
 class _SocketEndpoint:
@@ -293,11 +300,7 @@ class _SocketEndpoint:
                 pass
 
     def close(self) -> None:
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._sock.close()
+        framing.close(self._sock)
 
 
 class QpConn:

@@ -35,6 +35,7 @@ import socket
 import struct
 import threading
 
+from . import framing
 from .framing import recv_frame, send_frame
 from .verbs import (
     _CAS,
@@ -113,11 +114,7 @@ class _AgentServerQp(Mailbox):
         # its status byte before the socket is torn down; otherwise a reply
         # that was in fact delivered would report a phantom failure.
         with self._send_lock:
-            try:
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            self._sock.close()
+            framing.close(self._sock)
 
 
 class TcpAgent(RegionRegistry):
@@ -168,11 +165,7 @@ class TcpAgent(RegionRegistry):
         for qp in qps:
             qp.close()
         for sock in socks:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            sock.close()
+            framing.close(sock)
 
     # -- connection handling ---------------------------------------------
 
@@ -273,6 +266,10 @@ class TcpQueuePair(Mailbox):
         self.client_id = client_id
         self._verb_sock = verb_sock
         self._verb_lock = threading.Lock()
+        # Only this queue pair's own close() ends the verb channel: after
+        # the peer's close, a SEND still reaches the agent and completes
+        # RECEIVER_NOT_READY, and one-sided verbs still work.
+        self._verbs_open = True
         self._delivery_sock = delivery_sock
         self._reader = threading.Thread(
             target=self._delivery_loop, name=f"tcpqp-delivery-{client_id}", daemon=True
@@ -285,7 +282,7 @@ class TcpQueuePair(Mailbox):
              length: int = 0, op_a: int = 0, op_b: int = 0, payload: bytes = b"") -> Completion:
         frame = VERB_HEADER.pack(kind, region_id, offset, length, op_a, op_b) + payload
         with self._verb_lock:
-            if self._closed:
+            if not self._verbs_open:
                 return Completion(kind, CompletionStatus.LOCAL_ACCESS_ERROR)
             try:
                 send_frame(self._verb_sock, frame)
@@ -333,13 +330,10 @@ class TcpQueuePair(Mailbox):
                 self._inbox.put(completion)
 
     def close(self) -> None:
+        self._verbs_open = False
         super().close()
-        for sock in (self._verb_sock, self._delivery_sock):
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            sock.close()
+        framing.close(self._verb_sock)
+        framing.close(self._delivery_sock)
 
 
 class TcpFabric:
@@ -349,22 +343,24 @@ class TcpFabric:
         self.host = host
         self.port = port
 
+    def _open_channel(self, kind: int, client_id: int) -> tuple[socket.socket, int]:
+        """Connect one channel and say hello; returns the socket and the
+        client ID the agent confirmed or assigned."""
+        sock = framing.connect(self.host, self.port)
+        send_frame(sock, HELLO.pack(kind, client_id))
+        reply = recv_frame(sock)
+        if reply is None or len(reply) != HELLO.size or HELLO.unpack(reply)[0] != _HELLO_OK:
+            framing.close(sock)
+            raise ConnectionError(f"channel {kind} handshake failed")
+        return sock, HELLO.unpack(reply)[1]
+
     def connect(self, client_id: int | None = None) -> TcpQueuePair:
         if client_id is not None and client_id < 1:
             raise ValueError("client IDs start at 1")
-        verb_sock = socket.create_connection((self.host, self.port))
-        verb_sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        send_frame(verb_sock, HELLO.pack(CHANNEL_VERB, client_id or 0))
-        reply = recv_frame(verb_sock)
-        if reply is None or len(reply) != HELLO.size:
-            raise ConnectionError("verb-channel handshake failed")
-        status, assigned = HELLO.unpack(reply)
-        if status != _HELLO_OK:
-            raise ConnectionError("verb-channel handshake rejected")
-        delivery_sock = socket.create_connection((self.host, self.port))
-        delivery_sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        send_frame(delivery_sock, HELLO.pack(CHANNEL_DELIVERY, assigned))
-        reply = recv_frame(delivery_sock)
-        if reply is None or HELLO.unpack(reply)[0] != _HELLO_OK:
-            raise ConnectionError("delivery-channel handshake failed")
+        verb_sock, assigned = self._open_channel(CHANNEL_VERB, client_id or 0)
+        try:
+            delivery_sock, _ = self._open_channel(CHANNEL_DELIVERY, assigned)
+        except OSError:  # ConnectionError included
+            framing.close(verb_sock)
+            raise
         return TcpQueuePair(assigned, verb_sock, delivery_sock)

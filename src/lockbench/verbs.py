@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import queue
 import threading
-import time
 from collections import deque
 from enum import IntEnum
 from typing import NamedTuple
@@ -296,19 +295,10 @@ class QueuePair(Mailbox):
         self.peer: QueuePair | None = None
 
     # -- one-sided -----------------------------------------------------
-    # Each leg (request, completion) sleeps the fabric's injected latency.
     # An unknown region or a rejected access completes LOCAL_ACCESS_ERROR.
 
-    def _leg(self, completion: Completion | None = None) -> Completion | None:
-        """Sleep one leg's injected latency; passes `completion` through."""
-        latency = self.fabric.latency
-        if latency > 0:
-            time.sleep(latency)
-        return completion
-
     def _target(self, region_id: int) -> MemoryRegion:
-        """The request leg, then the lock-free registry lookup."""
-        self._leg()
+        """The lock-free registry lookup."""
         region = self.fabric.lookup_region(region_id)
         if region is None:
             raise RegionAccessError(f"unknown region {region_id}")
@@ -318,38 +308,37 @@ class QueuePair(Mailbox):
         try:
             data, serial = self._target(region_id).read(offset, length)
         except RegionAccessError:
-            return self._leg(_ACCESS_ERRORS[_READ])
-        return self._leg(_completion(_READ, data, serial))
+            return _ACCESS_ERRORS[_READ]
+        return _completion(_READ, data, serial)
 
     def post_write(self, region_id: int, offset: int, payload: bytes) -> Completion:
         try:
             serial = self._target(region_id).write(offset, payload)
         except RegionAccessError:
-            return self._leg(_ACCESS_ERRORS[_WRITE])
-        return self._leg(_completion(_WRITE, b"", serial))
+            return _ACCESS_ERRORS[_WRITE]
+        return _completion(_WRITE, b"", serial)
 
     def post_cas(self, region_id: int, offset: int, expected: int, swap: int) -> Completion:
         try:
             old, serial = self._target(region_id).compare_and_swap(offset, expected, swap)
         except RegionAccessError:
-            return self._leg(_ACCESS_ERRORS[_CAS])
-        return self._leg(_completion(_CAS, old.to_bytes(8, "little"), serial))
+            return _ACCESS_ERRORS[_CAS]
+        return _completion(_CAS, old.to_bytes(8, "little"), serial)
 
     def post_fa(self, region_id: int, offset: int, addend: int) -> Completion:
         try:
             old, serial = self._target(region_id).fetch_and_add(offset, addend)
         except RegionAccessError:
-            return self._leg(_ACCESS_ERRORS[_FA])
-        return self._leg(_completion(_FA, old.to_bytes(8, "little"), serial))
+            return _ACCESS_ERRORS[_FA]
+        return _completion(_FA, old.to_bytes(8, "little"), serial)
 
     # -- two-sided -----------------------------------------------------
 
     def post_send(self, payload: bytes) -> Completion:
-        self._leg()
         peer = self.peer
         if peer is None:
             return Completion(_SEND, _RNR)
-        return self._leg(Completion(_SEND, peer._deliver(payload)))
+        return Completion(_SEND, peer._deliver(payload))
 
     def close(self) -> None:
         super().close()
@@ -370,15 +359,10 @@ class SrListener(Mailbox):
 
 
 class InprocFabric(RegionRegistry):
-    """In-process transport: a region registry plus queue-pair wiring.
+    """In-process transport: a region registry plus queue-pair wiring."""
 
-    `latency` is the injected one-way delay applied to each verb leg
-    (request and completion); the default 0 gives bare shared-memory cost.
-    """
-
-    def __init__(self, latency: float = 0.0):
+    def __init__(self):
         super().__init__()
-        self.latency = latency
         self._lock = threading.Lock()
         self._client_ids = itertools.count(1)
         self._listener: SrListener | None = None

@@ -1,6 +1,7 @@
 """Bench harness: determinism, metrics, checker gating, sweeps, CSV."""
 
 import csv
+from collections import Counter
 
 import pytest
 
@@ -95,12 +96,9 @@ def test_small_run_produces_consistent_metrics(design, transport):
     assert result.total_locks_granted == expected
     assert result.throughput == pytest.approx(expected / result.elapsed)
     assert result.contention_rate == contention_rate(spec.n_items, spec.n_clients)
-    assert set(result.per_client_latency_stats) == {1, 2, 3}
-    for stats in result.per_client_latency_stats.values():
-        assert stats.count == spec.ops_per_client
-        assert 0 < stats.mean_s <= stats.max_s
-    grants = [e for e in events if e.op == "ACQ" and e.outcome == "GRANT"]
-    assert len(grants) == expected
+    # Every client completed its whole stream: one GRANT per op each.
+    grants = Counter(e.client_id for e in events if e.op == "ACQ" and e.outcome == "GRANT")
+    assert grants == {i: spec.ops_per_client for i in range(1, spec.n_clients + 1)}
 
 
 def test_trace_is_sorted_and_complete():
@@ -138,10 +136,9 @@ def test_unbalanced_release_is_caught_at_quiescence(monkeypatch):
     real_drive = bench._drive
 
     def leaky_drive(client, ops):
-        start, end, latencies = real_drive(client, ops[:-1])
+        start, end, locks = real_drive(client, ops[:-1])
         client.acquire(*ops[-1])
-        latencies.append(0)
-        return start, end, latencies
+        return start, end, locks + 1
 
     monkeypatch.setattr(bench, "_drive", leaky_drive)
     with pytest.raises(RunCheckError):

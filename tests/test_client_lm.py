@@ -4,8 +4,8 @@ import threading
 
 import pytest
 
-from lockbench.client_lm import ClientSession, HeldLock
-from lockbench.errors import AcquisitionTimeout, ProtocolError
+from lockbench.client_lm import ClientSession
+from lockbench.errors import AcquisitionTimeout, ProtocolError, ReleaseError
 from lockbench.locktable import LockTable, encode, exclusive_half_offset
 from lockbench.trace import (
     MODE_EXCLUSIVE,
@@ -14,7 +14,7 @@ from lockbench.trace import (
     OUT_TIMEOUT,
     TraceRecorder,
 )
-from lockbench.verbs import InprocFabric, VerbKind
+from lockbench.verbs import Completion, CompletionStatus, InprocFabric, VerbKind
 
 
 class CountingQp:
@@ -44,6 +44,25 @@ class CountingQp:
         self._qp.close()
 
 
+class FailOnceQp(CountingQp):
+    """Fails the next WRITE or FA of kind `fail_next` with
+    LOCAL_ACCESS_ERROR, without executing it; later verbs go through."""
+
+    fail_next = None
+
+    def _fail(self, kind):
+        if kind is self.fail_next:
+            self.fail_next = None
+            return Completion(kind, CompletionStatus.LOCAL_ACCESS_ERROR)
+        return None
+
+    def post_write(self, *a):
+        return self._fail(VerbKind.WRITE) or super().post_write(*a)
+
+    def post_fa(self, *a):
+        return self._fail(VerbKind.FA) or super().post_fa(*a)
+
+
 @pytest.fixture
 def fabric():
     f = InprocFabric()
@@ -70,8 +89,8 @@ def set_word(table, item, word):
 
 def test_exclusive_uncontended_first_cas_wins(fabric, table):
     s = make_session(fabric, table, 3)
-    lock = s.acquire_exclusive(0)
-    assert lock == HeldLock(0, MODE_EXCLUSIVE)
+    s.acquire_exclusive(0)
+    assert s.held_locks() == {0: MODE_EXCLUSIVE}
     assert table.region.snapshot_word(0) == encode(3, 0)
     assert s.qp.counts[VerbKind.CAS] == 1
 
@@ -129,8 +148,8 @@ def test_exclusive_retry_budget_counts_failures(fabric, table):
 
 def test_shared_uncontended_single_fa(fabric, table):
     s = make_session(fabric, table, 2)
-    lock = s.acquire_shared(1)
-    assert lock == HeldLock(1, MODE_SHARED)
+    s.acquire_shared(1)
+    assert s.held_locks() == {1: MODE_SHARED}
     assert table.region.snapshot_word(1) == encode(0, 1)
     assert s.qp.counts[VerbKind.FA] == 1
     assert s.qp.counts[VerbKind.READ] == 0
@@ -192,7 +211,7 @@ def test_exclusive_release_zeroes_owner_half_only(fabric, table):
     # Five shared waiters pre-increment while the writer holds the lock.
     for _ in range(5):
         table.region.fetch_and_add(0, 1)
-    s.release_exclusive(HeldLock(0, MODE_EXCLUSIVE))
+    s.release(0)
     assert table.region.snapshot_word(0) == encode(0, 5)
 
 
@@ -208,7 +227,7 @@ def test_shared_release_decrements_count(fabric, table):
     set_word(table, 1, encode(0, 3))
     s = make_session(fabric, table, 2)
     s.acquire_shared(1)  # -> count 4
-    s.release_shared(HeldLock(1, MODE_SHARED))
+    s.release(1)
     assert table.region.snapshot_word(1) == encode(0, 3)
 
 
@@ -223,18 +242,7 @@ def test_release_without_hold_raises_before_any_verb(fabric, table):
     s = make_session(fabric, table, 2)
     with pytest.raises(ProtocolError):
         s.release(0)
-    with pytest.raises(ProtocolError):
-        s.release_exclusive(HeldLock(0, MODE_EXCLUSIVE))
-    with pytest.raises(ProtocolError):
-        s.release_shared(HeldLock(0, MODE_SHARED))
     assert all(count == 0 for count in s.qp.counts.values())
-
-
-def test_release_in_wrong_mode_raises(fabric, table):
-    s = make_session(fabric, table, 2)
-    s.acquire_shared(0)
-    with pytest.raises(ProtocolError):
-        s.release_exclusive(HeldLock(0, MODE_EXCLUSIVE))
 
 
 def test_shared_count_underflow_is_a_protocol_error(fabric, table):
@@ -243,7 +251,28 @@ def test_shared_count_underflow_is_a_protocol_error(fabric, table):
     # Something else (a buggy peer) steals the count out from under us.
     table.region.fetch_and_add(8, (1 << 64) - 1)
     with pytest.raises(ProtocolError):
-        s.release_shared(HeldLock(1, MODE_SHARED))
+        s.release(1)
+
+
+@pytest.mark.parametrize(
+    "shared, verb", [(False, VerbKind.WRITE), (True, VerbKind.FA)], ids=["exclusive", "shared"]
+)
+def test_failed_release_keeps_the_lock_for_a_retry(fabric, table, shared, verb):
+    qp = FailOnceQp(fabric.connect(2))
+    s = ClientSession(qp, table, 2)
+    s.acquire(1, shared)
+    held = s.held_locks()
+    word = table.region.snapshot_word(1)
+    posted = qp.counts[verb]
+    qp.fail_next = verb
+    with pytest.raises(ReleaseError):
+        s.release(1)
+    assert s.held_locks() == held == {1: MODE_SHARED if shared else MODE_EXCLUSIVE}
+    assert table.region.snapshot_word(1) == word != 0
+    s.release(1)
+    assert s.held_locks() == {}
+    assert table.region.snapshot_word(1) == 0
+    assert qp.counts[verb] == posted + 1  # the failed attempt never reached the region
 
 
 # -- interleavings and accounting --------------------------------------------
