@@ -16,9 +16,10 @@ so worker startup does not fork a thread-laden parent).
 Design x transport matrix, hosted by `host_design` and connected to by
 `connect_client`:
 
-* server-tcp / inproc — in-process channels emulating the socket frontend
+* server-tcp or server-sr / inproc — in-process channels that dispatch on
+  the client's thread; the two designs differ only in the server's
+  frontend cost
 * server-tcp / tcp    — real sockets against the server's TCP port
-* server-sr  / inproc — SEND/RECV queue pairs on the in-process fabric
 * server-sr  / tcp    — SEND/RECV bridged through the TCP agent
 * client-centric / inproc or tcp — one-sided verbs against the lock table
 """
@@ -186,10 +187,10 @@ def host_design(
     """Host the passive side of `spec`'s design on its transport.
 
     A server design gets a LockServer on its frontend: in process, the
-    server itself (server-tcp) or an InprocFabric's listener (server-sr);
-    over TCP, its socket port or a TcpAgent's listener.  The client-centric
-    design gets a LockTable on an InprocFabric or a TcpAgent.  Over TCP the
-    target is the (host, port) address clients connect to.
+    server itself, for either design; over TCP, its socket port or a
+    TcpAgent's listener.  The client-centric design gets a LockTable on an
+    InprocFabric or a TcpAgent.  Over TCP the target is the (host, port)
+    address clients connect to.
     """
     frontend, _ = DESIGN_FRONTENDS[spec.design]
     inproc = spec.transport == TRANSPORT_INPROC
@@ -199,7 +200,7 @@ def host_design(
             ServerConfig(spec.n_items, frontend, spec.effective_message_cost(), spec.worker_limit),
             recorder,
         )
-        if frontend == FRONTEND_TCP:
+        if inproc or frontend == FRONTEND_TCP:
             target = server if inproc else server.serve_tcp(host, port)
             return HostedDesign(target, 0, None, server.shutdown)
     if inproc:
@@ -224,13 +225,12 @@ def connect_client(spec: WorkloadSpec, client_index: int, target, region_id: int
     """Client `client_index` of `spec`'s design, connected to a
     `host_design` target on `spec.transport`."""
     inproc = spec.transport == TRANSPORT_INPROC
-    if spec.design == DESIGN_SERVER_TCP:
-        if inproc:
-            conn = InprocChannel()
-            target.attach_channel(conn)
-        else:
-            conn = SocketConn(*target)
+    if inproc and spec.design != DESIGN_CLIENT_CENTRIC:
+        conn = InprocChannel()
+        target.attach_channel(conn)
         return ServerLockClient(conn, client_index, recorder)
+    if spec.design == DESIGN_SERVER_TCP:
+        return ServerLockClient(SocketConn(*target), client_index, recorder)
     qp = (target if inproc else TcpFabric(*target)).connect(client_index)
     if spec.design == DESIGN_SERVER_SR:
         return ServerLockClient(QpConn(qp), client_index, recorder)

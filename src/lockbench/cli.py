@@ -43,7 +43,9 @@ def _add_cost_args(parser) -> None:
         type=int,
         default=4,
         metavar="N",
-        help="max concurrent message-processing workers (default 4)",
+        help="max concurrent per-message charges (default 4); the charges "
+        "spin under the GIL, so in the in-process and TCP transports they "
+        "share one core whatever N is",
     )
 
 

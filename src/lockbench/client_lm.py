@@ -18,7 +18,7 @@ trace stamps every request and grant, so it can be measured.
 A session's surface is `acquire(item, shared)` and `release(item)`, as for
 the server-centric client; the session records each held lock's mode.  A
 release whose verb fails raises ReleaseError and leaves the lock held, so
-the release may be retried.
+the release may be retried; a retry stamps no second REL/REQ.
 
 A shared acquirer that exhausts its retry budget must undo its
 pre-increment with FA(-1), otherwise the leaked count would block
@@ -79,6 +79,7 @@ class ClientSession:
         self.max_retries = max_retries
         self._recorder = recorder
         self._held: dict[int, str] = {}
+        self._releasing: set[int] = set()  # REL/REQ stamped, not yet released
         self._owner_word = encode(client_id, 0)
 
     # -- plumbing --------------------------------------------------------
@@ -183,11 +184,14 @@ class ClientSession:
         if mode is None:
             raise ProtocolError(f"releasing item {item_id} that is not held")
         offset = self.table.word_offset(item_id)
-        self._record(item_id, OP_REL, mode, OUT_REQ)
+        if item_id not in self._releasing:  # a retry continues the stamped release
+            self._record(item_id, OP_REL, mode, OUT_REQ)
+            self._releasing.add(item_id)
         if mode == MODE_SHARED:
             self._release_shared(item_id, offset)
         else:
             self._release_exclusive(offset)
+        self._releasing.discard(item_id)
         del self._held[item_id]
         self._record(item_id, OP_REL, mode, OUT_ACK)
 

@@ -1,19 +1,19 @@
 """Server-centric lock manager.
 
 A central server keeps one FIFO queue per item, each guarded by its own
-mutex, and spawns one handler thread per client connection.  Lock and
-release messages are 17-byte records; the server grants the queue head
-when compatible, batching consecutive SHARED requests.  Admission is
-strict FIFO: a SHARED request arriving behind a queued EXCLUSIVE request
-waits even while other SHARED holders are active, which keeps writers
-from starving.
+mutex.  Lock and release messages are 17-byte records; the server grants
+the queue head when compatible, batching consecutive SHARED requests.
+Admission is strict FIFO: a SHARED request arriving behind a queued
+EXCLUSIVE request waits even while other SHARED holders are active, which
+keeps writers from starving.
 
-Two frontends carry the same protocol: a socket-style frontend (real TCP,
-or an in-process channel emulating it) and a SEND/RECV verb frontend.
-Each charges a configurable amount of busy CPU per inbound message on a
-bounded worker pool, emulating the kernel messaging overhead that
-dominates a socket-based server; the verb frontend's default charge is
-one tenth of the socket frontend's.
+Two frontends carry the same protocol: a socket-style frontend and a
+SEND/RECV verb frontend.  Each charges a configurable amount of busy CPU
+per inbound message on a bounded worker pool, emulating the kernel
+messaging overhead that dominates a socket-based server; the verb
+frontend's default charge is one tenth of the socket frontend's.  In
+process both run one path, an `InprocChannel` that dispatches on the
+client's own thread; over TCP each connection gets a handler thread.
 """
 
 from __future__ import annotations
@@ -235,33 +235,34 @@ class MessageCostModel:
 # ---------------------------------------------------------------------------
 # Connection plumbing.  Every endpoint speaks 17-byte messages; the server
 # binds client_id -> endpoint on first contact so grants can be pushed to
-# waiting clients from whichever handler thread frees them.
+# waiting clients from whichever thread frees them.
 
 
 class InprocChannel:
-    """In-process stand-in for one client's TCP connection.  Closing either
-    side ends both directions, as closing a socket does."""
+    """In-process connection: `rpc` dispatches on the caller's thread and
+    takes the reply, or a grant a releasing thread pushes later, from the
+    channel's queue.  Closing either side ends it, as with a socket."""
 
     def __init__(self):
-        self._to_server: queue.SimpleQueue = queue.SimpleQueue()
+        self._server: LockServer | None = None
         self._to_client: queue.SimpleQueue = queue.SimpleQueue()
 
     # client side
     def rpc(self, message: bytes) -> bytes:
-        self._to_server.put(message)
+        server = self._server
+        if server is None or server._closing or not server._dispatch(self, message):
+            self.close()
+            raise ConnectionError("channel closed")
         reply = self._to_client.get()
         if reply is None:
             raise ConnectionError("server closed the channel")
         return reply
 
     def close(self) -> None:
-        self._to_server.put(None)
+        self._server = None
         self._to_client.put(None)
 
     # server side
-    def recv_request(self) -> bytes | None:
-        return self._to_server.get()
-
     def send_reply(self, message: bytes) -> None:
         self._to_client.put(message)
 
@@ -307,8 +308,8 @@ class QpConn:
     """Client side of the SEND/RECV frontend over any queue pair.
 
     A receive is posted before every request so the reply (or a deferred
-    grant) always finds a buffer.  A SEND that races ahead of the server's
-    accept loop comes back receiver-not-ready and is simply re-posted.
+    grant) always finds a buffer.  A receiver-not-ready SEND is re-posted
+    (it raced the server's accept loop) unless this queue pair is closed.
     """
 
     RETRY_PAUSE = 0.0005
@@ -326,6 +327,8 @@ class QpConn:
                 break
             if completion.status != _RNR:
                 raise ConnectionError(f"send failed: {completion.status.name}")
+            if self._qp.closed:
+                raise ConnectionError("connection closed")
             if time.monotonic() > deadline:
                 raise ConnectionError("server never posted a receive")
             time.sleep(self.RETRY_PAUSE)
@@ -369,7 +372,7 @@ class _QpEndpoint:
 
 
 class LockServer:
-    """Thread-per-connection server wiring a frontend to LockServerCore."""
+    """Wires the frontends to LockServerCore."""
 
     def __init__(self, config: ServerConfig, recorder: TraceRecorder | None = None):
         self.config = config
@@ -384,7 +387,7 @@ class LockServer:
     # -- frontend attachment -------------------------------------------
 
     def attach_channel(self, channel: InprocChannel) -> None:
-        self._spawn_handler(channel)
+        channel._server = self
 
     def serve_sr_listener(self, listener: SrListener) -> None:
         self._listeners.append(listener)
@@ -394,7 +397,7 @@ class LockServer:
                 qp = listener.accept()
                 if qp is None:
                     return
-                self._spawn_handler(_QpEndpoint(qp))
+                self._spawn(self._handle, "handler", _QpEndpoint(qp))
 
         self._spawn(accept_loop, "sr-accept")
 
@@ -413,18 +416,15 @@ class LockServer:
                 except OSError:
                     return
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                self._spawn_handler(_SocketEndpoint(conn))
+                self._spawn(self._handle, "handler", _SocketEndpoint(conn))
 
         self._spawn(accept_loop, "tcp-accept")
         return bound
 
     # -- request handling ------------------------------------------------
 
-    def _spawn(self, target, name: str) -> None:
-        threading.Thread(target=target, name=f"lockserver-{name}", daemon=True).start()
-
-    def _spawn_handler(self, endpoint) -> None:
-        self._spawn(lambda: self._handle(endpoint), "handler")
+    def _spawn(self, target, name: str, *args) -> None:
+        threading.Thread(target=target, args=args, name=f"lockserver-{name}", daemon=True).start()
 
     def _bind(self, client_id: int, endpoint) -> None:
         with self._endpoint_lock:
@@ -437,43 +437,35 @@ class LockServer:
             raise RuntimeError(f"no endpoint bound for client {client_id}")
         endpoint.send_reply(message)
 
-    def _push_grants(self, grants: list[LockRequest]) -> None:
-        for grant in grants:
-            self._reply_to(
-                grant.client_id,
-                pack_message(MSG_GRANT, grant.client_id, grant.item_id, grant.request_id),
-            )
+    def _dispatch(self, endpoint, data: bytes) -> bool:
+        """Serve one request from `endpoint`; False for a malformed frame."""
+        self.cost.charge()
+        try:
+            op, client_id, item_id, request_id = unpack_message(data)
+        except struct.error:
+            return False
+        self._bind(client_id, endpoint)
+        if op in (MSG_ACQ_SHARED, MSG_ACQ_EXCL):
+            error, grants = self.core.acquire(client_id, item_id, op == MSG_ACQ_SHARED, request_id)
+        elif op == MSG_RELEASE:
+            error, grants = self.core.release(client_id, item_id)
+            if error is None:
+                endpoint.send_reply(pack_message(MSG_ACK, client_id, item_id, request_id))
+        else:
+            error, grants = "unknown op", []
+        if error is not None:
+            endpoint.send_reply(pack_message(MSG_ERROR, client_id, item_id, request_id))
+        for g in grants:
+            self._reply_to(g.client_id, pack_message(MSG_GRANT, g.client_id, g.item_id, g.request_id))
+        return True
 
     def _handle(self, endpoint) -> None:
         """Serve one connection until it closes, the server shuts down or a
         malformed frame arrives; then close the connection."""
         while True:
             data = endpoint.recv_request()
-            if data is None or self._closing:
+            if data is None or self._closing or not self._dispatch(endpoint, data):
                 break
-            self.cost.charge()
-            try:
-                op, client_id, item_id, request_id = unpack_message(data)
-            except struct.error:
-                break
-            self._bind(client_id, endpoint)
-            if op in (MSG_ACQ_SHARED, MSG_ACQ_EXCL):
-                error, grants = self.core.acquire(
-                    client_id, item_id, op == MSG_ACQ_SHARED, request_id
-                )
-                if error is not None:
-                    endpoint.send_reply(pack_message(MSG_ERROR, client_id, item_id, request_id))
-                    continue
-                self._push_grants(grants)
-            elif op == MSG_RELEASE:
-                error, grants = self.core.release(client_id, item_id)
-                if error is not None:
-                    endpoint.send_reply(pack_message(MSG_ERROR, client_id, item_id, request_id))
-                    continue
-                endpoint.send_reply(pack_message(MSG_ACK, client_id, item_id, request_id))
-                self._push_grants(grants)
-            else:
-                endpoint.send_reply(pack_message(MSG_ERROR, client_id, item_id, request_id))
         endpoint.close()
 
     def shutdown(self) -> None:

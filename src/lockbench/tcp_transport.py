@@ -95,7 +95,7 @@ class _AgentServerQp(Mailbox):
 
     def post_send(self, payload: bytes) -> Completion:
         with self._send_lock:
-            if self._closed:
+            if self.closed:
                 return Completion(_SEND, _RNR)
             try:
                 send_frame(self._sock, payload)
@@ -107,7 +107,7 @@ class _AgentServerQp(Mailbox):
             return Completion(_SEND, CompletionStatus(status_frame[0]))
 
     def close(self) -> None:
-        if self._closed:
+        if self.closed:
             return
         super().close()
         # Taking the send lock lets an in-flight post_send finish reading

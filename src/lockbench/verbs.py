@@ -234,7 +234,7 @@ class Mailbox:
     def __init__(self):
         self._recv_buffers: deque[int] = deque()
         self._inbox: queue.SimpleQueue = queue.SimpleQueue()
-        self._closed = False
+        self.closed = False
 
     def post_recv(self, capacity: int) -> None:
         """Post a receive buffer; must happen before the matching SEND."""
@@ -243,7 +243,7 @@ class Mailbox:
     def _match(self, payload: bytes) -> Completion | None:
         """Consume the oldest posted receive for an arriving SEND: its OK or
         TRUNCATED RECV completion, or None when the receiver is not ready."""
-        if self._closed:
+        if self.closed:
             return None
         try:
             capacity = self._recv_buffers.popleft()
@@ -273,8 +273,8 @@ class Mailbox:
         return item
 
     def close(self) -> None:
-        if not self._closed:
-            self._closed = True
+        if not self.closed:
+            self.closed = True
             self._inbox.put(_CLOSED)
 
 
@@ -343,7 +343,7 @@ class QueuePair(Mailbox):
     def close(self) -> None:
         super().close()
         peer = self.peer
-        if peer is not None and not peer._closed:
+        if peer is not None and not peer.closed:
             self.peer = None
             peer.close()
 

@@ -1,6 +1,7 @@
 """Bench harness: determinism, metrics, checker gating, sweeps, CSV."""
 
 import csv
+import threading
 from collections import Counter
 
 import pytest
@@ -11,7 +12,9 @@ from lockbench.bench import (
     TRANSPORT_TCP,
     WorkloadSpec,
     client_op_stream,
+    connect_client,
     contention_rate,
+    host_design,
     result_row,
     run_workload,
     sweep_clients,
@@ -99,6 +102,22 @@ def test_small_run_produces_consistent_metrics(design, transport):
     # Every client completed its whole stream: one GRANT per op each.
     grants = Counter(e.client_id for e in events if e.op == "ACQ" and e.outcome == "GRANT")
     assert grants == {i: spec.ops_per_client for i in range(1, spec.n_clients + 1)}
+
+
+@pytest.mark.parametrize("design", [DESIGN_SERVER_TCP, DESIGN_SERVER_SR])
+def test_inproc_server_designs_start_no_thread(design):
+    # In process, both server designs dispatch on the client's own thread.
+    spec = WorkloadSpec(design=design, **FAST)
+    before = threading.active_count()
+    hosted = host_design(spec)
+    try:
+        clients = [connect_client(spec, i, hosted.target, 0, None) for i in (1, 2, 3)]
+        for client in clients:
+            client.acquire(0, shared=True)
+            client.release(0)
+        assert threading.active_count() == before
+    finally:
+        hosted.teardown()
 
 
 def test_trace_is_sorted_and_complete():

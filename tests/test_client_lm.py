@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from lockbench.checker import DESIGN_CLIENT_CENTRIC, check_all
 from lockbench.client_lm import ClientSession
 from lockbench.errors import AcquisitionTimeout, ProtocolError, ReleaseError
 from lockbench.locktable import LockTable, encode, exclusive_half_offset
@@ -259,7 +260,8 @@ def test_shared_count_underflow_is_a_protocol_error(fabric, table):
 )
 def test_failed_release_keeps_the_lock_for_a_retry(fabric, table, shared, verb):
     qp = FailOnceQp(fabric.connect(2))
-    s = ClientSession(qp, table, 2)
+    rec = TraceRecorder()
+    s = ClientSession(qp, table, 2, recorder=rec)
     s.acquire(1, shared)
     held = s.held_locks()
     word = table.region.snapshot_word(1)
@@ -273,6 +275,7 @@ def test_failed_release_keeps_the_lock_for_a_retry(fabric, table, shared, verb):
     assert s.held_locks() == {}
     assert table.region.snapshot_word(1) == 0
     assert qp.counts[verb] == posted + 1  # the failed attempt never reached the region
+    assert check_all(rec.sorted_events(), DESIGN_CLIENT_CENTRIC) == []  # one release in the trace
 
 
 # -- interleavings and accounting --------------------------------------------

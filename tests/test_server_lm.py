@@ -14,6 +14,7 @@ from lockbench.server_lm import (
     FRONTEND_SEND_RECV,
     FRONTEND_TCP,
     MESSAGE_SIZE,
+    MSG_ACQ_EXCL,
     InprocChannel,
     ItemQueue,
     LockRequest,
@@ -262,6 +263,29 @@ def test_release_without_hold_raises_locally(tcp_style_server):
         client.release(0)
 
 
+def test_shutdown_wakes_a_client_waiting_for_a_deferred_grant(tcp_style_server):
+    holder = _channel_client(tcp_style_server, 1)
+    waiter = _channel_client(tcp_style_server, 2)
+    holder.acquire(0, shared=False)
+    errors = []
+
+    def wait_for_lock():
+        try:
+            waiter.acquire(0, shared=False)
+        except ConnectionError as exc:
+            errors.append(exc)
+
+    t = threading.Thread(target=wait_for_lock)
+    t.start()
+    deadline = time.monotonic() + 5
+    while tcp_style_server.core.pending_count() == 0 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert tcp_style_server.core.pending_count() == 1  # the waiter is queued
+    tcp_style_server.shutdown()
+    t.join(timeout=5)
+    assert not t.is_alive() and len(errors) == 1
+
+
 def test_shared_holders_coexist_exclusive_waits(tcp_style_server):
     readers = [_channel_client(tcp_style_server, i) for i in (1, 2, 3)]
     for reader in readers:
@@ -358,6 +382,16 @@ def test_malformed_frame_closes_socket_connection():
         server.shutdown()
 
 
+def test_malformed_message_ends_inproc_channel(tcp_style_server):
+    channel = InprocChannel()
+    tcp_style_server.attach_channel(channel)
+    with pytest.raises(ConnectionError):
+        channel.rpc(b"bad")
+    with pytest.raises(ConnectionError):  # ended: a valid request is not served
+        channel.rpc(pack_message(MSG_ACQ_EXCL, 1, 0, 1))
+    assert tcp_style_server.core.granted_count() == 0
+
+
 def test_malformed_send_closes_queue_pair_connection():
     agent = TcpAgent()
     host, port = agent.start()
@@ -373,3 +407,16 @@ def test_malformed_send_closes_queue_pair_connection():
         conn.close()
         server.shutdown()
         agent.stop()
+
+
+def test_qp_conn_fails_at_once_after_the_server_closes(sr_hosts):
+    # Sends to a closed peer complete receiver-not-ready; the client must
+    # not retry them for its whole timeout.
+    for host in sr_hosts:
+        client, server = host.couple()
+        server.close()
+        conn = QpConn(client, timeout=5)
+        start = time.monotonic()
+        with pytest.raises(ConnectionError):
+            conn.rpc(pack_message(MSG_ACQ_EXCL, client.client_id, 0, 1))
+        assert time.monotonic() - start < 1, host.name
