@@ -17,11 +17,13 @@ Design x transport matrix, hosted by `host_design` and connected to by
 `connect_client`:
 
 * server-tcp or server-sr / inproc — in-process channels that dispatch on
-  the client's thread; the two designs differ only in the server's
-  frontend cost
-* server-tcp / tcp    — real sockets against the server's TCP port
-* server-sr  / tcp    — SEND/RECV bridged through the TCP agent
-* client-centric / inproc or tcp — one-sided verbs against the lock table
+  the client's thread
+* server-tcp or server-sr / tcp    — framed sockets against the server's
+  TCP port
+* client-centric / inproc or tcp   — one-sided verbs against the lock table
+
+On either transport the two server designs take one path and differ only
+in the server's frontend cost.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .server_lm import (
     FRONTEND_TCP,
     InprocChannel,
     LockServer,
-    QpConn,
     ServerConfig,
     ServerLockClient,
     SocketConn,
@@ -186,54 +187,41 @@ def host_design(
 ) -> HostedDesign:
     """Host the passive side of `spec`'s design on its transport.
 
-    A server design gets a LockServer on its frontend: in process, the
-    server itself, for either design; over TCP, its socket port or a
-    TcpAgent's listener.  The client-centric design gets a LockTable on an
-    InprocFabric or a TcpAgent.  Over TCP the target is the (host, port)
-    address clients connect to.
+    A server design gets a LockServer on its frontend's cost: in process,
+    the server itself; over TCP, its framed-socket port.  The
+    client-centric design gets a LockTable on an InprocFabric or a
+    TcpAgent.  Over TCP the target is the (host, port) address clients
+    connect to.
     """
     frontend, _ = DESIGN_FRONTENDS[spec.design]
     inproc = spec.transport == TRANSPORT_INPROC
-    server = None
     if frontend is not None:
         server = LockServer(
             ServerConfig(spec.n_items, frontend, spec.effective_message_cost(), spec.worker_limit),
             recorder,
         )
-        if inproc or frontend == FRONTEND_TCP:
-            target = server if inproc else server.serve_tcp(host, port)
-            return HostedDesign(target, 0, None, server.shutdown)
+        target = server if inproc else server.serve_tcp(host, port)
+        return HostedDesign(target, 0, None, server.shutdown)
     if inproc:
         fabric = InprocFabric()
         target, stop = fabric, fabric.close
     else:
         fabric = TcpAgent(host, port)
         target, stop = fabric.start(), fabric.stop
-    if server is None:
-        table = LockTable.allocate(fabric, spec.n_items)
-        return HostedDesign(target, table.region_id, table.words, stop)
-    server.serve_sr_listener(fabric.sr_listen())
-
-    def teardown():
-        server.shutdown()
-        stop()
-
-    return HostedDesign(target, 0, None, teardown)
+    table = LockTable.allocate(fabric, spec.n_items)
+    return HostedDesign(target, table.region_id, table.words, stop)
 
 
 def connect_client(spec: WorkloadSpec, client_index: int, target, region_id: int, recorder):
     """Client `client_index` of `spec`'s design, connected to a
     `host_design` target on `spec.transport`."""
     inproc = spec.transport == TRANSPORT_INPROC
-    if inproc and spec.design != DESIGN_CLIENT_CENTRIC:
-        conn = InprocChannel()
-        target.attach_channel(conn)
+    if spec.design != DESIGN_CLIENT_CENTRIC:
+        conn = InprocChannel() if inproc else SocketConn(*target)
+        if inproc:
+            target.attach_channel(conn)
         return ServerLockClient(conn, client_index, recorder)
-    if spec.design == DESIGN_SERVER_TCP:
-        return ServerLockClient(SocketConn(*target), client_index, recorder)
     qp = (target if inproc else TcpFabric(*target)).connect(client_index)
-    if spec.design == DESIGN_SERVER_SR:
-        return ServerLockClient(QpConn(qp), client_index, recorder)
     return ClientSession(
         qp,
         TableHandle(region_id, spec.n_items),

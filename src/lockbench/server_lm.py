@@ -11,9 +11,10 @@ Two frontends carry the same protocol: a socket-style frontend and a
 SEND/RECV verb frontend.  Each charges a configurable amount of busy CPU
 per inbound message on a bounded worker pool, emulating the kernel
 messaging overhead that dominates a socket-based server; the verb
-frontend's default charge is one tenth of the socket frontend's.  In
-process both run one path, an `InprocChannel` that dispatches on the
-client's own thread; over TCP each connection gets a handler thread.
+frontend's default charge is one tenth of the socket frontend's.  Both
+run one path per transport: in process, an `InprocChannel` that dispatches
+on the client's thread; over TCP, a framed socket with a handler thread.
+(`QpConn` and `serve_sr_listener` serve only lockperf's per-layer timings.)
 """
 
 from __future__ import annotations
@@ -234,8 +235,8 @@ class MessageCostModel:
 
 # ---------------------------------------------------------------------------
 # Connection plumbing.  Every endpoint speaks 17-byte messages; the server
-# binds client_id -> endpoint on first contact so grants can be pushed to
-# waiting clients from whichever thread frees them.
+# binds client_id -> endpoint on first contact until the endpoint closes,
+# so grants reach waiting clients from whichever thread frees them.
 
 
 class InprocChannel:
@@ -259,7 +260,9 @@ class InprocChannel:
         return reply
 
     def close(self) -> None:
-        self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            server._unbind(self)
         self._to_client.put(None)
 
     # server side
@@ -426,16 +429,21 @@ class LockServer:
     def _spawn(self, target, name: str, *args) -> None:
         threading.Thread(target=target, args=args, name=f"lockserver-{name}", daemon=True).start()
 
-    def _bind(self, client_id: int, endpoint) -> None:
+    def _bind(self, client_id: int, endpoint) -> bool:
+        """Bind an unbound ID to `endpoint`; False if another endpoint owns it."""
         with self._endpoint_lock:
-            self._endpoints[client_id] = endpoint
+            return self._endpoints.setdefault(client_id, endpoint) is endpoint
+
+    def _unbind(self, endpoint) -> None:
+        with self._endpoint_lock:  # lock-free readers see the old dict or the new
+            self._endpoints = {c: e for c, e in self._endpoints.items() if e is not endpoint}
 
     def _reply_to(self, client_id: int, message: bytes) -> None:
-        with self._endpoint_lock:
-            endpoint = self._endpoints.get(client_id)
-        if endpoint is None:
-            raise RuntimeError(f"no endpoint bound for client {client_id}")
-        endpoint.send_reply(message)
+        endpoint = self._endpoints.get(client_id)
+        if endpoint is not None:
+            endpoint.send_reply(message)
+        # Else the client's connection closed: the grant is dropped and the
+        # lock stays granted until a disconnect purges the client's locks.
 
     def _dispatch(self, endpoint, data: bytes) -> bool:
         """Serve one request from `endpoint`; False for a malformed frame."""
@@ -444,7 +452,9 @@ class LockServer:
             op, client_id, item_id, request_id = unpack_message(data)
         except struct.error:
             return False
-        self._bind(client_id, endpoint)
+        if self._endpoints.get(client_id) is not endpoint and not self._bind(client_id, endpoint):
+            endpoint.send_reply(pack_message(MSG_ERROR, client_id, item_id, request_id))
+            return True
         if op in (MSG_ACQ_SHARED, MSG_ACQ_EXCL):
             error, grants = self.core.acquire(client_id, item_id, op == MSG_ACQ_SHARED, request_id)
         elif op == MSG_RELEASE:
@@ -466,6 +476,7 @@ class LockServer:
             data = endpoint.recv_request()
             if data is None or self._closing or not self._dispatch(endpoint, data):
                 break
+        self._unbind(endpoint)
         endpoint.close()
 
     def shutdown(self) -> None:

@@ -18,14 +18,14 @@ Each connected client holds two sockets:
   honest in both directions.
 
 SENDs from a client land in a server-side queue-pair object the agent
-offers to its accept queue; a lock server attaches to that queue exactly
-as it does in process.  Both receiving ends, that server-side object and
-the client's `TcpQueuePair`, are a `verbs.Mailbox`, so a SEND is matched
-against posted receives by the same code as in process.  On the delivery
-channel the client matches, puts the status byte on the wire, and only
-then makes the completion visible.  Atomic completions carry the region's
-per-word serial stamps across the wire, so linearizability checks work on
-this transport too.
+offers to its accept queue; only lockperf's per-layer SEND/RECV timings
+use it, as the lock server takes framed sockets over TCP.  Both receiving
+ends, that object and the client's `TcpQueuePair`, are a `verbs.Mailbox`,
+so a SEND is matched against posted receives by the same code as in
+process.  On the delivery channel the client matches, puts the status
+byte on the wire, and only then makes the completion visible.  Atomic
+completions carry the region's per-word serial stamps across the wire, so
+linearizability checks work on this transport too.
 """
 
 from __future__ import annotations

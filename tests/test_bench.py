@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from lockbench import bench
 from lockbench.bench import (
     CSV_COLUMNS,
     TRANSPORT_INPROC,
@@ -28,6 +29,14 @@ from lockbench.checker import (
     DESIGNS,
 )
 from lockbench.errors import ConfigurationError, RunCheckError
+from lockbench.server_lm import (
+    DEFAULT_SR_MESSAGE_COST,
+    DEFAULT_TCP_MESSAGE_COST,
+    FRONTEND_SEND_RECV,
+    FRONTEND_TCP,
+    ServerLockClient,
+    SocketConn,
+)
 
 FAST = dict(n_clients=3, n_items=2, ops_per_client=30, per_message_cost=0.0)
 
@@ -118,6 +127,44 @@ def test_inproc_server_designs_start_no_thread(design):
         assert threading.active_count() == before
     finally:
         hosted.teardown()
+
+
+@pytest.mark.parametrize(
+    "design,frontend,cost",
+    [
+        (DESIGN_SERVER_TCP, FRONTEND_TCP, DEFAULT_TCP_MESSAGE_COST),
+        (DESIGN_SERVER_SR, FRONTEND_SEND_RECV, DEFAULT_SR_MESSAGE_COST),
+    ],
+    ids=[DESIGN_SERVER_TCP, DESIGN_SERVER_SR],
+)
+def test_tcp_server_designs_share_the_socket_path(monkeypatch, design, frontend, cost):
+    # Over TCP both server designs are the LockServer's framed socket;
+    # only the frontend's modeled cost tells them apart.
+    def no_agent(*args, **kwargs):
+        raise AssertionError("a server design built a TcpAgent")
+
+    configs = []
+    real_server = bench.LockServer
+
+    def recording_server(config, recorder=None):
+        configs.append(config)
+        return real_server(config, recorder)
+
+    monkeypatch.setattr(bench, "TcpAgent", no_agent)
+    monkeypatch.setattr(bench, "LockServer", recording_server)
+    spec = WorkloadSpec(design=design, transport=TRANSPORT_TCP, n_items=2)
+    hosted = host_design(spec)
+    try:
+        host, port = hosted.target
+        assert isinstance(host, str) and isinstance(port, int)
+        client = connect_client(spec, 1, hosted.target, hosted.region_id, None)
+        assert isinstance(client, ServerLockClient) and isinstance(client.conn, SocketConn)
+        client.acquire(1, shared=False)
+        client.release(1)
+        client.close()
+    finally:
+        hosted.teardown()
+    assert [(c.frontend, c.per_message_cost) for c in configs] == [(frontend, cost)]
 
 
 def test_trace_is_sorted_and_complete():

@@ -108,13 +108,17 @@ class _ServerBuilt(Exception):
     ],
 )
 def test_server_message_cost_defaults_per_frontend(monkeypatch, argv, cost):
+    # Both server designs listen on the server's own framed socket.
     configs = []
 
-    def fake_server(config, recorder=None):
-        configs.append(config)
-        raise _ServerBuilt  # stop before anything binds a port
+    class FakeServer:
+        def __init__(self, config, recorder=None):
+            configs.append(config)
 
-    monkeypatch.setattr(bench, "LockServer", fake_server)
+        def serve_tcp(self, host, port):
+            raise _ServerBuilt  # stop before anything binds a port
+
+    monkeypatch.setattr(bench, "LockServer", FakeServer)
     with pytest.raises(_ServerBuilt):
         main(["server"] + argv)
     assert len(configs) == 1

@@ -1,6 +1,7 @@
 """Server-centric manager: admission rule, core state, frontends, cost model."""
 
 import socket
+import sys
 import threading
 import time
 
@@ -15,6 +16,8 @@ from lockbench.server_lm import (
     FRONTEND_TCP,
     MESSAGE_SIZE,
     MSG_ACQ_EXCL,
+    MSG_ACQ_SHARED,
+    MSG_GRANT,
     InprocChannel,
     ItemQueue,
     LockRequest,
@@ -420,3 +423,134 @@ def test_qp_conn_fails_at_once_after_the_server_closes(sr_hosts):
         with pytest.raises(ConnectionError):
             conn.rpc(pack_message(MSG_ACQ_EXCL, client.client_id, 0, 1))
         assert time.monotonic() - start < 1, host.name
+
+
+# -- client IDs: bound on first contact, until the connection ends ----------
+# A connection owns the first client ID it names; another connection naming
+# that ID is rejected and changes no lock state.
+
+
+@pytest.fixture(params=["inproc", "socket"])
+def id_server(request):
+    """A server and a connect() giving fresh connections to it, over an
+    InprocChannel or a SocketConn."""
+    server = LockServer(ServerConfig(2, FRONTEND_TCP, per_message_cost=0.0))
+    conns = []
+    address = None if request.param == "inproc" else server.serve_tcp()
+
+    def connect():
+        if address is None:
+            conns.append(InprocChannel())
+            server.attach_channel(conns[-1])
+        else:
+            conns.append(SocketConn(*address))
+        return conns[-1]
+
+    yield server, connect
+    server.shutdown()
+    for conn in conns:
+        conn.close()
+
+
+def _wait_unbound(server, client_id):
+    # A socket's handler thread drops the binding once it reads EOF.
+    deadline = time.monotonic() + 5
+    while client_id in server._endpoints and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert client_id not in server._endpoints
+
+
+def test_another_connection_cannot_act_as_a_bound_client(id_server):
+    server, connect = id_server
+    owner = ServerLockClient(connect(), 1)
+    owner.acquire(0, shared=False)
+    impostor = ServerLockClient(connect(), 1)
+    impostor._held[0] = MODE_EXCLUSIVE  # so its release reaches the server
+    with pytest.raises(ProtocolError):
+        impostor.release(0)
+    assert server.core.granted_count() == 1  # the owner still holds item 0
+    with pytest.raises(ProtocolError):
+        impostor.acquire(1, shared=True)
+    assert server.core.granted_count() == 1 and server.core.pending_count() == 0
+    owner.release(0)  # the owner's own release still ACKs
+    assert server.core.granted_count() == 0
+
+
+def test_a_closed_connection_frees_its_client_id(id_server):
+    server, connect = id_server
+    first = ServerLockClient(connect(), 1)
+    first.acquire(0, shared=True)
+    first.release(0)
+    first.close()
+    _wait_unbound(server, 1)
+    again = ServerLockClient(connect(), 1)
+    again.acquire(0, shared=True)
+    again.release(0)
+
+
+def test_deferred_grant_for_a_closed_client_is_dropped(id_server):
+    server, connect = id_server
+    holder = ServerLockClient(connect(), 1)
+    waiter = ServerLockClient(connect(), 2)
+    holder.acquire(0, shared=False)
+    errors = []
+
+    def wait_for_lock():
+        try:
+            waiter.acquire(0, shared=False)
+        except ConnectionError as exc:
+            errors.append(exc)
+
+    t = threading.Thread(target=wait_for_lock)
+    t.start()
+    deadline = time.monotonic() + 5
+    while server.core.pending_count() == 0 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert server.core.pending_count() == 1  # the waiter is queued
+    waiter.close()
+    t.join(timeout=5)
+    assert not t.is_alive() and len(errors) == 1
+    _wait_unbound(server, 2)
+    holder.release(0)  # grants item 0 to client 2 and must not raise here
+    # Over a socket the grant is pushed by the holder's handler thread,
+    # which must live on to see the holder's EOF.
+    holder.close()
+    _wait_unbound(server, 1)
+    # Nothing purges a closed client's locks yet, so client 2 keeps item 0.
+    assert server.core.granted_count() == 1
+
+
+def test_racing_first_contacts_bind_an_id_to_one_connection():
+    # Eight connections name one new ID at once, dispatching on their own
+    # threads; exactly one may own it, and it must be the one granted.
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            server = LockServer(ServerConfig(1, FRONTEND_TCP, per_message_cost=0.0))
+            channels = [InprocChannel() for _ in range(8)]
+            barrier = threading.Barrier(len(channels))
+            granted = []
+
+            def claim(channel):
+                server.attach_channel(channel)
+                barrier.wait(timeout=5)
+                reply = channel.rpc(pack_message(MSG_ACQ_SHARED, 1, 0, 1))
+                if unpack_message(reply)[0] == MSG_GRANT:
+                    granted.append(channel)
+
+            # Daemons: a grant routed to the wrong channel leaves its
+            # claimant blocked, which must fail the test, not hang it.
+            threads = [threading.Thread(target=claim, args=(c,), daemon=True) for c in channels]
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=5)
+                assert not any(t.is_alive() for t in threads)
+                assert len(granted) == 1 and server._endpoints == {1: granted[0]}
+            finally:
+                for channel in channels:
+                    channel.close()
+    finally:
+        sys.setswitchinterval(previous)
