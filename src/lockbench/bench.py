@@ -296,7 +296,8 @@ def _tcp_client_worker(spec, client_index, target, region_id, barrier, results_q
         barrier.wait()
         start, end, locks = _drive(client, ops)
         client.close()
-        results_queue.put((client_index, start, end, locks, recorder.sorted_events(), None))
+        events = list(map(tuple, recorder.sorted_events()))  # plain tuples pickle faster
+        results_queue.put((client_index, start, end, locks, events, None))
     except Exception as exc:
         results_queue.put((client_index, 0, 0, 0, [], f"{type(exc).__name__}: {exc}"))
 
@@ -332,7 +333,7 @@ def _run_tcp(spec: WorkloadSpec, hosted: HostedDesign, recorder: TraceRecorder):
                 errors.append(f"client {idx}: {error}")
             else:
                 per_client[idx] = (start, end, locks)
-                recorder.extend(events)
+                recorder.extend([tuple.__new__(TraceEvent, t) for t in events])
         for proc in procs:
             proc.join(timeout=30)
         if errors:

@@ -1,5 +1,11 @@
 """Offline safety and fairness oracle over recorded traces.
 
+Every check is a view of one replay: the trace is sorted once, then one
+pass pairs each grant with its release stamp and counts each (client,
+item)'s lifecycle events, and a second replays each item's holders and,
+for the server designs, its FIFO queue.  check_all takes every verdict
+from a single replay.
+
 Hold intervals are reconstructed per client as [ACQ/GRANT stamp, REL/REQ
 stamp].  Grants are stamped by the acquirer after the lock is won and
 release requests are stamped before the releasing verb or message is
@@ -7,7 +13,7 @@ issued, so every stamped interval is contained in the true hold interval;
 on a shared monotonic clock an overlap between stamped intervals is
 therefore a real overlap, never a stamping artifact.
 
-check_fifo re-derives the server's admission rule from scratch (queue
+The FIFO replay re-derives the server's admission rule from scratch (queue
 arrival order from server-stamped REQ events, grants admissible only from
 the compatible head batch) instead of importing the server's own scanner,
 so a server bug cannot hide from its own checker.
@@ -21,8 +27,10 @@ leaves the word zero.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 from .locktable import U32_MASK, decode, encode
 from .trace import (
@@ -75,12 +83,170 @@ _PHASE_RANK = {
     (OP_REL, OUT_ACK): 3,
 }
 
+_timestamp = itemgetter(0)
+_NEVER = float("inf")
+
+
+def _tie_key(e: TraceEvent):
+    return _PHASE_RANK[(e[3], e[5])], e[1], e[2]
+
 
 def sort_events(events) -> list[TraceEvent]:
-    return sorted(
-        events,
-        key=lambda e: (e.timestamp_ns, _PHASE_RANK[(e.op, e.outcome)], e.client_id, e.item_id),
-    )
+    """Order by stamp; equal stamps by lifecycle phase, client, item; full
+    ties keep input order."""
+    ordered = sorted(events, key=_timestamp)
+    if len(set(map(_timestamp, ordered))) == len(ordered):
+        return ordered
+    return [e for _, run in groupby(ordered, _timestamp) for e in sorted(run, key=_tie_key)]
+
+
+def _replay(events: list, fifo: bool) -> tuple[list, list, list]:
+    """Sort `events` once and replay them: (safety, conservation, FIFO)
+    violations, the FIFO list empty unless `fifo`."""
+    ordered = sort_events(events)
+
+    # Pass 1.  Hold intervals are half-open: a grant stamped at the same
+    # nanosecond as the previous holder's release is adjacent, not
+    # overlapping, so pair each grant with its release stamp up front.
+    # Conservation counts per (client, item): requests, grants, shared and
+    # exclusive timeouts, releases, release acks, rollbacks.
+    release_at = [_NEVER] * len(ordered)
+    open_grants: dict[tuple[int, int], list[int]] = defaultdict(list)
+    counts: dict[tuple[int, int], list[int]] = defaultdict(lambda: [0] * 7)
+    for i, (ts, client, item, op, mode, outcome) in enumerate(ordered):
+        key = (client, item)
+        c = counts[key]
+        if op == OP_ACQ:
+            if outcome == OUT_GRANT:
+                c[1] += 1
+                open_grants[key].append(i)
+            elif outcome == OUT_REQ:
+                c[0] += 1
+            elif outcome == OUT_TIMEOUT:
+                c[2 if mode == MODE_SHARED else 3] += 1
+        elif outcome == OUT_REQ:
+            c[4] += 1
+            stack = open_grants.get(key)
+            if stack:
+                release_at[stack.pop()] = ts
+        elif outcome == OUT_ACK:
+            c[5] += 1
+        elif outcome == OUT_TIMEOUT:
+            c[6] += 1
+
+    # Pass 2: holders per item and, for the server designs, the FIFO
+    # queue: arrival order from server-stamped REQs, admission by the
+    # compatible head batch.
+    safety: list[Violation] = []
+    fifo_violations: list[Violation] = []
+    holders: dict[int, dict] = defaultdict(dict)  # item -> client -> (grant, release)
+    pre_released: set[tuple[int, int]] = set()
+    pending: dict[int, deque] = defaultdict(deque)  # item -> (client, mode, REQ event)
+    granted: dict[int, dict] = defaultdict(dict)  # item -> client -> mode
+    for i, event in enumerate(ordered):
+        ts, client, item, op, mode, outcome = event
+        if op == OP_ACQ:
+            if outcome == OUT_GRANT:
+                item_holders = holders[item]
+                if item_holders:
+                    expired = [c for c, (_, rel) in item_holders.items() if rel <= ts]
+                    for c in expired:
+                        del item_holders[c]
+                        pre_released.add((item, c))
+                    previous = item_holders.get(client)
+                    if previous is not None:
+                        message = f"client {client} granted item {item} twice"
+                        safety.append(Violation(ORPHAN_EVENT, message, (previous[0], event)))
+                    for other, _ in item_holders.values():
+                        if other[1] == client:
+                            continue
+                        if mode == MODE_EXCLUSIVE and other[4] == MODE_EXCLUSIVE:
+                            kind = DOUBLE_EXCLUSIVE
+                        elif MODE_EXCLUSIVE in (mode, other[4]):
+                            kind = SHARED_EXCLUSIVE_OVERLAP
+                        else:
+                            continue
+                        safety.append(
+                            Violation(
+                                kind,
+                                f"item {item}: client {client} ({mode}) "
+                                f"overlaps client {other[1]} ({other[4]})",
+                                (other, event),
+                            )
+                        )
+                item_holders[client] = (event, release_at[i])
+                if fifo:
+                    item_pending = pending[item]
+                    item_granted = granted[item]
+                    if not _admits(item_pending, item_granted, client):
+                        fifo_violations.append(
+                            Violation(
+                                FIFO_VIOLATION,
+                                f"item {item}: grant to client {client} jumps the queue",
+                                (item_pending[0][2], event) if item_pending else (event,),
+                            )
+                        )
+                        # Keep simulating past the violation.
+                    for k, req in enumerate(item_pending):
+                        if req[0] == client:
+                            del item_pending[k]
+                            break
+                    item_granted[client] = mode
+            elif outcome == OUT_REQ and fifo:
+                pending[item].append((client, mode, event))
+        elif outcome == OUT_REQ:
+            if pre_released and (item, client) in pre_released:
+                pre_released.discard((item, client))
+            elif holders[item].pop(client, None) is None:
+                safety.append(
+                    Violation(
+                        ORPHAN_EVENT,
+                        f"client {client} released item {item} without holding it",
+                        (event,),
+                    )
+                )
+            if fifo:
+                granted[item].pop(client, None)
+    return safety, _conservation(events, counts), fifo_violations
+
+
+def _admits(pending: deque, granted: dict, client: int) -> bool:
+    """Whether the FIFO admission rule may grant `client` right now."""
+    if not pending or MODE_EXCLUSIVE in granted.values():
+        return False
+    head_client, head_mode, _ = pending[0]
+    if head_mode == MODE_EXCLUSIVE:
+        return not granted and head_client == client
+    for req_client, req_mode, _ in pending:
+        if req_mode != MODE_SHARED:
+            return False
+        if req_client == client:
+            return True
+    return False
+
+
+def _conservation(events: list, counts: dict) -> list[Violation]:
+    flagged = []
+    for key in sorted(counts):
+        req, grant, timeout_shared, timeout_excl, rel_req, rel_ack, rollback = counts[key]
+        answered = grant + timeout_shared + timeout_excl
+        if req != answered:
+            flagged.append((key, f"{req} acquire request(s) but {answered} grant(s)/timeout(s)"))
+        if grant != rel_req:
+            flagged.append((key, f"{grant} grant(s) but {rel_req} release(s)"))
+        if rel_req != rel_ack:
+            flagged.append((key, f"{rel_req} release(s) but {rel_ack} ack(s)"))
+        if timeout_shared != rollback:
+            flagged.append(
+                (key, f"{timeout_shared} shared timeout(s) but {rollback} rollback(s)")
+            )
+    if not flagged:
+        return []
+    last_event = {(e[1], e[2]): e for e in events}  # the last in input order
+    return [
+        Violation(CONSERVATION, f"client {key[0]} item {key[1]}: {message}", (last_event[key],))
+        for key, message in flagged
+    ]
 
 
 def check_safety(events) -> list[Violation]:
@@ -91,98 +257,7 @@ def check_safety(events) -> list[Violation]:
     SHARED_EXCLUSIVE_OVERLAP.  Releases of locks the trace never granted,
     and grants to a client already holding the item, are ORPHAN_EVENT.
     """
-    ordered = sort_events(events)
-
-    # Hold intervals are half-open: a grant stamped at the same nanosecond
-    # as the previous holder's release is adjacent, not overlapping.  Map
-    # each grant to its release stamp up front so ties can be resolved.
-    open_grants: dict[tuple[int, int], list[TraceEvent]] = {}
-    release_at: dict[int, int] = {}
-    for event in ordered:
-        key = (event.item_id, event.client_id)
-        if event.op == OP_ACQ and event.outcome == OUT_GRANT:
-            open_grants.setdefault(key, []).append(event)
-        elif event.op == OP_REL and event.outcome == OUT_REQ:
-            stack = open_grants.get(key)
-            if stack:
-                release_at[id(stack.pop())] = event.timestamp_ns
-
-    violations: list[Violation] = []
-    holders: dict[int, dict[int, TraceEvent]] = {}  # item -> client -> grant event
-    pre_released: set[tuple[int, int]] = set()
-    for event in ordered:
-        item_holders = holders.setdefault(event.item_id, {})
-        if event.op == OP_ACQ and event.outcome == OUT_GRANT:
-            expired = [
-                client_id
-                for client_id, held in item_holders.items()
-                if release_at.get(id(held), event.timestamp_ns + 1) <= event.timestamp_ns
-            ]
-            for client_id in expired:
-                del item_holders[client_id]
-                pre_released.add((event.item_id, client_id))
-            previous = item_holders.get(event.client_id)
-            if previous is not None:
-                violations.append(
-                    Violation(
-                        ORPHAN_EVENT,
-                        f"client {event.client_id} granted item {event.item_id} twice",
-                        (previous, event),
-                    )
-                )
-            for other in item_holders.values():
-                if other.client_id == event.client_id:
-                    continue
-                if event.mode == MODE_EXCLUSIVE and other.mode == MODE_EXCLUSIVE:
-                    kind = DOUBLE_EXCLUSIVE
-                elif MODE_EXCLUSIVE in (event.mode, other.mode):
-                    kind = SHARED_EXCLUSIVE_OVERLAP
-                else:
-                    continue
-                violations.append(
-                    Violation(
-                        kind,
-                        f"item {event.item_id}: client {event.client_id} ({event.mode}) "
-                        f"overlaps client {other.client_id} ({other.mode})",
-                        (other, event),
-                    )
-                )
-            item_holders[event.client_id] = event
-        elif event.op == OP_REL and event.outcome == OUT_REQ:
-            key = (event.item_id, event.client_id)
-            if key in pre_released:
-                pre_released.discard(key)
-            elif item_holders.pop(event.client_id, None) is None:
-                violations.append(
-                    Violation(
-                        ORPHAN_EVENT,
-                        f"client {event.client_id} released item {event.item_id} "
-                        "without holding it",
-                        (event,),
-                    )
-                )
-    return violations
-
-
-@dataclass
-class _PendingReq:
-    client_id: int
-    mode: str
-    event: TraceEvent
-
-
-def _admissible(pending: deque, granted: dict) -> set[int]:
-    """Clients the FIFO admission rule may grant right now."""
-    if not pending or MODE_EXCLUSIVE in granted.values():
-        return set()
-    if pending[0].mode == MODE_EXCLUSIVE:
-        return {pending[0].client_id} if not granted else set()
-    admissible = set()
-    for req in pending:
-        if req.mode != MODE_SHARED:
-            break
-        admissible.add(req.client_id)
-    return admissible
+    return _replay(list(events), False)[0]
 
 
 def check_fifo(events, design: str) -> list[Violation]:
@@ -193,35 +268,7 @@ def check_fifo(events, design: str) -> list[Violation]:
         raise NotApplicableError("the client-centric design makes no FIFO claim")
     if design not in SERVER_DESIGNS:
         raise ValueError(f"unknown design {design!r}")
-    violations: list[Violation] = []
-    pending: dict[int, deque] = {}
-    granted: dict[int, dict[int, str]] = {}
-    for event in sort_events(events):
-        item_pending = pending.setdefault(event.item_id, deque())
-        item_granted = granted.setdefault(event.item_id, {})
-        if event.op == OP_ACQ and event.outcome == OUT_REQ:
-            item_pending.append(_PendingReq(event.client_id, event.mode, event))
-        elif event.op == OP_ACQ and event.outcome == OUT_GRANT:
-            admissible = _admissible(item_pending, item_granted)
-            if event.client_id not in admissible:
-                cited = (item_pending[0].event, event) if item_pending else (event,)
-                violations.append(
-                    Violation(
-                        FIFO_VIOLATION,
-                        f"item {event.item_id}: grant to client {event.client_id} "
-                        "jumps the queue",
-                        cited,
-                    )
-                )
-                # Keep simulating past the violation.
-            for req in item_pending:
-                if req.client_id == event.client_id:
-                    item_pending.remove(req)
-                    break
-            item_granted[event.client_id] = event.mode
-        elif event.op == OP_REL and event.outcome == OUT_REQ:
-            item_granted.pop(event.client_id, None)
-    return violations
+    return _replay(list(events), True)[2]
 
 
 def check_conservation(events) -> list[Violation]:
@@ -229,66 +276,14 @@ def check_conservation(events) -> list[Violation]:
     every grant released, every release acknowledged, every shared timeout
     rolled back.  Counting is order-insensitive, so it tolerates the
     nanosecond-scale stamp ties interval replay cannot."""
-    counts: dict[tuple[int, int], dict[str, int]] = {}
-    last_event: dict[tuple[int, int], TraceEvent] = {}
-    for event in events:
-        key = (event.client_id, event.item_id)
-        c = counts.setdefault(
-            key,
-            {"req": 0, "grant": 0, "timeout_shared": 0, "timeout_excl": 0,
-             "rel_req": 0, "rel_ack": 0, "rollback": 0},
-        )
-        last_event[key] = event
-        if event.op == OP_ACQ:
-            if event.outcome == OUT_REQ:
-                c["req"] += 1
-            elif event.outcome == OUT_GRANT:
-                c["grant"] += 1
-            elif event.outcome == OUT_TIMEOUT:
-                c["timeout_shared" if event.mode == MODE_SHARED else "timeout_excl"] += 1
-        else:
-            if event.outcome == OUT_REQ:
-                c["rel_req"] += 1
-            elif event.outcome == OUT_ACK:
-                c["rel_ack"] += 1
-            elif event.outcome == OUT_TIMEOUT:
-                c["rollback"] += 1
-    violations: list[Violation] = []
-
-    def flag(key, message):
-        client_id, item_id = key
-        violations.append(
-            Violation(
-                CONSERVATION,
-                f"client {client_id} item {item_id}: {message}",
-                (last_event[key],),
-            )
-        )
-
-    for key, c in sorted(counts.items()):
-        answered = c["grant"] + c["timeout_shared"] + c["timeout_excl"]
-        if c["req"] != answered:
-            flag(key, f"{c['req']} acquire request(s) but {answered} grant(s)/timeout(s)")
-        if c["grant"] != c["rel_req"]:
-            flag(key, f"{c['grant']} grant(s) but {c['rel_req']} release(s)")
-        if c["rel_req"] != c["rel_ack"]:
-            flag(key, f"{c['rel_req']} release(s) but {c['rel_ack']} ack(s)")
-        if c["timeout_shared"] != c["rollback"]:
-            flag(
-                key,
-                f"{c['timeout_shared']} shared timeout(s) but {c['rollback']} rollback(s)",
-            )
-    return violations
+    return _replay(list(events), False)[1]
 
 
-def check_all(events, design: str) -> list[Violation]:
-    """Every applicable check for one run's trace."""
-    events = list(events)
-    violations = check_safety(events)
-    violations.extend(check_conservation(events))
-    if design in SERVER_DESIGNS:
-        violations.extend(check_fifo(events, design))
-    return violations
+def check_all(events, design: str | None) -> list[Violation]:
+    """Every applicable check for one run's trace: safety, conservation,
+    then FIFO for the server designs.  Without a design, no FIFO."""
+    safety, conservation, fifo = _replay(list(events), design in SERVER_DESIGNS)
+    return safety + conservation + fifo
 
 
 # ---------------------------------------------------------------------------

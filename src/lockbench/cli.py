@@ -18,13 +18,7 @@ from .bench import (
     sweep_contention,
     write_csv,
 )
-from .checker import (
-    DESIGN_SERVER_TCP,
-    DESIGNS,
-    check_all,
-    check_conservation,
-    check_safety,
-)
+from .checker import DESIGN_SERVER_TCP, DESIGNS, check_all
 from .errors import RunCheckError
 from .trace import TraceParseError, read_trace, write_trace
 
@@ -217,10 +211,7 @@ def _cmd_check(args) -> int:
     except TraceParseError as exc:
         print(f"malformed trace: {exc}", file=sys.stderr)
         return 2
-    if args.design is not None:
-        violations = check_all(events, args.design)
-    else:
-        violations = check_safety(events) + check_conservation(events)
+    violations = check_all(events, args.design)
     for violation in violations:
         print(violation)
     if not violations:

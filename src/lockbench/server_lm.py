@@ -152,6 +152,20 @@ class LockServerCore:
             del item.granted[client_id]
             return None, grant_scan(item)
 
+    def drop_client(self, client_id: int) -> list[LockRequest]:
+        """Drop a departed client's grants and queued requests; returns
+        the follow-on grants."""
+        grants = []
+        for item in self._items:
+            with item.mutex:
+                item.granted.pop(client_id, None)
+                for req in item.pending:
+                    if req.client_id == client_id:
+                        item.pending.remove(req)
+                        break
+                grants += grant_scan(item)
+        return grants
+
     def pending_count(self) -> int:
         total = 0
         for item in self._items:
@@ -435,15 +449,25 @@ class LockServer:
             return self._endpoints.setdefault(client_id, endpoint) is endpoint
 
     def _unbind(self, endpoint) -> None:
+        """Purge the locks of every ID `endpoint` owns, then free the IDs.
+
+        Purging while the IDs are still bound means a new connection cannot
+        claim an ID, and take a lock under it, before the purge is done.
+        A shutting-down server purges nothing, so its waiters get errors,
+        not grants."""
+        ids = [c for c, e in self._endpoints.items() if e is endpoint]
+        grants = [] if self._closing else [g for c in ids for g in self.core.drop_client(c)]
         with self._endpoint_lock:  # lock-free readers see the old dict or the new
             self._endpoints = {c: e for c, e in self._endpoints.items() if e is not endpoint}
+        for g in grants:
+            if g.client_id not in ids:
+                self._push_grant(g)
 
-    def _reply_to(self, client_id: int, message: bytes) -> None:
-        endpoint = self._endpoints.get(client_id)
+    def _push_grant(self, g: LockRequest) -> None:
+        endpoint = self._endpoints.get(g.client_id)
         if endpoint is not None:
-            endpoint.send_reply(message)
-        # Else the client's connection closed: the grant is dropped and the
-        # lock stays granted until a disconnect purges the client's locks.
+            endpoint.send_reply(pack_message(MSG_GRANT, g.client_id, g.item_id, g.request_id))
+        # Else the client's connection closed, and its purge drops the lock.
 
     def _dispatch(self, endpoint, data: bytes) -> bool:
         """Serve one request from `endpoint`; False for a malformed frame."""
@@ -466,7 +490,7 @@ class LockServer:
         if error is not None:
             endpoint.send_reply(pack_message(MSG_ERROR, client_id, item_id, request_id))
         for g in grants:
-            self._reply_to(g.client_id, pack_message(MSG_GRANT, g.client_id, g.item_id, g.request_id))
+            self._push_grant(g)
         return True
 
     def _handle(self, endpoint) -> None:

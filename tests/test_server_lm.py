@@ -488,8 +488,9 @@ def test_a_closed_connection_frees_its_client_id(id_server):
     again.release(0)
 
 
-def test_deferred_grant_for_a_closed_client_is_dropped(id_server):
-    server, connect = id_server
+def _queue_then_close_waiter(server, connect):
+    """Client 1 holds item 0 exclusively; client 2 queues for it, then its
+    connection closes.  Returns the holder."""
     holder = ServerLockClient(connect(), 1)
     waiter = ServerLockClient(connect(), 2)
     holder.acquire(0, shared=False)
@@ -503,21 +504,52 @@ def test_deferred_grant_for_a_closed_client_is_dropped(id_server):
 
     t = threading.Thread(target=wait_for_lock)
     t.start()
-    deadline = time.monotonic() + 5
-    while server.core.pending_count() == 0 and time.monotonic() < deadline:
-        time.sleep(0.001)
-    assert server.core.pending_count() == 1  # the waiter is queued
+    _wait_queued(server, 1)
     waiter.close()
     t.join(timeout=5)
     assert not t.is_alive() and len(errors) == 1
     _wait_unbound(server, 2)
-    holder.release(0)  # grants item 0 to client 2 and must not raise here
-    # Over a socket the grant is pushed by the holder's handler thread,
-    # which must live on to see the holder's EOF.
+    return holder
+
+
+def _wait_queued(server, count):
+    deadline = time.monotonic() + 5
+    while server.core.pending_count() < count and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert server.core.pending_count() == count
+
+
+def test_deferred_grant_for_a_closed_client_is_dropped(id_server):
+    server, connect = id_server
+    holder = _queue_then_close_waiter(server, connect)
+    holder.release(0)  # must not raise here
+    # Over a socket the holder's handler thread must live on to see the
+    # holder's EOF.
     holder.close()
     _wait_unbound(server, 1)
-    # Nothing purges a closed client's locks yet, so client 2 keeps item 0.
-    assert server.core.granted_count() == 1
+    assert server.core.granted_count() == 0
+
+
+def test_a_closed_waiter_leaves_no_queued_request(id_server):
+    server, connect = id_server
+    _queue_then_close_waiter(server, connect)
+    assert server.core.pending_count() == 0
+    assert server.core.granted_count() == 1  # the holder keeps item 0
+
+
+def test_a_closed_holder_passes_its_lock_to_the_waiter(id_server):
+    server, connect = id_server
+    holder = ServerLockClient(connect(), 1)
+    waiter = ServerLockClient(connect(), 2)
+    holder.acquire(0, shared=False)
+    t = threading.Thread(target=waiter.acquire, args=(0, False), daemon=True)
+    t.start()
+    _wait_queued(server, 1)
+    holder.close()  # without releasing item 0
+    t.join(timeout=5)
+    assert not t.is_alive() and waiter._held == {0: MODE_EXCLUSIVE}
+    waiter.release(0)
+    assert server.core.granted_count() == 0
 
 
 def test_racing_first_contacts_bind_an_id_to_one_connection():
