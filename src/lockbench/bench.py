@@ -19,7 +19,7 @@ Design x transport matrix, hosted by `host_design` and connected to by
 * server-tcp or server-sr / inproc — in-process channels that dispatch on
   the client's thread
 * server-tcp or server-sr / tcp    — framed sockets against the server's
-  TCP port
+  TCP port, every connection served by the server's one loop thread
 * client-centric / inproc or tcp   — one-sided verbs against the lock table
 
 On either transport the two server designs take one path and differ only

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
 
 from .locktable import U32_MASK, decode, encode
 from .trace import (
@@ -43,6 +41,7 @@ from .trace import (
     OUT_REQ,
     OUT_TIMEOUT,
     TraceEvent,
+    sort_events,  # re-exported: the order every verdict replays
 )
 
 DOUBLE_EXCLUSIVE = "DOUBLE_EXCLUSIVE"
@@ -72,32 +71,7 @@ class Violation:
         return f"{self.kind}: {self.detail}"
 
 
-# Causality-friendly tiebreak for identical nanosecond stamps: within a
-# lock's lifecycle REQ precedes GRANT precedes release.
-_PHASE_RANK = {
-    (OP_ACQ, OUT_REQ): 0,
-    (OP_ACQ, OUT_GRANT): 1,
-    (OP_ACQ, OUT_TIMEOUT): 1,
-    (OP_REL, OUT_REQ): 2,
-    (OP_REL, OUT_TIMEOUT): 2,
-    (OP_REL, OUT_ACK): 3,
-}
-
-_timestamp = itemgetter(0)
 _NEVER = float("inf")
-
-
-def _tie_key(e: TraceEvent):
-    return _PHASE_RANK[(e[3], e[5])], e[1], e[2]
-
-
-def sort_events(events) -> list[TraceEvent]:
-    """Order by stamp; equal stamps by lifecycle phase, client, item; full
-    ties keep input order."""
-    ordered = sorted(events, key=_timestamp)
-    if len(set(map(_timestamp, ordered))) == len(ordered):
-        return ordered
-    return [e for _, run in groupby(ordered, _timestamp) for e in sorted(run, key=_tie_key)]
 
 
 def _replay(events: list, fifo: bool) -> tuple[list, list, list]:

@@ -37,9 +37,9 @@ def _add_cost_args(parser) -> None:
         type=int,
         default=4,
         metavar="N",
-        help="max concurrent per-message charges (default 4); the charges "
-        "spin under the GIL, so in the in-process and TCP transports they "
-        "share one core whatever N is",
+        help="max concurrent per-message charges in process (default 4); "
+        "they spin under the GIL, so they share one core whatever N is; over "
+        "TCP one server thread runs every charge, one at a time",
     )
 
 

@@ -13,24 +13,27 @@ per inbound message on a bounded worker pool, emulating the kernel
 messaging overhead that dominates a socket-based server; the verb
 frontend's default charge is one tenth of the socket frontend's.  Both
 run one path per transport: in process, an `InprocChannel` that dispatches
-on the client's thread; over TCP, a framed socket with a handler thread.
-(`QpConn` and `serve_sr_listener` serve only lockperf's per-layer timings.)
+on the client's thread; over TCP, framed sockets served by one loop thread,
+so `worker_limit` bounds concurrent charges only in process.  (`QpConn`
+and `serve_sr_listener` serve only lockperf's per-layer timings.)
 """
 
 from __future__ import annotations
 
 import itertools
 import queue
+import selectors
 import socket
 import struct
 import threading
 import time
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 from . import framing
 from .errors import ProtocolError
-from .framing import recv_frame, send_frame
+from .framing import _LEN, recv_frame, send_frame
 from .trace import (
     MODE_EXCLUSIVE,
     MODE_SHARED,
@@ -45,6 +48,8 @@ from .verbs import _OK, _RNR, QueuePair, SrListener
 
 MESSAGE = struct.Struct("<BIIQ")  # op, client_id, item_id, request_id
 MESSAGE_SIZE = MESSAGE.size
+_PREFIX = _LEN.pack(MESSAGE_SIZE)
+_FRAME_SIZE = len(_PREFIX) + MESSAGE_SIZE
 
 MSG_ACQ_SHARED = 1
 MSG_ACQ_EXCL = 2
@@ -303,19 +308,22 @@ class SocketConn:
 
 
 class _SocketEndpoint:
+    """Server side of one framed socket, served by the TCP loop thread."""
+
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self._send_lock = threading.Lock()
-
-    def recv_request(self) -> bytes | None:
-        return recv_frame(self._sock)
+        self.inbox = bytearray()
 
     def send_reply(self, message: bytes) -> None:
-        with self._send_lock:
-            try:
-                send_frame(self._sock, message)
-            except OSError:
-                pass
+        # One non-blocking send, locked because a grant may be pushed from
+        # an in-process client's thread.  A client that does not drain its
+        # replies is shut down, which the loop reads as EOF.
+        with self._send_lock, suppress(OSError):
+            with suppress(BlockingIOError):
+                if self._sock.send(_PREFIX + message) == _FRAME_SIZE:
+                    return
+            self._sock.shutdown(socket.SHUT_RDWR)
 
     def close(self) -> None:
         framing.close(self._sock)
@@ -398,7 +406,8 @@ class LockServer:
         self._endpoints: dict[int, object] = {}
         self._endpoint_lock = threading.Lock()
         self._listeners: list[object] = []
-        self._tcp_socket: socket.socket | None = None
+        self._loop: threading.Thread | None = None
+        self._wake: socket.socket | None = None
         self._closing = False
 
     # -- frontend attachment -------------------------------------------
@@ -423,25 +432,57 @@ class LockServer:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((host, port))
         sock.listen(128)
-        self._tcp_socket = sock
-        bound = sock.getsockname()
+        wake, self._wake = socket.socketpair()
+        self._loop = self._spawn(self._tcp_loop, "tcp-loop", sock, wake)
+        return sock.getsockname()
 
-        def accept_loop():
-            while True:
-                try:
-                    conn, _ = sock.accept()
-                except OSError:
-                    return
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                self._spawn(self._handle, "handler", _SocketEndpoint(conn))
+    def _tcp_loop(self, listener: socket.socket, wake: socket.socket) -> None:
+        """Accept and serve every TCP connection on this one thread until
+        shutdown; then close every socket the loop owns."""
+        selector = selectors.DefaultSelector()
+        for sock in (listener, wake):
+            sock.setblocking(False)
+            selector.register(sock, selectors.EVENT_READ)
+        while not self._closing:
+            for key, _ in selector.select():
+                if key.fileobj is listener:
+                    with suppress(OSError):
+                        conn, _ = listener.accept()
+                        conn.setblocking(False)
+                        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                        selector.register(conn, selectors.EVENT_READ, _SocketEndpoint(conn))
+                elif key.data is not None and not self._serve_frames(key.data):
+                    selector.unregister(key.fileobj)
+                    self._unbind(key.data)
+                    key.data.close()
+        for key in list(selector.get_map().values()):
+            (key.data or key.fileobj).close()
+        selector.close()
+        self._wake.close()
 
-        self._spawn(accept_loop, "tcp-accept")
-        return bound
+    def _serve_frames(self, endpoint: _SocketEndpoint) -> bool:
+        """One recv, then dispatch every whole frame in order; False once
+        the connection must end: EOF, a reset, a length prefix other than
+        MESSAGE_SIZE, a rejected frame or a closing server."""
+        try:
+            data = endpoint._sock.recv(65536)
+        except OSError as exc:
+            return isinstance(exc, BlockingIOError)
+        inbox = endpoint.inbox
+        inbox += data
+        while len(inbox) >= _FRAME_SIZE and inbox.startswith(_PREFIX):
+            frame = bytes(inbox[len(_PREFIX) : _FRAME_SIZE])
+            del inbox[:_FRAME_SIZE]
+            if self._closing or not self._dispatch(endpoint, frame):
+                return False
+        return bool(data) and _PREFIX.startswith(inbox[: len(_PREFIX)])
 
     # -- request handling ------------------------------------------------
 
-    def _spawn(self, target, name: str, *args) -> None:
-        threading.Thread(target=target, args=args, name=f"lockserver-{name}", daemon=True).start()
+    def _spawn(self, target, name: str, *args) -> threading.Thread:
+        thread = threading.Thread(target=target, args=args, name=f"lockserver-{name}", daemon=True)
+        thread.start()
+        return thread
 
     def _bind(self, client_id: int, endpoint) -> bool:
         """Bind an unbound ID to `endpoint`; False if another endpoint owns it."""
@@ -507,18 +548,17 @@ class LockServer:
         self._closing = True
         for listener in self._listeners:
             listener.close()
-        if self._tcp_socket is not None:
-            try:
-                self._tcp_socket.close()
-            except OSError:
-                pass
+        if self._loop is not None:
+            with suppress(OSError):
+                self._wake.send(b"\0")
+            if self._loop is not threading.current_thread():
+                self._loop.join()
         with self._endpoint_lock:
             endpoints = list(self._endpoints.values())
         for endpoint in endpoints:
-            try:
-                endpoint.close()
-            except Exception:
-                pass
+            if not isinstance(endpoint, _SocketEndpoint):  # the loop closes those
+                with suppress(Exception):
+                    endpoint.close()
 
 
 class ServerLockClient:

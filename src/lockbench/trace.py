@@ -1,15 +1,18 @@
 """Trace events and the on-disk trace format.
 
 One event per line: `timestamp_ns,client_id,item_id,op,mode,outcome` with
-op in {ACQ, REL}, mode in {SHARED, EXCLUSIVE}, outcome in {REQ, GRANT,
-ACK, TIMEOUT}.  Timestamps come from the shared monotonic clock and are
-strictly increasing per recording source, so a sorted trace preserves each
-client's program order.
+mode in {SHARED, EXCLUSIVE} and (op, outcome) one of the six pairs in
+`PHASE_RANK`: ACQ with REQ, GRANT or TIMEOUT; REL with REQ, TIMEOUT or ACK.
+Timestamps come from the shared monotonic clock and are strictly
+increasing per recording source, so a sorted trace preserves each client's
+program order.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import groupby, islice
+from operator import itemgetter, lt
 from typing import Iterable, NamedTuple
 
 OP_ACQ = "ACQ"
@@ -25,6 +28,17 @@ OUT_GRANT = "GRANT"
 OUT_ACK = "ACK"
 OUT_TIMEOUT = "TIMEOUT"
 OUTCOMES = (OUT_REQ, OUT_GRANT, OUT_ACK, OUT_TIMEOUT)
+
+# The (op, outcome) pairs recorders stamp, each with its lifecycle phase,
+# which orders equal stamps: REQ precedes GRANT precedes release.
+PHASE_RANK = {
+    (OP_ACQ, OUT_REQ): 0,
+    (OP_ACQ, OUT_GRANT): 1,
+    (OP_ACQ, OUT_TIMEOUT): 1,
+    (OP_REL, OUT_REQ): 2,
+    (OP_REL, OUT_TIMEOUT): 2,
+    (OP_REL, OUT_ACK): 3,
+}
 
 
 class TraceEvent(NamedTuple):
@@ -64,12 +78,10 @@ def parse_line(line: str, lineno: int) -> TraceEvent:
         ts, client, item = int(ts_s), int(client_s), int(item_s)
     except ValueError as exc:
         raise TraceParseError(lineno, str(exc)) from None
-    if op not in OPS:
-        raise TraceParseError(lineno, f"unknown op {op!r}")
     if mode not in MODES:
         raise TraceParseError(lineno, f"unknown mode {mode!r}")
-    if outcome not in OUTCOMES:
-        raise TraceParseError(lineno, f"unknown outcome {outcome!r}")
+    if (op, outcome) not in PHASE_RANK:
+        raise TraceParseError(lineno, f"no recorder stamps {op}/{outcome}")
     return TraceEvent(ts, client, item, op, mode, outcome)
 
 
@@ -87,6 +99,23 @@ def read_trace(path) -> list[TraceEvent]:
             if line.strip():
                 events.append(parse_line(line, lineno))
     return events
+
+
+_timestamp = itemgetter(0)
+
+
+def _tie_key(e: TraceEvent):
+    return PHASE_RANK[(e[3], e[5])], e[1], e[2]
+
+
+def sort_events(events) -> list[TraceEvent]:
+    """Order by stamp; equal stamps by lifecycle phase, client, item; full
+    ties keep input order."""
+    ordered = sorted(events, key=_timestamp)
+    stamps = list(map(_timestamp, ordered))
+    if all(map(lt, stamps, islice(stamps, 1, None))):  # no two stamps equal
+        return ordered
+    return [e for _, run in groupby(ordered, _timestamp) for e in sorted(run, key=_tie_key)]
 
 
 _clock = time.monotonic_ns
@@ -120,4 +149,4 @@ class TraceRecorder:
         self._events.extend(events)
 
     def sorted_events(self) -> list[TraceEvent]:
-        return sorted(self._events)
+        return sort_events(self._events)

@@ -90,6 +90,13 @@ def test_check_malformed_trace_exits_2(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+def test_check_rejects_an_event_no_recorder_stamps(tmp_path, capsys):
+    path = tmp_path / "acq-ack.trace"
+    path.write_text("10,1,0,ACQ,SHARED,ACK\n")
+    assert main(["check", str(path)]) == 2
+    assert "malformed" in capsys.readouterr().err
+
+
 def test_unknown_design_is_an_argparse_error():
     with pytest.raises(SystemExit):
         main(["bench", "--design", "wishful"])

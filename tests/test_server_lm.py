@@ -1,6 +1,7 @@
 """Server-centric manager: admission rule, core state, frontends, cost model."""
 
 import socket
+import struct
 import sys
 import threading
 import time
@@ -8,7 +9,7 @@ import time
 import pytest
 
 from lockbench.errors import ProtocolError
-from lockbench.framing import send_frame
+from lockbench.framing import recv_frame, send_frame
 from lockbench.server_lm import (
     DEFAULT_SR_MESSAGE_COST,
     DEFAULT_TCP_MESSAGE_COST,
@@ -17,7 +18,9 @@ from lockbench.server_lm import (
     MESSAGE_SIZE,
     MSG_ACQ_EXCL,
     MSG_ACQ_SHARED,
+    MSG_ACK,
     MSG_GRANT,
+    MSG_RELEASE,
     InprocChannel,
     ItemQueue,
     LockRequest,
@@ -369,6 +372,145 @@ def test_acquire_release_over_real_socket():
         server.shutdown()
 
 
+# -- the TCP loop: one thread serves every connection -------------------------
+
+
+@pytest.fixture
+def tcp_server():
+    server = LockServer(ServerConfig(2, FRONTEND_TCP, per_message_cost=0.0))
+    address = server.serve_tcp()
+    yield server, address
+    server.shutdown()
+
+
+def _frame(op, client_id, item_id, request_id):
+    return struct.pack("<I", MESSAGE_SIZE) + pack_message(op, client_id, item_id, request_id)
+
+
+def test_one_thread_serves_every_socket_connection():
+    # Compared as sets, so a thread an earlier test left behind that ends
+    # meanwhile does not count.
+    before = set(threading.enumerate())
+    server = LockServer(ServerConfig(2, FRONTEND_TCP, per_message_cost=0.0))
+    address = server.serve_tcp()
+    clients = [ServerLockClient(SocketConn(*address), i) for i in range(1, 7)]
+    try:
+        for client in clients:
+            client.acquire(0, shared=True)
+            client.release(0)
+        added = set(threading.enumerate()) - before
+        assert [t.name for t in added] == ["lockserver-tcp-loop"]
+    finally:
+        for client in clients:
+            client.close()
+        server.shutdown()
+
+
+def test_a_prefix_longer_than_a_message_ends_the_connection_at_once(tcp_server):
+    _, address = tcp_server
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(struct.pack("<I", 1000) + b"abc")  # 997 bytes short
+        assert sock.recv(1) == b""  # EOF; waiting for the body raises TimeoutError
+
+
+def test_a_frame_sent_byte_by_byte_does_not_hold_up_other_clients(tcp_server):
+    _, address = tcp_server
+    frame = _frame(MSG_ACQ_EXCL, 1, 0, 1)
+    with socket.create_connection(address, timeout=5) as slow:
+        slow.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for byte in frame[:-1]:
+            slow.sendall(bytes([byte]))
+            time.sleep(0.001)
+        fast = ServerLockClient(SocketConn(*address), 2)
+
+        def cycles():
+            for _ in range(50):
+                fast.acquire(1, shared=False)
+                fast.release(1)
+
+        t = threading.Thread(target=cycles, daemon=True)
+        t.start()
+        t.join(timeout=5)
+        assert not t.is_alive()  # all 50 cycles done while the frame is partial
+        slow.sendall(frame[-1:])
+        assert unpack_message(recv_frame(slow)) == (MSG_GRANT, 1, 0, 1)
+        fast.close()
+
+
+def test_two_frames_in_one_send_get_two_replies_in_order(tcp_server):
+    _, address = tcp_server
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(_frame(MSG_ACQ_EXCL, 1, 0, 1) + _frame(MSG_RELEASE, 1, 0, 2))
+        assert unpack_message(recv_frame(sock)) == (MSG_GRANT, 1, 0, 1)
+        assert unpack_message(recv_frame(sock)) == (MSG_ACK, 1, 0, 2)
+
+
+class _ShortSendSocket:
+    """A server-side socket that takes one byte of each send, as one whose
+    client stopped reading replies would once its buffers fill."""
+
+    def __init__(self, sock):
+        self._sock = sock
+
+    def send(self, data):
+        return self._sock.send(data[:1])
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_a_reply_the_socket_cannot_take_ends_its_connection(tcp_server):
+    server, address = tcp_server
+    stuck = ServerLockClient(SocketConn(*address), 1)
+    stuck.acquire(0, shared=False)
+    endpoint = server._endpoints[1]
+    endpoint._sock = _ShortSendSocket(endpoint._sock)
+    errors = []
+
+    def acquire():
+        try:
+            stuck.acquire(1, shared=False)  # its grant does not fit
+        except ConnectionError as exc:
+            errors.append(exc)
+
+    t = threading.Thread(target=acquire, daemon=True)
+    t.start()
+    t.join(timeout=5)
+    assert not t.is_alive() and len(errors) == 1
+    _wait_unbound(server, 1)
+    assert server.core.granted_count() == 0  # both of its locks are purged
+    other = ServerLockClient(SocketConn(*address), 2)
+    other.acquire(0, shared=False)
+    other.release(0)
+    other.close()
+    stuck.close()
+
+
+def test_shutdown_wakes_a_socket_client_waiting_for_a_deferred_grant():
+    server = LockServer(ServerConfig(1, FRONTEND_TCP, per_message_cost=0.0))
+    address = server.serve_tcp()
+    holder = ServerLockClient(SocketConn(*address), 1)
+    waiter = ServerLockClient(SocketConn(*address), 2)
+    holder.acquire(0, shared=False)
+    errors = []
+
+    def wait_for_lock():
+        try:
+            waiter.acquire(0, shared=False)
+        except ConnectionError as exc:
+            errors.append(exc)
+
+    t = threading.Thread(target=wait_for_lock, daemon=True)
+    t.start()
+    _wait_queued(server, 1)
+    server.shutdown()
+    t.join(timeout=5)
+    assert not t.is_alive() and len(errors) == 1
+    assert not server._loop.is_alive()
+    holder.close()
+    waiter.close()
+
+
 # -- malformed frames from outside the program -------------------------------
 # A frame that is not a 17-byte message ends its connection, as EOF does,
 # instead of leaving the client waiting for a reply that never comes.
@@ -453,7 +595,8 @@ def id_server(request):
 
 
 def _wait_unbound(server, client_id):
-    # A socket's handler thread drops the binding once it reads EOF.
+    # Over a socket, the server's loop thread drops the binding once it
+    # reads EOF.
     deadline = time.monotonic() + 5
     while client_id in server._endpoints and time.monotonic() < deadline:
         time.sleep(0.001)
@@ -523,8 +666,7 @@ def test_deferred_grant_for_a_closed_client_is_dropped(id_server):
     server, connect = id_server
     holder = _queue_then_close_waiter(server, connect)
     holder.release(0)  # must not raise here
-    # Over a socket the holder's handler thread must live on to see the
-    # holder's EOF.
+    # Over a socket the server's loop must live on to see the holder's EOF.
     holder.close()
     _wait_unbound(server, 1)
     assert server.core.granted_count() == 0

@@ -3,28 +3,41 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from lockbench import checker
 from lockbench.trace import (
     MODES,
     OPS,
     OUTCOMES,
+    PHASE_RANK,
     TraceEvent,
     TraceParseError,
     TraceRecorder,
     format_event,
     parse_line,
     read_trace,
+    sort_events,
     write_trace,
 )
 
 events = st.builds(
-    TraceEvent,
-    timestamp_ns=st.integers(min_value=0, max_value=2**63 - 1),
-    client_id=st.integers(min_value=0, max_value=2**31 - 1),
-    item_id=st.integers(min_value=0, max_value=2**31 - 1),
-    op=st.sampled_from(OPS),
-    mode=st.sampled_from(MODES),
-    outcome=st.sampled_from(OUTCOMES),
+    lambda ts, client, item, mode, pair: TraceEvent(ts, client, item, pair[0], mode, pair[1]),
+    st.integers(min_value=0, max_value=2**63 - 1),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from(MODES),
+    st.sampled_from(sorted(PHASE_RANK)),
 )
+
+# Every (op, outcome) pair a recorder stamps: the client and server
+# recorders' REQ, GRANT, TIMEOUT, release REQ, rollback TIMEOUT and ACK.
+STAMPED = {
+    ("ACQ", "REQ"),
+    ("ACQ", "GRANT"),
+    ("ACQ", "TIMEOUT"),
+    ("REL", "REQ"),
+    ("REL", "TIMEOUT"),
+    ("REL", "ACK"),
+}
 
 
 @given(events)
@@ -52,6 +65,29 @@ def test_parse_rejects_malformed_lines(line):
     with pytest.raises(TraceParseError) as exc_info:
         parse_line(line, 17)
     assert exc_info.value.lineno == 17
+
+
+def test_checker_tie_rule_covers_exactly_the_stamped_pairs():
+    assert set(PHASE_RANK) == STAMPED
+    assert checker.sort_events is sort_events
+
+
+@pytest.mark.parametrize("line", ["10,1,0,ACQ,SHARED,ACK", "10,1,0,REL,SHARED,GRANT"])
+def test_parse_rejects_pairs_no_recorder_stamps(line):
+    with pytest.raises(TraceParseError, match="no recorder stamps"):
+        parse_line(line, 1)
+
+
+def test_parse_accepts_exactly_the_stamped_pairs():
+    accepted = set()
+    for op in OPS:
+        for outcome in OUTCOMES:
+            try:
+                parse_line(f"1,1,0,{op},SHARED,{outcome}", 1)
+            except TraceParseError:
+                continue
+            accepted.add((op, outcome))
+    assert accepted == STAMPED
 
 
 def test_file_round_trip(tmp_path):
@@ -101,3 +137,20 @@ def test_recorder_extend_merges_foreign_events():
     rec.record(1, 1, 0, "ACQ", "SHARED", "REQ")
     rec.extend([TraceEvent(1, 2, 0, "ACQ", "SHARED", "REQ")])
     assert len(rec.sorted_events()) == 2
+
+
+def test_recorder_orders_tied_stamps_as_the_checker_replays_them():
+    # Equal stamps sort by lifecycle phase, then client and item, not by
+    # the whole tuple, so a written trace is in the order it is checked.
+    tied = [
+        TraceEvent(5, 1, 0, "REL", "EXCLUSIVE", "ACK"),
+        TraceEvent(5, 2, 0, "ACQ", "EXCLUSIVE", "GRANT"),
+        TraceEvent(5, 1, 0, "REL", "EXCLUSIVE", "REQ"),
+        TraceEvent(5, 2, 0, "ACQ", "EXCLUSIVE", "REQ"),
+        TraceEvent(4, 3, 1, "ACQ", "SHARED", "REQ"),
+    ]
+    rec = TraceRecorder()
+    rec.extend(tied)
+    ordered = rec.sorted_events()
+    assert [id(e) for e in ordered] == [id(e) for e in checker.sort_events(tied)]
+    assert ordered != sorted(tied)  # the whole-tuple order differs here
