@@ -31,7 +31,7 @@ from __future__ import annotations
 import time
 
 from .errors import AcquisitionTimeout, ProtocolError, ReleaseError
-from .locktable import HALF_SIZE, decode, encode, exclusive_half_offset
+from .locktable import HALF_SIZE, U32_MASK, WORD_SIZE, encode
 from .trace import (
     MODE_EXCLUSIVE,
     MODE_SHARED,
@@ -43,6 +43,7 @@ from .trace import (
     OUT_TIMEOUT,
     TraceRecorder,
 )
+from .verbs import _OK
 
 U64_MINUS_ONE = (1 << 64) - 1
 _ZERO_HALF = bytes(HALF_SIZE)
@@ -53,8 +54,10 @@ class ClientSession:
 
     Strictly sequential: one in-flight verb, so the per-client trace is
     totally ordered.  `backoff` is the pause between retries for both the
-    exclusive CAS loop and the shared READ poll; the default 0 still
-    yields the scheduler between attempts so peers can make progress.
+    exclusive CAS loop and the shared READ poll.  The default 0 calls
+    `time.sleep(0)`, which releases the GIL but on Linux still sleeps for
+    the thread's timer slack (about 50 us), so even a zero backoff is a
+    short pause, not a bare yield.
     `max_retries=None` retries forever (benchmark setting); a finite value
     bounds failed CAS attempts / READ polls before acquisition-timeout.
     """
@@ -73,7 +76,8 @@ class ClientSession:
         if max_retries is not None and max_retries < 0:
             raise ValueError("max_retries must be >= 0 or None")
         self.qp = qp
-        self.table = table
+        self._region_id = table.region_id
+        self._item_count = table.item_count
         self.client_id = client_id
         self.backoff = backoff
         self.max_retries = max_retries
@@ -82,118 +86,113 @@ class ClientSession:
         self._releasing: set[int] = set()  # REL/REQ stamped, not yet released
         self._owner_word = encode(client_id, 0)
 
-    # -- plumbing --------------------------------------------------------
-
-    def _record(self, item_id: int, op: str, mode: str, outcome: str) -> None:
-        if self._recorder is not None:
-            self._recorder.record(self.client_id, self.client_id, item_id, op, mode, outcome)
-
     def _pause(self) -> None:
-        # sleep(0) still releases the GIL, letting peer threads run between
-        # zero-backoff retries instead of spinning out a full GIL slice.
+        # sleep(0) releases the GIL, letting peer threads run between
+        # zero-backoff retries; on Linux it also sleeps for the timer slack.
         time.sleep(self.backoff if self.backoff > 0 else 0)
-
-    def _verb_ok(self, completion, action: str):
-        if not completion.ok:
-            raise ProtocolError(f"{action} failed: {completion.status.name}")
-        return completion
-
-    def _check_not_held(self, item_id: int) -> None:
-        if item_id in self._held:
-            raise ProtocolError(
-                f"client {self.client_id} already holds item {item_id} ({self._held[item_id]})"
-            )
 
     def held_locks(self) -> dict[int, str]:
         return dict(self._held)
 
     # -- acquire ---------------------------------------------------------
 
-    def acquire_exclusive(self, item_id: int) -> None:
-        self._check_not_held(item_id)
-        offset = self.table.word_offset(item_id)
-        self._record(item_id, OP_ACQ, MODE_EXCLUSIVE, OUT_REQ)
-        failures = 0
-        while True:
-            completion = self._verb_ok(
-                self.qp.post_cas(self.table.region_id, offset, 0, self._owner_word), "exclusive CAS"
+    def acquire(self, item_id: int, shared: bool) -> None:
+        """Acquire `item_id`: shared by FA(+1) and READ polls, exclusive by a CAS loop."""
+        if item_id in self._held:
+            raise ProtocolError(
+                f"client {self.client_id} already holds item {item_id} ({self._held[item_id]})"
             )
-            if completion.value == 0:
-                self._held[item_id] = MODE_EXCLUSIVE
-                self._record(item_id, OP_ACQ, MODE_EXCLUSIVE, OUT_GRANT)
-                return
-            failures += 1
-            if self.max_retries is not None and failures > self.max_retries:
-                # The failed CASes never modified the word: nothing to undo.
-                self._record(item_id, OP_ACQ, MODE_EXCLUSIVE, OUT_TIMEOUT)
-                raise AcquisitionTimeout(
-                    f"exclusive acquire of item {item_id} gave up after {failures} attempts"
-                )
-            self._pause()
+        if not 0 <= item_id < self._item_count:
+            raise ValueError(f"item {item_id} out of range [0, {self._item_count})")
+        offset = item_id * WORD_SIZE
+        qp, region_id, max_retries = self.qp, self._region_id, self.max_retries
+        recorder, cid = self._recorder, self.client_id
+        mode = MODE_SHARED if shared else MODE_EXCLUSIVE
+        if recorder is not None:
+            recorder.record(cid, cid, item_id, OP_ACQ, mode, OUT_REQ)
+        if shared:
+            completion = qp.post_fa(region_id, offset, 1)
+            if completion.status != _OK:
+                raise ProtocolError(f"shared FA failed: {completion.status.name}")
+            owner = int.from_bytes(completion.payload, "little") >> 32
+            polls = 0
+            while owner:
+                polls += 1
+                if max_retries is not None and polls > max_retries:
+                    if recorder is not None:
+                        recorder.record(cid, cid, item_id, OP_ACQ, mode, OUT_TIMEOUT)
+                    completion = qp.post_fa(region_id, offset, U64_MINUS_ONE)  # the rollback
+                    if completion.status != _OK:
+                        raise ProtocolError(f"shared release FA failed: {completion.status.name}")
+                    if not int.from_bytes(completion.payload, "little") & U32_MASK:
+                        raise ProtocolError(f"shared count underflow on item {item_id}")
+                    if recorder is not None:
+                        recorder.record(cid, cid, item_id, OP_REL, mode, OUT_TIMEOUT)
+                    raise AcquisitionTimeout(
+                        f"shared acquire of item {item_id} gave up after {polls - 1} polls"
+                    )
+                self._pause()
+                completion = qp.post_read(region_id, offset + HALF_SIZE, HALF_SIZE)
+                if completion.status != _OK:
+                    raise ProtocolError(f"shared owner poll failed: {completion.status.name}")
+                owner = int.from_bytes(completion.payload, "little")
+        else:
+            owner_word = self._owner_word
+            failures = 0
+            while True:
+                completion = qp.post_cas(region_id, offset, 0, owner_word)
+                if completion.status != _OK:
+                    raise ProtocolError(f"exclusive CAS failed: {completion.status.name}")
+                if not int.from_bytes(completion.payload, "little"):
+                    break
+                failures += 1
+                if max_retries is not None and failures > max_retries:
+                    # The failed CASes never modified the word: nothing to undo.
+                    if recorder is not None:
+                        recorder.record(cid, cid, item_id, OP_ACQ, mode, OUT_TIMEOUT)
+                    raise AcquisitionTimeout(
+                        f"exclusive acquire of item {item_id} gave up after {failures} attempts"
+                    )
+                self._pause()
+        self._held[item_id] = mode
+        if recorder is not None:
+            recorder.record(cid, cid, item_id, OP_ACQ, mode, OUT_GRANT)
+
+    def acquire_exclusive(self, item_id: int) -> None:
+        self.acquire(item_id, False)
 
     def acquire_shared(self, item_id: int) -> None:
-        self._check_not_held(item_id)
-        offset = self.table.word_offset(item_id)
-        self._record(item_id, OP_ACQ, MODE_SHARED, OUT_REQ)
-        completion = self._verb_ok(
-            self.qp.post_fa(self.table.region_id, offset, 1), "shared FA"
-        )
-        owner, _ = decode(completion.value)
-        polls = 0
-        while owner:
-            polls += 1
-            if self.max_retries is not None and polls > self.max_retries:
-                self._record(item_id, OP_ACQ, MODE_SHARED, OUT_TIMEOUT)
-                self._release_shared(item_id, offset, ProtocolError)  # the rollback
-                self._record(item_id, OP_REL, MODE_SHARED, OUT_TIMEOUT)
-                raise AcquisitionTimeout(
-                    f"shared acquire of item {item_id} gave up after {polls - 1} polls"
-                )
-            self._pause()
-            owner = self._verb_ok(
-                self.qp.post_read(self.table.region_id, exclusive_half_offset(offset), HALF_SIZE),
-                "shared owner poll",
-            ).value
-        self._held[item_id] = MODE_SHARED
-        self._record(item_id, OP_ACQ, MODE_SHARED, OUT_GRANT)
+        self.acquire(item_id, True)
 
     # -- release ---------------------------------------------------------
-    # The two protocols are private: `release(item)` picks one from the
-    # recorded mode.  A failed verb leaves the lock held.
-
-    def _release_exclusive(self, offset: int) -> None:
-        completion = self.qp.post_write(self.table.region_id, exclusive_half_offset(offset), _ZERO_HALF)
-        if not completion.ok:
-            raise ReleaseError(f"exclusive release WRITE failed: {completion.status.name}")
-
-    def _release_shared(self, item_id: int, offset: int, error=ReleaseError) -> None:
-        """FA(-1) on the reader count; raises `error` if the FA fails."""
-        completion = self.qp.post_fa(self.table.region_id, offset, U64_MINUS_ONE)
-        if not completion.ok:
-            raise error(f"shared release FA failed: {completion.status.name}")
-        if decode(completion.value)[1] < 1:
-            raise ProtocolError(f"shared count underflow on item {item_id}")
-
-    # -- uniform driver surface (same shape as the server-centric client) --
-
-    def acquire(self, item_id: int, shared: bool) -> None:
-        return self.acquire_shared(item_id) if shared else self.acquire_exclusive(item_id)
 
     def release(self, item_id: int) -> None:
+        """Release a held lock by its recorded mode: exclusive WRITEs zeros
+        over the owner half, shared FAs -1 on the count.  A failed verb
+        raises ReleaseError and leaves the lock held for a retry."""
         mode = self._held.get(item_id)
         if mode is None:
             raise ProtocolError(f"releasing item {item_id} that is not held")
-        offset = self.table.word_offset(item_id)
+        offset = item_id * WORD_SIZE
+        recorder, cid = self._recorder, self.client_id
         if item_id not in self._releasing:  # a retry continues the stamped release
-            self._record(item_id, OP_REL, mode, OUT_REQ)
+            if recorder is not None:
+                recorder.record(cid, cid, item_id, OP_REL, mode, OUT_REQ)
             self._releasing.add(item_id)
         if mode == MODE_SHARED:
-            self._release_shared(item_id, offset)
+            completion = self.qp.post_fa(self._region_id, offset, U64_MINUS_ONE)
+            if completion.status != _OK:
+                raise ReleaseError(f"shared release FA failed: {completion.status.name}")
+            if not int.from_bytes(completion.payload, "little") & U32_MASK:
+                raise ProtocolError(f"shared count underflow on item {item_id}")
         else:
-            self._release_exclusive(offset)
+            completion = self.qp.post_write(self._region_id, offset + HALF_SIZE, _ZERO_HALF)
+            if completion.status != _OK:
+                raise ReleaseError(f"exclusive release WRITE failed: {completion.status.name}")
         self._releasing.discard(item_id)
         del self._held[item_id]
-        self._record(item_id, OP_REL, mode, OUT_ACK)
+        if recorder is not None:
+            recorder.record(cid, cid, item_id, OP_REL, mode, OUT_ACK)
 
     def close(self) -> None:
         self.qp.close()

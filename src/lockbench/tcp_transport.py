@@ -237,7 +237,7 @@ class TcpAgent(RegionRegistry):
             if qp is None:
                 return _pack_reply(_RNR, None)
             return _pack_reply(qp._deliver(payload), None)
-        region = self.lookup_region(region_id)
+        region = self._regions.get(region_id)
         if region is None:
             return _pack_reply(CompletionStatus.LOCAL_ACCESS_ERROR, None)
         try:
@@ -280,7 +280,10 @@ class TcpQueuePair(Mailbox):
 
     def _rpc(self, kind: VerbKind, region_id: int = 0, offset: int = 0,
              length: int = 0, op_a: int = 0, op_b: int = 0, payload: bytes = b"") -> Completion:
-        frame = VERB_HEADER.pack(kind, region_id, offset, length, op_a, op_b) + payload
+        try:
+            frame = VERB_HEADER.pack(kind, region_id, offset, length, op_a, op_b) + payload
+        except struct.error:  # e.g. a negative offset: outside every region, as in process
+            return Completion(kind, CompletionStatus.LOCAL_ACCESS_ERROR)
         with self._verb_lock:
             if not self._verbs_open:
                 return Completion(kind, CompletionStatus.LOCAL_ACCESS_ERROR)

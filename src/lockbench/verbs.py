@@ -105,15 +105,9 @@ class MemoryRegion:
                 f"access [{offset}, {offset + length}) outside region of {self.length} bytes"
             )
 
-    def _check_word(self, offset: int) -> int:
-        if offset % WORD_SIZE or not 0 <= offset <= self.length - WORD_SIZE:
-            self._check_bounds(offset, WORD_SIZE)
-            raise RegionAccessError(f"atomic offset {offset} not 8-byte aligned")
-        return offset // WORD_SIZE
-
-    def _stamp(self, word_index: int) -> int:
-        self._word_serials[word_index] += 1
-        return self._word_serials[word_index]
+    def _reject_atomic(self, offset: int) -> None:
+        self._check_bounds(offset, WORD_SIZE)
+        raise RegionAccessError(f"atomic offset {offset} not 8-byte aligned")
 
     def _span(self, offset: int, length: int, payload: bytes | None = None) -> bytes:
         """READ (no payload) or WRITE of bytes that straddle words, under
@@ -143,9 +137,10 @@ class MemoryRegion:
         if (offset + length - 1) // WORD_SIZE != w:
             return self._span(offset, length), None
         shift = (offset % WORD_SIZE) * 8
+        serials = self._word_serials
         with self._word_locks[w]:
             word = self._words[w]
-            serial = self._stamp(w)
+            serial = serials[w] = serials[w] + 1
         return ((word >> shift) & ((1 << 8 * length) - 1)).to_bytes(length, "little"), serial
 
     def write(self, offset: int, payload: bytes) -> int | None:
@@ -159,27 +154,37 @@ class MemoryRegion:
         shift = (offset % WORD_SIZE) * 8
         keep = ~(((1 << 8 * length) - 1) << shift)
         value = int.from_bytes(payload, "little") << shift
+        serials = self._word_serials
         with self._word_locks[w]:
             self._words[w] = (self._words[w] & keep) | value
-            return self._stamp(w)
+            serial = serials[w] = serials[w] + 1
+            return serial
 
     def compare_and_swap(self, offset: int, expected: int, swap: int) -> tuple[int, int]:
         """Atomic 8-byte CAS; returns (old value, serial). Old value is
         returned whether or not the swap took place."""
-        w = self._check_word(offset)
+        if offset & 7 or not 0 <= offset <= self.length - WORD_SIZE:
+            self._reject_atomic(offset)
+        w = offset >> 3
+        words, serials = self._words, self._word_serials
         with self._word_locks[w]:
-            old = self._words[w]
+            old = words[w]
             if old == expected:
-                self._words[w] = swap & U64_MASK
-            return old, self._stamp(w)
+                words[w] = swap & U64_MASK
+            serial = serials[w] = serials[w] + 1
+            return old, serial
 
     def fetch_and_add(self, offset: int, addend: int) -> tuple[int, int]:
         """Atomic 8-byte add modulo 2^64; returns (old value, serial)."""
-        w = self._check_word(offset)
+        if offset & 7 or not 0 <= offset <= self.length - WORD_SIZE:
+            self._reject_atomic(offset)
+        w = offset >> 3
+        words, serials = self._words, self._word_serials
         with self._word_locks[w]:
-            old = self._words[w]
-            self._words[w] = (old + addend) & U64_MASK
-            return old, self._stamp(w)
+            old = words[w]
+            words[w] = (old + addend) & U64_MASK
+            serial = serials[w] = serials[w] + 1
+            return old, serial
 
     def snapshot_word(self, item: int) -> int:
         """Read word `item` (for assertions and quiescence checks)."""
@@ -190,8 +195,9 @@ class MemoryRegion:
 class RegionRegistry:
     """Registered regions of one host (`InprocFabric` or `TcpAgent`).
 
-    Regions are only ever added, under a lock; a dict read is atomic, so
-    lookups on the verb path take no lock.
+    Regions are only ever added, under a lock, to `_regions`; a dict read
+    is atomic, so lookups on the verb path take no lock, and a reference
+    to the dict is a live view of every region registered later.
     """
 
     def __init__(self):
@@ -205,13 +211,9 @@ class RegionRegistry:
             self._regions[region.region_id] = region
             return region
 
-    def lookup_region(self, region_id: int) -> MemoryRegion | None:
-        return self._regions.get(region_id)
 
-
-def _completion(kind: VerbKind, payload: bytes, serial: int | None) -> Completion:
-    return tuple.__new__(Completion, (kind, _OK, payload, serial))
-
+# Builds an OK completion without the NamedTuple constructor's Python frame.
+_new_tuple = tuple.__new__
 
 _ACCESS_ERRORS = {kind: Completion(kind, CompletionStatus.LOCAL_ACCESS_ERROR) for kind in VerbKind}
 _TRUNCATED_RECV = Completion(VerbKind.RECV, CompletionStatus.TRUNCATED)
@@ -251,7 +253,7 @@ class Mailbox:
             return None
         if capacity < len(payload):
             return _TRUNCATED_RECV
-        return tuple.__new__(Completion, (_RECV, _OK, payload, None))
+        return _new_tuple(Completion, (_RECV, _OK, payload, None))
 
     def _deliver(self, payload: bytes) -> CompletionStatus:
         """Match an arriving SEND and make its completion visible."""
@@ -290,47 +292,41 @@ class QueuePair(Mailbox):
 
     def __init__(self, fabric: "InprocFabric", client_id: int):
         super().__init__()
-        self.fabric = fabric
+        self._regions = fabric._regions
         self.client_id = client_id
         self.peer: QueuePair | None = None
 
     # -- one-sided -----------------------------------------------------
-    # An unknown region or a rejected access completes LOCAL_ACCESS_ERROR.
-
-    def _target(self, region_id: int) -> MemoryRegion:
-        """The lock-free registry lookup."""
-        region = self.fabric.lookup_region(region_id)
-        if region is None:
-            raise RegionAccessError(f"unknown region {region_id}")
-        return region
+    # An unknown region (KeyError from the registry's live dict) or a
+    # rejected access completes LOCAL_ACCESS_ERROR.
 
     def post_read(self, region_id: int, offset: int, length: int) -> Completion:
         try:
-            data, serial = self._target(region_id).read(offset, length)
-        except RegionAccessError:
+            data, serial = self._regions[region_id].read(offset, length)
+        except (KeyError, RegionAccessError):
             return _ACCESS_ERRORS[_READ]
-        return _completion(_READ, data, serial)
+        return _new_tuple(Completion, (_READ, _OK, data, serial))
 
     def post_write(self, region_id: int, offset: int, payload: bytes) -> Completion:
         try:
-            serial = self._target(region_id).write(offset, payload)
-        except RegionAccessError:
+            serial = self._regions[region_id].write(offset, payload)
+        except (KeyError, RegionAccessError):
             return _ACCESS_ERRORS[_WRITE]
-        return _completion(_WRITE, b"", serial)
+        return _new_tuple(Completion, (_WRITE, _OK, b"", serial))
 
     def post_cas(self, region_id: int, offset: int, expected: int, swap: int) -> Completion:
         try:
-            old, serial = self._target(region_id).compare_and_swap(offset, expected, swap)
-        except RegionAccessError:
+            old, serial = self._regions[region_id].compare_and_swap(offset, expected, swap)
+        except (KeyError, RegionAccessError):
             return _ACCESS_ERRORS[_CAS]
-        return _completion(_CAS, old.to_bytes(8, "little"), serial)
+        return _new_tuple(Completion, (_CAS, _OK, old.to_bytes(8, "little"), serial))
 
     def post_fa(self, region_id: int, offset: int, addend: int) -> Completion:
         try:
-            old, serial = self._target(region_id).fetch_and_add(offset, addend)
-        except RegionAccessError:
+            old, serial = self._regions[region_id].fetch_and_add(offset, addend)
+        except (KeyError, RegionAccessError):
             return _ACCESS_ERRORS[_FA]
-        return _completion(_FA, old.to_bytes(8, "little"), serial)
+        return _new_tuple(Completion, (_FA, _OK, old.to_bytes(8, "little"), serial))
 
     # -- two-sided -----------------------------------------------------
 

@@ -178,16 +178,16 @@ def test_trace_is_sorted_and_complete():
 def test_corrupted_trace_fails_the_run(monkeypatch):
     # Make every client-centric grant vanish from the trace: conservation
     # and the grants-vs-total cross-check must both fire.
-    from lockbench import client_lm
+    from lockbench import trace
 
-    real_record = client_lm.ClientSession._record
+    real_record = trace.TraceRecorder.record
 
-    def dropping_record(self, item_id, op, mode, outcome):
+    def dropping_record(self, source, client_id, item_id, op, mode, outcome):
         if outcome == "GRANT":
             return
-        real_record(self, item_id, op, mode, outcome)
+        real_record(self, source, client_id, item_id, op, mode, outcome)
 
-    monkeypatch.setattr(client_lm.ClientSession, "_record", dropping_record)
+    monkeypatch.setattr(trace.TraceRecorder, "record", dropping_record)
     with pytest.raises(RunCheckError) as exc_info:
         run_workload(WorkloadSpec(design=DESIGN_CLIENT_CENTRIC, **FAST))
     assert exc_info.value.violations

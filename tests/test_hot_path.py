@@ -1,0 +1,143 @@
+"""The client-centric hot path: one-sided verbs on both transports, the
+region atomics' aligned fast path, the live region registry, and the layer
+boundaries lockperf's spans wrap (`ClientSession.acquire`/`release`,
+`QueuePair.post_*`, `TraceRecorder.record`)."""
+
+import pytest
+
+from lockbench.client_lm import ClientSession
+from lockbench.locktable import LockTable
+from lockbench.tcp_transport import TcpAgent, TcpFabric
+from lockbench.trace import TraceRecorder
+from lockbench.verbs import CompletionStatus, InprocFabric, RegionAccessError, VerbKind
+
+from test_client_lm import CountingQp
+
+ACCESS_ERROR = CompletionStatus.LOCAL_ACCESS_ERROR
+REGION_BYTES = 32
+
+
+class Host:
+    """One transport's passive host and a connect() for its queue pairs."""
+
+    def __init__(self, host, connect):
+        self.host = host
+        self._connect = connect
+        self.qps = []
+
+    def connect(self):
+        qp = self._connect()
+        self.qps.append(qp)
+        return qp
+
+
+@pytest.fixture(params=["inproc", "tcp"])
+def host(request):
+    if request.param == "inproc":
+        fabric = InprocFabric()
+        h = Host(fabric, fabric.connect)
+        yield h
+        fabric.close()
+    else:
+        agent = TcpAgent()
+        h = Host(agent, TcpFabric(*agent.start()).connect)
+        yield h
+        for qp in h.qps:
+            qp.close()
+        agent.stop()
+
+
+def post(qp, kind, region_id, offset):
+    """Post one verb of `kind` on the word at `offset`."""
+    if kind is VerbKind.READ:
+        return qp.post_read(region_id, offset, 8)
+    if kind is VerbKind.WRITE:
+        return qp.post_write(region_id, offset, bytes(8))
+    if kind is VerbKind.CAS:
+        return qp.post_cas(region_id, offset, 0, 7)
+    return qp.post_fa(region_id, offset, 7)
+
+
+def words(region):
+    return [region.snapshot_word(i) for i in range(REGION_BYTES // 8)]
+
+
+ONE_SIDED = [VerbKind.READ, VerbKind.WRITE, VerbKind.CAS, VerbKind.FA]
+ATOMICS = [VerbKind.CAS, VerbKind.FA]
+# Before the region, at its length, and inside it but not 8-byte aligned.
+BAD_ATOMIC_OFFSETS = [-8, REGION_BYTES, 12]
+
+
+@pytest.mark.parametrize("kind", ONE_SIDED, ids=lambda k: k.name)
+def test_every_one_sided_verb_on_an_unknown_region_is_an_access_error(host, kind):
+    region = host.host.register_region(REGION_BYTES)
+    c = post(host.connect(), kind, region.region_id + 100, 0)
+    assert c.status == ACCESS_ERROR and c.op_kind == kind
+
+
+@pytest.mark.parametrize("kind", ATOMICS, ids=lambda k: k.name)
+def test_atomics_on_the_last_word_succeed(host, kind):
+    region = host.host.register_region(REGION_BYTES)
+    last = REGION_BYTES - 8
+    c = post(host.connect(), kind, region.region_id, last)
+    assert c.ok and c.value == 0 and c.serial == 1
+    assert region.snapshot_word(last // 8) == 7
+
+
+@pytest.mark.parametrize("offset", BAD_ATOMIC_OFFSETS)
+def test_region_atomics_reject_out_of_bounds_and_misaligned_offsets(offset):
+    region = InprocFabric().register_region(REGION_BYTES)
+    with pytest.raises(RegionAccessError):
+        region.compare_and_swap(offset, 0, 7)
+    with pytest.raises(RegionAccessError):
+        region.fetch_and_add(offset, 7)
+    assert words(region) == [0] * (REGION_BYTES // 8)
+
+
+@pytest.mark.parametrize("offset", BAD_ATOMIC_OFFSETS)
+@pytest.mark.parametrize("kind", ATOMICS, ids=lambda k: k.name)
+def test_queue_pair_atomics_at_bad_offsets_are_access_errors(host, kind, offset):
+    region = host.host.register_region(REGION_BYTES)
+    c = post(host.connect(), kind, region.region_id, offset)
+    assert c.status == ACCESS_ERROR and c.op_kind == kind
+    assert words(region) == [0] * (REGION_BYTES // 8)
+
+
+def test_a_region_registered_after_connect_is_reachable(host):
+    qp = host.connect()
+    region = host.host.register_region(REGION_BYTES)
+    assert qp.post_cas(region.region_id, 8, 0, 5).ok
+    assert qp.post_fa(region.region_id, 8, 1).value == 5
+    assert region.snapshot_word(1) == 6
+
+
+# -- the boundaries lockperf's spans wrap -------------------------------------
+
+
+class CountingRecorder(TraceRecorder):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def record(self, *args):
+        self.calls += 1
+        super().record(*args)
+
+
+@pytest.mark.parametrize(
+    "shared, verbs",
+    [(False, {VerbKind.CAS: 1, VerbKind.WRITE: 1}), (True, {VerbKind.FA: 2})],
+    ids=["exclusive", "shared"],
+)
+def test_an_uncontended_cycle_posts_its_verbs_and_stamps_four_events(shared, verbs):
+    fabric = InprocFabric()
+    table = LockTable.allocate(fabric, 4)
+    qp = CountingQp(fabric.connect(1))
+    recorder = CountingRecorder()
+    session = ClientSession(qp, table, 1, recorder=recorder)
+    session.acquire(2, shared)
+    session.release(2)
+    assert recorder.calls == 4 == len(recorder.sorted_events())
+    assert {kind: n for kind, n in qp.counts.items() if n} == verbs
+    assert table.words() == [0, 0, 0, 0]
+    fabric.close()
