@@ -134,6 +134,10 @@ class WorkloadSpec:
             raise ConfigurationError("backoff must be >= 0")
         if self.per_message_cost is not None and self.per_message_cost < 0:
             raise ConfigurationError("per_message_cost must be >= 0")
+        if self.max_retries is not None and self.max_retries < 0:
+            raise ConfigurationError("max_retries must be >= 0 or None")
+        if self.worker_limit < 1:
+            raise ConfigurationError("worker_limit must be >= 1")
         try:
             check_client_capacity(self.n_clients)
         except ValueError as exc:

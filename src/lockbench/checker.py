@@ -18,11 +18,9 @@ arrival order from server-stamped REQ events, grants admissible only from
 the compatible head batch) instead of importing the server's own scanner,
 so a server bug cannot hide from its own checker.
 
-A small brute-force model checker over the client-driven protocol
-(lock word x per-client program counters) backs the trace oracle: it
-enumerates every interleaving of the protocol's atomic steps and asserts
-no reachable state has conflicting holders and every terminal state
-leaves the word zero.
+An exhaustive model checker backs the trace oracle: `explore` drives the
+real ClientSession, by replay, through every interleaving of its verbs on
+one lock word, timeout rollback included.
 """
 
 from __future__ import annotations
@@ -30,7 +28,9 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
-from .locktable import U32_MASK, decode, encode
+from .client_lm import ClientSession
+from .errors import AcquisitionTimeout, ProtocolError
+from .locktable import WORD_SIZE, LockTable
 from .trace import (
     MODE_EXCLUSIVE,
     MODE_SHARED,
@@ -43,6 +43,7 @@ from .trace import (
     TraceEvent,
     sort_events,  # re-exported: the order every verdict replays
 )
+from .verbs import InprocFabric
 
 DOUBLE_EXCLUSIVE = "DOUBLE_EXCLUSIVE"
 SHARED_EXCLUSIVE_OVERLAP = "SHARED_EXCLUSIVE_OVERLAP"
@@ -261,12 +262,10 @@ def check_all(events, design: str | None) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force model check of the client-driven protocol.
+# Exhaustive model check of the client-centric protocol, by replay.
 
-_START = "start"
-_POLL = "poll"
-_HOLD = "hold"
-_DONE = "done"
+# Bounds each retry loop; one retry reaches every holder state and the shared-timeout rollback.
+MODEL_MAX_RETRIES = 1
 
 
 @dataclass
@@ -280,71 +279,95 @@ class ModelResult:
         return not self.unsafe and not self.bad_terminal
 
 
-def _step(word: int, phase: str, mode: str, client_id: int, full_word_release: bool):
-    """The client's next atomic step from `phase`, or None if it is a
-    no-progress retry (failed CAS, failed poll) that leaves state unchanged."""
-    owner, count = decode(word)
-    if mode == MODE_EXCLUSIVE:
-        if phase == _START:
-            if word == 0:
-                return encode(client_id, 0), _HOLD
-            return None
-        if phase == _HOLD:
-            released = 0 if full_word_release else encode(0, count)
-            return released, _DONE
-    else:
-        if phase == _START:
-            new_word = (word + 1) & ((1 << 64) - 1)
-            return new_word, (_HOLD if owner == 0 else _POLL)
-        if phase == _POLL:
-            if owner == 0:
-                return word, _HOLD
-            return None
-        if phase == _HOLD:
-            return (word - 1) & ((1 << 64) - 1), _DONE
-    raise AssertionError(f"no step from phase {phase!r}")
+class _ModelSession(ClientSession):
+    def _pause(self) -> None:
+        pass  # time is not modeled: a retry's pause changes no state
 
 
-def _is_unsafe(phases, modes) -> bool:
-    holders = [modes[i] for i, p in enumerate(phases) if p == _HOLD]
-    exclusive = sum(1 for m in holders if m == MODE_EXCLUSIVE)
-    return exclusive >= 2 or (exclusive >= 1 and len(holders) > exclusive)
+class _Pending(Exception):
+    """The session posted a verb its replay has no completion for."""
+
+
+class _ReplayQp:
+    """Answers a session's verbs with `completions`, in order, and raises
+    _Pending carrying (verb name, arguments) at the first verb past them."""
+
+    def __init__(self, completions):
+        self._completions = iter(completions)
+
+    def __getattr__(self, name):  # post_read, post_write, post_cas, post_fa
+        def post(*args):
+            completion = next(self._completions, None)
+            if completion is None:
+                raise _Pending(name, args)
+            return completion
+
+        return post
+
+
+def _resume(table: LockTable, client_id: int, mode: str, completions):
+    """Replay `completions` into a fresh session that acquires item 0 in
+    `mode`, then releases it: (the mode it holds the item in or None, its
+    next verb as (name, args)), or (None, None) once it has released,
+    timed out or raised ProtocolError."""
+    session = _ModelSession(_ReplayQp(completions), table, client_id, max_retries=MODEL_MAX_RETRIES)
+    try:
+        session.acquire(0, mode == MODE_SHARED)
+        session.release(0)
+    except _Pending as pending:
+        return session.held_locks().get(0), pending.args
+    except (AcquisitionTimeout, ProtocolError):
+        pass
+    return None, None
 
 
 def explore(modes, full_word_release: bool = False) -> ModelResult:
-    """Enumerate every interleaving of the client-driven protocol for one
-    item and the given client modes.
+    """Enumerate every interleaving of one `ClientSession` per entry of
+    `modes` acquiring and releasing one item.
 
-    `full_word_release` swaps the half-word exclusive release for a write
-    that zeroes the whole word — a deliberately broken variant that erases
+    A state is the lock word plus, per client, the completions its verbs
+    have returned; a session is deterministic given those, so replaying
+    them rebuilds it.  A state is unsafe when the sessions holding the item
+    have conflicting modes, and a bad terminal when every session is done
+    and the word is nonzero.
+
+    `full_word_release` rewrites the exclusive release's 4-byte WRITE into
+    an 8-byte zero WRITE, a deliberately broken variant that erases
     pre-registered shared counts, used as the negative control.
     """
     modes = list(modes)
     for mode in modes:
         if mode not in (MODE_SHARED, MODE_EXCLUSIVE):
             raise ValueError(f"unknown mode {mode!r}")
-    initial = (0, tuple(_START for _ in modes))
+    fabric = InprocFabric()
+    table = LockTable.allocate(fabric, 1)
+    qp = fabric.connect()
+    initial = (0, ((),) * len(modes))
     seen = {initial}
     frontier = deque([initial])
     result = ModelResult(states_explored=0)
     while frontier:
-        word, phases = frontier.popleft()
+        state = frontier.popleft()
+        word, histories = state
         result.states_explored += 1
-        if _is_unsafe(phases, modes):
-            result.unsafe.append((word, phases))
-        if all(p == _DONE for p in phases):
-            if word != 0:
-                result.bad_terminal.append((word, phases))
-            continue
-        for i, phase in enumerate(phases):
-            if phase == _DONE:
+        resumed = [_resume(table, i + 1, m, h) for i, (m, h) in enumerate(zip(modes, histories))]
+        held = [mode for mode, _ in resumed if mode]
+        exclusive = held.count(MODE_EXCLUSIVE)
+        if exclusive >= 2 or (exclusive and len(held) > exclusive):
+            result.unsafe.append(state)
+        if word and not any(verb for _, verb in resumed):
+            result.bad_terminal.append(state)
+        for i, (_, verb) in enumerate(resumed):
+            if verb is None:
                 continue
-            step = _step(word, phase, modes[i], i + 1, full_word_release)
-            if step is None:
-                continue
-            new_word, new_phase = step
-            state = (new_word, phases[:i] + (new_phase,) + phases[i + 1 :])
-            if state not in seen:
-                seen.add(state)
-                frontier.append(state)
+            name, args = verb
+            if full_word_release and name == "post_write":
+                args = (args[0], 0, bytes(WORD_SIZE))
+            table.region.write(0, word.to_bytes(WORD_SIZE, "little"))
+            completion = getattr(qp, name)(*args)._replace(serial=None)
+            history = histories[i] + (completion,)
+            following = (table.words()[0], histories[:i] + (history,) + histories[i + 1 :])
+            if following not in seen:
+                seen.add(following)
+                frontier.append(following)
     return result

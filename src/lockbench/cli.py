@@ -19,7 +19,7 @@ from .bench import (
     write_csv,
 )
 from .checker import DESIGN_SERVER_TCP, DESIGNS, check_all
-from .errors import RunCheckError
+from .errors import ConfigurationError, RunCheckError
 from .trace import TraceParseError, read_trace, write_trace
 
 
@@ -115,6 +115,7 @@ def _cmd_server(args) -> int:
         per_message_cost=None if cost is None else cost / 1e6,
         worker_limit=args.worker_limit,
     )
+    spec.validate()
     hosted = host_design(spec, host=args.host, port=args.port)
     host, port = hosted.target
     if hosted.words is None:
@@ -156,15 +157,18 @@ def _parse_counts(text: str, parser, flag: str) -> list[int]:
         counts = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         parser.error(f"{flag} expects a comma-separated list of integers")
-    if not counts:
-        parser.error(f"{flag} expects at least one count")
+    if not counts or min(counts) < 1:
+        parser.error(f"{flag} expects at least one count, each >= 1")
     return counts
 
 
 def _cmd_bench(args, parser) -> int:
     spec = _spec_from_args(args)
+    spec.validate()
     if args.sweep_clients and args.sweep_items:
         parser.error("--sweep-clients and --sweep-items are mutually exclusive")
+    if args.trace and (args.sweep_clients or args.sweep_items):
+        parser.error("--trace writes one run's trace; it cannot be used with a sweep")
     if args.sweep_clients or args.sweep_items:
         errors: list = []
         if args.sweep_clients:
@@ -222,10 +226,13 @@ def _cmd_check(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "server":
-        return _cmd_server(args)
-    if args.command == "bench":
-        return _cmd_bench(args, parser)
+    try:
+        if args.command == "server":
+            return _cmd_server(args)
+        if args.command == "bench":
+            return _cmd_bench(args, parser)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
     return _cmd_check(args)
 
 

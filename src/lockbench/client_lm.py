@@ -158,12 +158,6 @@ class ClientSession:
         if recorder is not None:
             recorder.record(cid, cid, item_id, OP_ACQ, mode, OUT_GRANT)
 
-    def acquire_exclusive(self, item_id: int) -> None:
-        self.acquire(item_id, False)
-
-    def acquire_shared(self, item_id: int) -> None:
-        self.acquire(item_id, True)
-
     # -- release ---------------------------------------------------------
 
     def release(self, item_id: int) -> None:

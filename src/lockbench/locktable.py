@@ -39,11 +39,6 @@ def decode(word: int) -> tuple[int, int]:
     return (word >> 32) & U32_MASK, word & U32_MASK
 
 
-def exclusive_half_offset(word_offset: int) -> int:
-    """Byte offset of the 4-byte exclusive-owner field within a word."""
-    return word_offset + HALF_SIZE
-
-
 def check_client_capacity(n_clients: int) -> None:
     """Reject configurations that could overflow the shared count."""
     if n_clients > MAX_CLIENTS:
@@ -58,11 +53,6 @@ class TableHandle(NamedTuple):
 
     region_id: int
     item_count: int
-
-    def word_offset(self, item: int) -> int:
-        if not 0 <= item < self.item_count:
-            raise ValueError(f"item {item} out of range [0, {self.item_count})")
-        return item * WORD_SIZE
 
 
 class LockTable:
@@ -88,13 +78,6 @@ class LockTable:
     @property
     def region_id(self) -> int:
         return self.region.region_id
-
-    def handle(self) -> TableHandle:
-        return TableHandle(self.region_id, self.item_count)
-
-    def word_offset(self, item: int) -> int:
-        """Byte offset of item `item`'s lock word."""
-        return self.handle().word_offset(item)
 
     def words(self) -> list[int]:
         """Snapshot of every lock word (for quiescence assertions)."""

@@ -496,7 +496,8 @@ class LockServer:
         claim an ID, and take a lock under it, before the purge is done.
         A shutting-down server purges nothing, so its waiters get errors,
         not grants."""
-        ids = [c for c, e in self._endpoints.items() if e is endpoint]
+        with self._endpoint_lock:  # a first contact's bind grows the dict in place
+            ids = [c for c, e in self._endpoints.items() if e is endpoint]
         grants = [] if self._closing else [g for c in ids for g in self.core.drop_client(c)]
         with self._endpoint_lock:  # lock-free readers see the old dict or the new
             self._endpoints = {c: e for c, e in self._endpoints.items() if e is not endpoint}

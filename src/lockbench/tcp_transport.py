@@ -131,7 +131,7 @@ class TcpAgent(RegionRegistry):
         self._lock = threading.Lock()
         self._client_ids = itertools.count(1)
         self._server_qps: dict[int, _AgentServerQp] = {}
-        self._verb_socks: list[socket.socket] = []
+        self._verb_socks: set[socket.socket] = set()
         self._listener: SrListener | None = None
         self._listen_sock: socket.socket | None = None
         self._closing = False
@@ -193,7 +193,7 @@ class TcpAgent(RegionRegistry):
                     client_id = next(self._client_ids)
             send_frame(conn, HELLO.pack(_HELLO_OK, client_id))
             with self._lock:
-                self._verb_socks.append(conn)
+                self._verb_socks.add(conn)
             self._verb_loop(conn, client_id)
         elif kind == CHANNEL_DELIVERY and client_id > 0:
             send_frame(conn, HELLO.pack(_HELLO_OK, client_id))
@@ -222,6 +222,7 @@ class TcpAgent(RegionRegistry):
                 break
         conn.close()
         with self._lock:
+            self._verb_socks.discard(conn)
             qp = self._server_qps.pop(client_id, None)
         if qp is not None:
             qp.close()

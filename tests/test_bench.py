@@ -78,6 +78,8 @@ def test_op_stream_respects_item_range_and_mix():
     ("shared_fraction", 1.5),
     ("backoff", -1.0),
     ("per_message_cost", -1e-6),
+    ("max_retries", -1),
+    ("worker_limit", 0),
 ])
 def test_spec_validation_rejects_bad_fields(field, value):
     spec = WorkloadSpec(design=DESIGN_CLIENT_CENTRIC)

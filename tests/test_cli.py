@@ -97,6 +97,33 @@ def test_check_rejects_an_event_no_recorder_stamps(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        BENCH_FAST + ["--worker-limit", "0"],
+        BENCH_FAST + ["--max-retries", "-1"],
+        BENCH_FAST + ["--clients", "0"],
+        BENCH_FAST + ["--sweep-clients", "0,2"],
+        ["server", "--worker-limit", "0"],
+    ],
+    ids=["worker-limit", "max-retries", "clients", "sweep-count", "server-worker-limit"],
+)
+def test_bad_settings_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1].startswith("lockbench: error: ")
+
+
+def test_trace_with_a_sweep_is_refused(tmp_path, capsys):
+    trace_path = tmp_path / "sweep.trace"
+    with pytest.raises(SystemExit) as exc:
+        main(BENCH_FAST + ["--sweep-clients", "1,2", "--trace", str(trace_path)])
+    assert exc.value.code == 2
+    assert "--trace" in capsys.readouterr().err
+    assert not trace_path.exists()
+
+
 def test_unknown_design_is_an_argparse_error():
     with pytest.raises(SystemExit):
         main(["bench", "--design", "wishful"])

@@ -7,7 +7,7 @@ import pytest
 from lockbench.checker import DESIGN_CLIENT_CENTRIC, check_all
 from lockbench.client_lm import ClientSession
 from lockbench.errors import AcquisitionTimeout, ProtocolError, ReleaseError
-from lockbench.locktable import LockTable, encode, exclusive_half_offset
+from lockbench.locktable import HALF_SIZE, WORD_SIZE, LockTable, encode
 from lockbench.trace import (
     MODE_EXCLUSIVE,
     MODE_SHARED,
@@ -82,7 +82,7 @@ def make_session(fabric, table, client_id, **kwargs):
 
 
 def set_word(table, item, word):
-    table.region.write(table.word_offset(item), word.to_bytes(8, "little"))
+    table.region.write(item * WORD_SIZE, word.to_bytes(8, "little"))
 
 
 # -- exclusive acquire --------------------------------------------------------
@@ -90,7 +90,7 @@ def set_word(table, item, word):
 
 def test_exclusive_uncontended_first_cas_wins(fabric, table):
     s = make_session(fabric, table, 3)
-    s.acquire_exclusive(0)
+    s.acquire(0, shared=False)
     assert s.held_locks() == {0: MODE_EXCLUSIVE}
     assert table.region.snapshot_word(0) == encode(3, 0)
     assert s.qp.counts[VerbKind.CAS] == 1
@@ -102,12 +102,12 @@ def test_exclusive_succeeds_after_owner_departs(fabric, table):
 
     def depart():
         # Owner 7 releases: zero its half, leaving the count alone.
-        table.region.write(exclusive_half_offset(0), bytes(4))
+        table.region.write(HALF_SIZE, bytes(4))
 
     t = threading.Timer(0.02, depart)
     t.start()
     try:
-        s.acquire_exclusive(0)
+        s.acquire(0, shared=False)
     finally:
         t.join()
     assert table.region.snapshot_word(0) == encode(3, 0)
@@ -120,7 +120,7 @@ def test_exclusive_blocked_by_shared_count(fabric, table):
     set_word(table, 0, encode(0, 2))
     s = make_session(fabric, table, 3, max_retries=5)
     with pytest.raises(AcquisitionTimeout):
-        s.acquire_exclusive(0)
+        s.acquire(0, shared=False)
     assert table.region.snapshot_word(0) == encode(0, 2)
     assert s.held_locks() == {}
 
@@ -130,7 +130,7 @@ def test_exclusive_timeout_records_trace_marker(fabric, table):
     rec = TraceRecorder()
     s = ClientSession(fabric.connect(3), table, 3, max_retries=2, recorder=rec)
     with pytest.raises(AcquisitionTimeout):
-        s.acquire_exclusive(0)
+        s.acquire(0, shared=False)
     outcomes = [(e.op, e.outcome) for e in rec.sorted_events()]
     assert ("ACQ", OUT_TIMEOUT) in outcomes
     assert ("ACQ", OUT_GRANT) not in outcomes
@@ -140,7 +140,7 @@ def test_exclusive_retry_budget_counts_failures(fabric, table):
     set_word(table, 0, encode(9, 0))
     s = make_session(fabric, table, 3, max_retries=4)
     with pytest.raises(AcquisitionTimeout):
-        s.acquire_exclusive(0)
+        s.acquire(0, shared=False)
     assert s.qp.counts[VerbKind.CAS] == 5  # initial attempt + 4 retries
 
 
@@ -149,7 +149,7 @@ def test_exclusive_retry_budget_counts_failures(fabric, table):
 
 def test_shared_uncontended_single_fa(fabric, table):
     s = make_session(fabric, table, 2)
-    s.acquire_shared(1)
+    s.acquire(1, shared=True)
     assert s.held_locks() == {1: MODE_SHARED}
     assert table.region.snapshot_word(1) == encode(0, 1)
     assert s.qp.counts[VerbKind.FA] == 1
@@ -159,7 +159,7 @@ def test_shared_uncontended_single_fa(fabric, table):
 def test_shared_coexists_with_other_readers(fabric, table):
     set_word(table, 1, encode(0, 3))
     s = make_session(fabric, table, 2)
-    s.acquire_shared(1)
+    s.acquire(1, shared=True)
     assert table.region.snapshot_word(1) == encode(0, 4)
 
 
@@ -168,12 +168,12 @@ def test_shared_polls_owner_half_never_second_fa(fabric, table):
     s = make_session(fabric, table, 2, backoff=0.001)
 
     def owner_releases():
-        table.region.write(exclusive_half_offset(8), bytes(4))
+        table.region.write(WORD_SIZE + HALF_SIZE, bytes(4))
 
     t = threading.Timer(0.02, owner_releases)
     t.start()
     try:
-        s.acquire_shared(1)
+        s.acquire(1, shared=True)
     finally:
         t.join()
     assert table.region.snapshot_word(1) == encode(0, 1)
@@ -186,7 +186,7 @@ def test_shared_timeout_rolls_back_the_increment(fabric, table):
     rec = TraceRecorder()
     s = ClientSession(fabric.connect(4), table, 4, max_retries=3, recorder=rec)
     with pytest.raises(AcquisitionTimeout):
-        s.acquire_shared(2)
+        s.acquire(2, shared=True)
     # encode(6,1) -> FA(+1) -> encode(6,2) -> rollback -> encode(6,1).
     assert table.region.snapshot_word(2) == encode(6, 1)
     outcomes = [(e.op, e.outcome) for e in rec.sorted_events()]
@@ -194,12 +194,20 @@ def test_shared_timeout_rolls_back_the_increment(fabric, table):
     assert ("REL", OUT_TIMEOUT) in outcomes  # the rollback marker
 
 
+@pytest.mark.parametrize("item", [-1, 4])
+def test_acquire_rejects_out_of_range_items(fabric, table, item):
+    s = make_session(fabric, table, 2)
+    with pytest.raises(ValueError):
+        s.acquire(item, shared=True)
+    assert all(count == 0 for count in s.qp.counts.values())
+
+
 def test_duplicate_acquire_raises_before_any_verb(fabric, table):
     s = make_session(fabric, table, 2)
-    s.acquire_shared(0)
+    s.acquire(0, shared=True)
     posted = dict(s.qp.counts)
     with pytest.raises(ProtocolError):
-        s.acquire_exclusive(0)
+        s.acquire(0, shared=False)
     assert s.qp.counts == posted
 
 
@@ -208,7 +216,7 @@ def test_duplicate_acquire_raises_before_any_verb(fabric, table):
 
 def test_exclusive_release_zeroes_owner_half_only(fabric, table):
     s = make_session(fabric, table, 5)
-    s.acquire_exclusive(0)
+    s.acquire(0, shared=False)
     # Five shared waiters pre-increment while the writer holds the lock.
     for _ in range(5):
         table.region.fetch_and_add(0, 1)
@@ -218,7 +226,7 @@ def test_exclusive_release_zeroes_owner_half_only(fabric, table):
 
 def test_exclusive_release_of_clean_word_leaves_zero(fabric, table):
     s = make_session(fabric, table, 5)
-    s.acquire_exclusive(3)
+    s.acquire(3, shared=False)
     s.release(3)
     assert table.region.snapshot_word(3) == 0
     assert s.held_locks() == {}
@@ -227,14 +235,14 @@ def test_exclusive_release_of_clean_word_leaves_zero(fabric, table):
 def test_shared_release_decrements_count(fabric, table):
     set_word(table, 1, encode(0, 3))
     s = make_session(fabric, table, 2)
-    s.acquire_shared(1)  # -> count 4
+    s.acquire(1, shared=True)  # -> count 4
     s.release(1)
     assert table.region.snapshot_word(1) == encode(0, 3)
 
 
 def test_last_shared_release_returns_word_to_zero(fabric, table):
     s = make_session(fabric, table, 2)
-    s.acquire_shared(1)
+    s.acquire(1, shared=True)
     s.release(1)
     assert table.region.snapshot_word(1) == 0
 
@@ -248,7 +256,7 @@ def test_release_without_hold_raises_before_any_verb(fabric, table):
 
 def test_shared_count_underflow_is_a_protocol_error(fabric, table):
     s = make_session(fabric, table, 2)
-    s.acquire_shared(1)
+    s.acquire(1, shared=True)
     # Something else (a buggy peer) steals the count out from under us.
     table.region.fetch_and_add(8, (1 << 64) - 1)
     with pytest.raises(ProtocolError):
@@ -293,9 +301,9 @@ def test_writers_and_readers_quiesce_to_zero_words(fabric, table):
             for k in range(per_client):
                 item = k % 4
                 if (k + s.client_id) % 3 == 0:
-                    s.acquire_exclusive(item)
+                    s.acquire(item, shared=False)
                 else:
-                    s.acquire_shared(item)
+                    s.acquire(item, shared=True)
                 s.release(item)
         except Exception as exc:  # pragma: no cover - failure reporting
             failures.append(exc)

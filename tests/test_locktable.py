@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from lockbench.client_lm import ClientSession
 from lockbench.locktable import (
     HALF_SIZE,
     MAX_CLIENTS,
@@ -13,7 +14,6 @@ from lockbench.locktable import (
     check_client_capacity,
     decode,
     encode,
-    exclusive_half_offset,
 )
 from lockbench.verbs import InprocFabric
 
@@ -52,10 +52,6 @@ def test_encode_rejects_out_of_range_fields():
         encode(0, -1)
 
 
-def test_half_offsets():
-    assert exclusive_half_offset(24) == 24 + HALF_SIZE
-
-
 def test_owner_occupies_high_bytes_little_endian():
     word = encode(0xABCD, 3)
     raw = word.to_bytes(WORD_SIZE, "little")
@@ -70,20 +66,22 @@ def test_client_capacity_guard():
 
 
 @pytest.fixture
-def table():
-    fabric = InprocFabric()
-    yield LockTable.allocate(fabric, 6)
-    fabric.close()
+def fabric():
+    f = InprocFabric()
+    yield f
+    f.close()
+
+
+@pytest.fixture
+def table(fabric):
+    return LockTable.allocate(fabric, 6)
 
 
 def test_table_word_offsets(table):
-    assert [table.word_offset(i) for i in range(6)] == [0, 8, 16, 24, 32, 40]
-
-
-@pytest.mark.parametrize("item", [-1, 6])
-def test_table_rejects_out_of_range_items(table, item):
-    with pytest.raises(ValueError):
-        table.word_offset(item)
+    # Entry i is the word at byte offset 8*i.
+    for i in range(6):
+        table.region.write(i * WORD_SIZE, encode(i, i).to_bytes(WORD_SIZE, "little"))
+    assert table.words() == [encode(i, i) for i in range(6)]
 
 
 def test_table_words_start_zeroed(table):
@@ -97,17 +95,17 @@ def test_table_requires_exact_region_size():
         LockTable(region, 2)
 
 
-def test_handle_mirrors_table_addressing(table):
-    handle = table.handle()
-    assert handle == TableHandle(table.region_id, 6)
-    assert handle.word_offset(5) == table.word_offset(5)
+def test_handle_mirrors_table_addressing(fabric, table):
+    # A session addresses the same words through a handle as through the table.
+    session = ClientSession(fabric.connect(7), TableHandle(table.region_id, 6), 7)
+    session.acquire(5, shared=False)
+    assert table.words() == [0] * 5 + [encode(7, 0)]
     with pytest.raises(ValueError):
-        handle.word_offset(6)
+        session.acquire(6, shared=False)
 
 
 def test_handle_is_picklable(table):
     import pickle
 
-    handle = pickle.loads(pickle.dumps(table.handle()))
-    assert handle.region_id == table.region_id
-    assert handle.word_offset(1) == 8
+    handle = TableHandle(table.region_id, table.item_count)
+    assert pickle.loads(pickle.dumps(handle)) == handle

@@ -728,3 +728,41 @@ def test_racing_first_contacts_bind_an_id_to_one_connection():
                     channel.close()
     finally:
         sys.setswitchinterval(previous)
+
+
+def test_close_during_first_contacts_unbinds_cleanly():
+    # A first contact binds its ID into the endpoint dict in place; a close
+    # scanning that dict at the same moment must neither raise nor skip
+    # ending its channel.
+    server = LockServer(ServerConfig(1, FRONTEND_TCP, per_message_cost=0.0))
+    bulk = InprocChannel()
+    server.attach_channel(bulk)
+    for client_id in range(1, 200_001):  # a long scan for the contacts to land in
+        server._bind(client_id, bulk)
+    contact = InprocChannel()
+    server.attach_channel(contact)
+    stop = threading.Event()
+
+    def first_contacts():
+        client_id = 300_000
+        while not stop.is_set():
+            client_id += 1
+            contact.rpc(pack_message(MSG_RELEASE, client_id, 0, 1))  # binds, then errors
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    t = threading.Thread(target=first_contacts, daemon=True)
+    t.start()
+    try:
+        for k in range(5):
+            channel = InprocChannel()
+            server.attach_channel(channel)
+            channel.rpc(pack_message(MSG_RELEASE, 250_000 + k, 0, 1))
+            channel.close()
+            assert 250_000 + k not in server._endpoints
+            assert channel._to_client.get_nowait() is None  # the close ended the channel
+    finally:
+        stop.set()
+        t.join(timeout=10)
+        sys.setswitchinterval(previous)
+    assert not t.is_alive()

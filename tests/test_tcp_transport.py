@@ -4,10 +4,11 @@ The shared two-sided SEND/RECV set in test_verbs runs on this transport too.
 """
 
 import threading
+import time
 
 import pytest
 
-from lockbench.locktable import LockTable, encode
+from lockbench.locktable import WORD_SIZE, LockTable, encode
 from lockbench.tcp_transport import TcpAgent, TcpFabric
 from lockbench.verbs import CompletionStatus
 
@@ -200,11 +201,21 @@ def test_lock_table_allocation_on_agent(agent, fabric):
     table = LockTable.allocate(agent, 3)
     qp = fabric.connect()
     try:
-        c = qp.post_fa(table.region_id, table.word_offset(2), 1)
+        c = qp.post_fa(table.region_id, 2 * WORD_SIZE, 1)
         assert c.ok
         assert table.words() == [0, 0, 1]
     finally:
         qp.close()
+
+
+def test_closed_connections_leave_no_verb_socket_behind(agent, fabric):
+    for _ in range(20):
+        fabric.connect().close()
+    # Each verb loop drops its socket once it reads the client's EOF.
+    deadline = time.monotonic() + 5
+    while agent._verb_socks and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert agent._verb_socks == set()
 
 
 def test_agent_stop_closes_client_channels():
