@@ -407,12 +407,13 @@ def run_workload(spec: WorkloadSpec) -> tuple[RunResult, list[TraceEvent]]:
 
 def result_row(spec: WorkloadSpec, result: RunResult | None) -> dict:
     """One CSV row; a failed run (`result` None) leaves the metric columns empty."""
+    rate = f"{contention_rate(spec.n_items, spec.n_clients):.6g}" if spec.n_clients > 0 else ""
     return {
         "design": spec.design,
         "transport": spec.transport,
         "n_clients": spec.n_clients,
         "n_items": spec.n_items,
-        "contention_rate": f"{contention_rate(spec.n_items, spec.n_clients):.6g}",
+        "contention_rate": rate,
         "shared_fraction": f"{spec.shared_fraction:.6g}",
         "total_locks": "" if result is None else result.total_locks_granted,
         "elapsed_s": "" if result is None else f"{result.elapsed:.6f}",

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import time
 
+from . import trace
 from .errors import AcquisitionTimeout, ProtocolError, ReleaseError
 from .locktable import HALF_SIZE, U32_MASK, WORD_SIZE, encode
 from .trace import (
@@ -41,7 +42,8 @@ from .trace import (
     OUT_GRANT,
     OUT_REQ,
     OUT_TIMEOUT,
-    TraceRecorder,
+    TraceEvent,
+    _new_tuple,
 )
 from .verbs import _OK
 
@@ -69,7 +71,7 @@ class ClientSession:
         client_id: int,
         backoff: float = 0.0,
         max_retries: int | None = None,
-        recorder: TraceRecorder | None = None,
+        recorder: trace.TraceRecorder | None = None,
     ):
         if client_id < 1:
             raise ValueError("client_id must be >= 1")
@@ -81,7 +83,7 @@ class ClientSession:
         self.client_id = client_id
         self.backoff = backoff
         self.max_retries = max_retries
-        self._recorder = recorder
+        self._stamp = None if recorder is None else recorder.stamper(client_id)
         self._held: dict[int, str] = {}
         self._releasing: set[int] = set()  # REL/REQ stamped, not yet released
         self._owner_word = encode(client_id, 0)
@@ -106,10 +108,10 @@ class ClientSession:
             raise ValueError(f"item {item_id} out of range [0, {self._item_count})")
         offset = item_id * WORD_SIZE
         qp, region_id, max_retries = self.qp, self._region_id, self.max_retries
-        recorder, cid = self._recorder, self.client_id
+        stamp, cid = self._stamp, self.client_id
         mode = MODE_SHARED if shared else MODE_EXCLUSIVE
-        if recorder is not None:
-            recorder.record(cid, cid, item_id, OP_ACQ, mode, OUT_REQ)
+        if stamp is not None:
+            stamp(_new_tuple(TraceEvent, (trace._clock(), cid, item_id, OP_ACQ, mode, OUT_REQ)))
         if shared:
             completion = qp.post_fa(region_id, offset, 1)
             if completion.status != _OK:
@@ -119,15 +121,17 @@ class ClientSession:
             while owner:
                 polls += 1
                 if max_retries is not None and polls > max_retries:
-                    if recorder is not None:
-                        recorder.record(cid, cid, item_id, OP_ACQ, mode, OUT_TIMEOUT)
+                    if stamp is not None:
+                        stamp(_new_tuple(
+                            TraceEvent, (trace._clock(), cid, item_id, OP_ACQ, mode, OUT_TIMEOUT)))
                     completion = qp.post_fa(region_id, offset, U64_MINUS_ONE)  # the rollback
                     if completion.status != _OK:
                         raise ProtocolError(f"shared release FA failed: {completion.status.name}")
                     if not int.from_bytes(completion.payload, "little") & U32_MASK:
                         raise ProtocolError(f"shared count underflow on item {item_id}")
-                    if recorder is not None:
-                        recorder.record(cid, cid, item_id, OP_REL, mode, OUT_TIMEOUT)
+                    if stamp is not None:
+                        stamp(_new_tuple(
+                            TraceEvent, (trace._clock(), cid, item_id, OP_REL, mode, OUT_TIMEOUT)))
                     raise AcquisitionTimeout(
                         f"shared acquire of item {item_id} gave up after {polls - 1} polls"
                     )
@@ -148,15 +152,16 @@ class ClientSession:
                 failures += 1
                 if max_retries is not None and failures > max_retries:
                     # The failed CASes never modified the word: nothing to undo.
-                    if recorder is not None:
-                        recorder.record(cid, cid, item_id, OP_ACQ, mode, OUT_TIMEOUT)
+                    if stamp is not None:
+                        stamp(_new_tuple(
+                            TraceEvent, (trace._clock(), cid, item_id, OP_ACQ, mode, OUT_TIMEOUT)))
                     raise AcquisitionTimeout(
                         f"exclusive acquire of item {item_id} gave up after {failures} attempts"
                     )
                 self._pause()
         self._held[item_id] = mode
-        if recorder is not None:
-            recorder.record(cid, cid, item_id, OP_ACQ, mode, OUT_GRANT)
+        if stamp is not None:
+            stamp(_new_tuple(TraceEvent, (trace._clock(), cid, item_id, OP_ACQ, mode, OUT_GRANT)))
 
     # -- release ---------------------------------------------------------
 
@@ -168,10 +173,10 @@ class ClientSession:
         if mode is None:
             raise ProtocolError(f"releasing item {item_id} that is not held")
         offset = item_id * WORD_SIZE
-        recorder, cid = self._recorder, self.client_id
+        stamp, cid = self._stamp, self.client_id
         if item_id not in self._releasing:  # a retry continues the stamped release
-            if recorder is not None:
-                recorder.record(cid, cid, item_id, OP_REL, mode, OUT_REQ)
+            if stamp is not None:
+                stamp(_new_tuple(TraceEvent, (trace._clock(), cid, item_id, OP_REL, mode, OUT_REQ)))
             self._releasing.add(item_id)
         if mode == MODE_SHARED:
             completion = self.qp.post_fa(self._region_id, offset, U64_MINUS_ONE)
@@ -185,8 +190,8 @@ class ClientSession:
                 raise ReleaseError(f"exclusive release WRITE failed: {completion.status.name}")
         self._releasing.discard(item_id)
         del self._held[item_id]
-        if recorder is not None:
-            recorder.record(cid, cid, item_id, OP_REL, mode, OUT_ACK)
+        if stamp is not None:
+            stamp(_new_tuple(TraceEvent, (trace._clock(), cid, item_id, OP_REL, mode, OUT_ACK)))
 
     def close(self) -> None:
         self.qp.close()

@@ -31,7 +31,7 @@ from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, field
 
-from . import framing
+from . import framing, trace
 from .errors import ProtocolError
 from .framing import _LEN, recv_frame, send_frame
 from .trace import (
@@ -42,7 +42,8 @@ from .trace import (
     OUT_ACK,
     OUT_GRANT,
     OUT_REQ,
-    TraceRecorder,
+    TraceEvent,
+    _new_tuple,
 )
 from .verbs import _OK, _RNR, QueuePair, SrListener
 
@@ -121,12 +122,12 @@ def grant_scan(item_queue: ItemQueue) -> list[LockRequest]:
 class LockServerCore:
     """Frontend-independent lock state: item queues, grants, validation."""
 
-    def __init__(self, n_items: int, recorder: TraceRecorder | None = None):
+    def __init__(self, n_items: int, recorder: trace.TraceRecorder | None = None):
         if n_items < 1:
             raise ValueError("need at least one item")
         self.n_items = n_items
         self._items = [ItemQueue(i) for i in range(n_items)]
-        self._recorder = recorder
+        self._stamp = None if recorder is None else recorder.stamper(0)
 
     def acquire(
         self, client_id: int, item_id: int, shared: bool, request_id: int
@@ -142,8 +143,9 @@ class LockServerCore:
             ):
                 return f"client {client_id} already acquired item {item_id}", []
             item.pending.append(LockRequest(request_id, client_id, item_id, mode))
-            if self._recorder is not None:
-                self._recorder.record(0, client_id, item_id, OP_ACQ, mode, OUT_REQ)
+            stamp = self._stamp
+            if stamp is not None:
+                stamp(_new_tuple(TraceEvent, (trace._clock(), client_id, item_id, OP_ACQ, mode, OUT_REQ)))
             return None, grant_scan(item)
 
     def release(self, client_id: int, item_id: int) -> tuple[str | None, list[LockRequest]]:
@@ -399,7 +401,7 @@ class _QpEndpoint:
 class LockServer:
     """Wires the frontends to LockServerCore."""
 
-    def __init__(self, config: ServerConfig, recorder: TraceRecorder | None = None):
+    def __init__(self, config: ServerConfig, recorder: trace.TraceRecorder | None = None):
         self.config = config
         self.core = LockServerCore(config.n_items, recorder)
         self.cost = MessageCostModel(config.per_message_cost, config.worker_limit)
@@ -569,21 +571,17 @@ class ServerLockClient:
     always the reply (GRANT, ACK or ERROR) for the last request sent.
     """
 
-    def __init__(self, conn, client_id: int, recorder: TraceRecorder | None = None):
+    def __init__(self, conn, client_id: int, recorder: trace.TraceRecorder | None = None):
         self.conn = conn
         self.client_id = client_id
-        self._recorder = recorder
+        self._stamp = None if recorder is None else recorder.stamper(client_id)
         self._request_ids = itertools.count(1)
         self._held: dict[int, str] = {}
 
-    def _record(self, item_id: int, op: str, mode: str, outcome: str) -> None:
-        if self._recorder is not None:
-            self._recorder.record(self.client_id, self.client_id, item_id, op, mode, outcome)
-
     def acquire(self, item_id: int, shared: bool) -> None:
-        request_id = next(self._request_ids)
+        cid, stamp, request_id = self.client_id, self._stamp, next(self._request_ids)
         op = MSG_ACQ_SHARED if shared else MSG_ACQ_EXCL
-        reply = self.conn.rpc(pack_message(op, self.client_id, item_id, request_id))
+        reply = self.conn.rpc(pack_message(op, cid, item_id, request_id))
         rop, _, ritem, rrid = unpack_message(reply)
         if rop == MSG_ERROR:
             raise ProtocolError(f"acquire rejected for item {item_id}")
@@ -591,22 +589,25 @@ class ServerLockClient:
             raise ProtocolError(f"unexpected reply op={rop} item={ritem}")
         mode = MODE_SHARED if shared else MODE_EXCLUSIVE
         self._held[item_id] = mode
-        self._record(item_id, OP_ACQ, mode, OUT_GRANT)
+        if stamp is not None:
+            stamp(_new_tuple(TraceEvent, (trace._clock(), cid, item_id, OP_ACQ, mode, OUT_GRANT)))
 
     def release(self, item_id: int) -> None:
         mode = self._held.get(item_id)
         if mode is None:
             raise ProtocolError(f"releasing item {item_id} that is not held")
-        request_id = next(self._request_ids)
-        self._record(item_id, OP_REL, mode, OUT_REQ)
-        reply = self.conn.rpc(pack_message(MSG_RELEASE, self.client_id, item_id, request_id))
+        cid, stamp, request_id = self.client_id, self._stamp, next(self._request_ids)
+        if stamp is not None:
+            stamp(_new_tuple(TraceEvent, (trace._clock(), cid, item_id, OP_REL, mode, OUT_REQ)))
+        reply = self.conn.rpc(pack_message(MSG_RELEASE, cid, item_id, request_id))
         rop, _, ritem, rrid = unpack_message(reply)
         if rop == MSG_ERROR:
             raise ProtocolError(f"release rejected for item {item_id}")
         if rop != MSG_ACK or ritem != item_id or rrid != request_id:
             raise ProtocolError(f"unexpected reply op={rop} item={ritem}")
         del self._held[item_id]
-        self._record(item_id, OP_REL, mode, OUT_ACK)
+        if stamp is not None:
+            stamp(_new_tuple(TraceEvent, (trace._clock(), cid, item_id, OP_REL, mode, OUT_ACK)))
 
     def close(self) -> None:
         self.conn.close()

@@ -3,15 +3,16 @@
 One event per line: `timestamp_ns,client_id,item_id,op,mode,outcome` with
 mode in {SHARED, EXCLUSIVE} and (op, outcome) one of the six pairs in
 `PHASE_RANK`: ACQ with REQ, GRANT or TIMEOUT; REL with REQ, TIMEOUT or ACK.
-Timestamps come from the shared monotonic clock and are strictly
-increasing per recording source, so a sorted trace preserves each client's
-program order.
+Timestamps come from the shared monotonic clock. In a merged trace they
+are strictly increasing per recording source, so a sorted trace preserves
+each client's program order.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import groupby, islice
+from collections import defaultdict
+from itertools import chain, groupby, islice
 from operator import itemgetter, lt
 from typing import Iterable, NamedTuple
 
@@ -108,14 +109,26 @@ def _tie_key(e: TraceEvent):
     return PHASE_RANK[(e[3], e[5])], e[1], e[2]
 
 
+def _strictly_increasing(ordered) -> bool:
+    stamps = list(map(_timestamp, ordered))
+    return all(map(lt, stamps, islice(stamps, 1, None)))
+
+
 def sort_events(events) -> list[TraceEvent]:
     """Order by stamp; equal stamps by lifecycle phase, client, item; full
     ties keep input order."""
     ordered = sorted(events, key=_timestamp)
-    stamps = list(map(_timestamp, ordered))
-    if all(map(lt, stamps, islice(stamps, 1, None))):  # no two stamps equal
+    if _strictly_increasing(ordered):
         return ordered
     return [e for _, run in groupby(ordered, _timestamp) for e in sorted(run, key=_tie_key)]
+
+
+def _bump(buffer):
+    """One source's events by stamp (stable), each moved to `max(ts, last + 1)`."""
+    last = -1
+    for e in sorted(buffer, key=_timestamp):
+        last = max(e[0], last + 1)
+        yield e if e[0] == last else e._replace(timestamp_ns=last)
 
 
 _clock = time.monotonic_ns
@@ -123,30 +136,30 @@ _new_tuple = tuple.__new__
 
 
 class TraceRecorder:
-    """Append-only event sink shared by concurrently running actors.
-
-    list.append is atomic under the GIL, so recording takes no lock; the
-    per-source strictly-increasing timestamp is maintained with a plain
-    dict keyed by recording source (client ID, or 0 for the server).
-    `record` builds each event with `tuple.__new__`, skipping the
-    NamedTuple constructor's Python-level frame.
-    """
+    """Append-only event buffers, one per recording source (client ID, or 0
+    for the server).  An actor appends `tuple.__new__(TraceEvent,
+    (trace._clock(), ...))` to its source's `stamper` inline, taking no lock
+    (list.append is atomic under the GIL).  `sorted_events` merges by stamp;
+    only when two stamps are equal does it `_bump` each buffer's equal stamps
+    apart.  The in-process server's buffer is appended to from several client
+    threads, so its append order need not be its stamp order."""
 
     def __init__(self):
-        self._events: list[TraceEvent] = []
-        self._last_ts: dict[int, int] = {}
+        self._buffers: defaultdict[int, list[TraceEvent]] = defaultdict(list)
+        self._extended: list[TraceEvent] = []
+
+    def stamper(self, source: int):
+        """The bound `append` of `source`'s buffer."""
+        return self._buffers[source].append
 
     def record(self, source: int, client_id: int, item_id: int, op: str, mode: str, outcome: str) -> None:
-        ts = _clock()
-        last_ts = self._last_ts
-        last = last_ts.get(source, 0)
-        if ts <= last:
-            ts = last + 1
-        last_ts[source] = ts
-        self._events.append(_new_tuple(TraceEvent, (ts, client_id, item_id, op, mode, outcome)))
+        self._buffers[source].append(_new_tuple(TraceEvent, (_clock(), client_id, item_id, op, mode, outcome)))
 
     def extend(self, events: Iterable[TraceEvent]) -> None:
-        self._events.extend(events)
+        self._extended.extend(events)
 
     def sorted_events(self) -> list[TraceEvent]:
-        return sort_events(self._events)
+        ordered = sorted(chain(self._extended, *self._buffers.values()), key=_timestamp)
+        if _strictly_increasing(ordered):
+            return ordered
+        return sort_events(chain(self._extended, *map(_bump, self._buffers.values())))

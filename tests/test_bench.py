@@ -182,14 +182,18 @@ def test_corrupted_trace_fails_the_run(monkeypatch):
     # and the grants-vs-total cross-check must both fire.
     from lockbench import trace
 
-    real_record = trace.TraceRecorder.record
+    real_stamper = trace.TraceRecorder.stamper
 
-    def dropping_record(self, source, client_id, item_id, op, mode, outcome):
-        if outcome == "GRANT":
-            return
-        real_record(self, source, client_id, item_id, op, mode, outcome)
+    def dropping_stamper(self, source):
+        append = real_stamper(self, source)
 
-    monkeypatch.setattr(trace.TraceRecorder, "record", dropping_record)
+        def stamp(event):
+            if event.outcome != "GRANT":
+                append(event)
+
+        return stamp
+
+    monkeypatch.setattr(trace.TraceRecorder, "stamper", dropping_stamper)
     with pytest.raises(RunCheckError) as exc_info:
         run_workload(WorkloadSpec(design=DESIGN_CLIENT_CENTRIC, **FAST))
     assert exc_info.value.violations
@@ -250,6 +254,15 @@ def test_sweep_marks_failed_points_and_continues():
     assert rows[0]["total_locks"] and rows[2]["total_locks"]
     assert rows[1]["total_locks"] == "" and rows[1]["throughput_lps"] == ""
     assert len(errors) == 1 and errors[0][0].n_items == 0
+
+
+def test_sweep_marks_a_point_with_no_clients_failed_and_continues():
+    base = WorkloadSpec(design=DESIGN_CLIENT_CENTRIC, **FAST)
+    errors = []
+    rows = sweep_clients(base, [0, 2], errors_out=errors)
+    assert len(rows) == 2 and len(errors) == 1 and errors[0][0].n_clients == 0
+    assert rows[0]["contention_rate"] == "" and rows[0]["total_locks"] == ""
+    assert rows[1]["contention_rate"] == "0" and rows[1]["total_locks"]
 
 
 def test_sweeps_reject_empty_count_lists():

@@ -1,7 +1,7 @@
 """The client-centric hot path: one-sided verbs on both transports, the
 region atomics' aligned fast path, the live region registry, and the layer
-boundaries lockperf's spans wrap (`ClientSession.acquire`/`release`,
-`QueuePair.post_*`, `TraceRecorder.record`)."""
+boundaries of one lock cycle (`ClientSession.acquire`/`release`,
+`QueuePair.post_*` and the stamps appended through `TraceRecorder.stamper`)."""
 
 import pytest
 
@@ -111,17 +111,22 @@ def test_a_region_registered_after_connect_is_reachable(host):
     assert region.snapshot_word(1) == 6
 
 
-# -- the boundaries lockperf's spans wrap -------------------------------------
+# -- the boundaries of one lock cycle -----------------------------------------
 
 
 class CountingRecorder(TraceRecorder):
     def __init__(self):
         super().__init__()
-        self.calls = 0
+        self.stamps = 0
 
-    def record(self, *args):
-        self.calls += 1
-        super().record(*args)
+    def stamper(self, source):
+        append = super().stamper(source)
+
+        def stamp(event):
+            self.stamps += 1
+            append(event)
+
+        return stamp
 
 
 @pytest.mark.parametrize(
@@ -137,7 +142,7 @@ def test_an_uncontended_cycle_posts_its_verbs_and_stamps_four_events(shared, ver
     session = ClientSession(qp, table, 1, recorder=recorder)
     session.acquire(2, shared)
     session.release(2)
-    assert recorder.calls == 4 == len(recorder.sorted_events())
+    assert recorder.stamps == 4 == len(recorder.sorted_events())
     assert {kind: n for kind, n in qp.counts.items() if n} == verbs
     assert table.words() == [0, 0, 0, 0]
     fabric.close()

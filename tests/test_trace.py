@@ -1,9 +1,14 @@
 """Trace format round-trips and recorder timestamp discipline."""
 
+import threading
+import time
+from operator import lt
+
 import pytest
 from hypothesis import given, strategies as st
 
-from lockbench import checker
+from lockbench import bench, checker, trace
+from lockbench.checker import DESIGN_CLIENT_CENTRIC, DESIGN_SERVER_SR, SERVER_DESIGNS
 from lockbench.trace import (
     MODES,
     OPS,
@@ -154,3 +159,90 @@ def test_recorder_orders_tied_stamps_as_the_checker_replays_them():
     ordered = rec.sorted_events()
     assert [id(e) for e in ordered] == [id(e) for e in checker.sort_events(tied)]
     assert ordered != sorted(tied)  # the whole-tuple order differs here
+
+
+def test_equal_stamps_in_one_buffer_are_bumped_apart_in_stamp_order():
+    rec = TraceRecorder()
+    stamp = rec.stamper(0)
+    for ts, client in ((7, 1), (5, 2), (5, 3), (5, 4), (6, 5)):  # appended out of stamp order
+        stamp(TraceEvent(ts, client, client, "ACQ", "SHARED", "REQ"))
+    rec.extend([TraceEvent(6, 9, 0, "ACQ", "SHARED", "REQ")])  # foreign events keep their stamps
+    assert [(e.timestamp_ns, e.client_id) for e in rec.sorted_events()] == [
+        (5, 2), (6, 3), (6, 9), (7, 4), (8, 5), (9, 1)
+    ]
+
+
+# -- the merge through real actors --------------------------------------------
+
+
+class CoarseClock:
+    """Advances 1 us on every 4th read and on a read from another thread than
+    the last: coarser than one thread's stamps, finer than a thread switch."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._reads = 0
+        self._now = 0
+        self._thread = None
+
+    def __call__(self):
+        with self._lock:
+            self._reads += 1
+            thread = threading.get_ident()
+            if self._reads % 4 == 0 or thread != self._thread:
+                self._now += 1000
+            self._thread = thread
+            return self._now
+
+
+def _run(monkeypatch, design, clock):
+    """A 2-client in-process run on `clock`: (its recorder, merged trace)."""
+    recorders = []
+
+    class Recorder(TraceRecorder):
+        def __init__(self):
+            super().__init__()
+            recorders.append(self)
+
+    monkeypatch.setattr(trace, "_clock", clock)
+    monkeypatch.setattr(bench, "TraceRecorder", Recorder)
+    spec = bench.WorkloadSpec(design=design, n_clients=2, n_items=4, ops_per_client=300)
+    _, events = bench.run_workload(spec)
+    return recorders[0], events
+
+
+@pytest.mark.parametrize("design", [DESIGN_CLIENT_CENTRIC, DESIGN_SERVER_SR])
+def test_merge_restores_each_sources_program_order_on_a_coarse_clock(monkeypatch, design):
+    recorder, events = _run(monkeypatch, design, CoarseClock())
+    raw = [e.timestamp_ns for buffer in recorder._buffers.values() for e in buffer]
+    assert len(set(raw)) < len(raw)  # the fallback ran
+
+    def source(e):  # the server stamps each ACQ/REQ of the server designs
+        return 0 if design in SERVER_DESIGNS and e.op == "ACQ" and e.outcome == "REQ" else e.client_id
+
+    for src, buffer in recorder._buffers.items():
+        merged = [e for e in events if source(e) == src]
+        stamps = [e.timestamp_ns for e in merged]
+        assert all(map(lt, stamps, stamps[1:]))
+        # A client appends in program order; the server per item, under its mutex.
+        for item in {e.item_id for e in buffer} if src == 0 else [None]:
+            assert [e[1:] for e in merged if item in (None, e.item_id)] == [
+                e[1:] for e in buffer if item in (None, e.item_id)
+            ]
+    assert checker.check_all(events, design) == []
+
+
+@pytest.mark.parametrize("design", [DESIGN_CLIENT_CENTRIC, DESIGN_SERVER_SR])
+def test_merge_moves_no_stamp_when_none_are_equal(monkeypatch, design):
+    reads = []
+
+    def clock(real=time.monotonic_ns):
+        ts = real()
+        reads.append(ts)
+        return ts
+
+    recorder, events = _run(monkeypatch, design, clock)
+    assert len(set(reads)) == len(reads)
+    assert [e.timestamp_ns for e in events] == sorted(reads)
+    appended = {id(e) for buffer in recorder._buffers.values() for e in buffer}
+    assert {id(e) for e in events} == appended
