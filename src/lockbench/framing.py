@@ -46,11 +46,15 @@ def send_frame(sock: socket.socket, payload: bytes) -> None:
     sock.sendall(_LEN.pack(len(payload)) + payload)
 
 
-def recv_frame(sock: socket.socket) -> bytes | None:
+def recv_frame(sock: socket.socket, limit: int | None = None) -> bytes | None:
+    """The next frame's payload; None on EOF, on a closed/reset socket, or
+    when the prefix claims more than `limit` bytes (nothing more is read)."""
     header = recv_exactly(sock, _LEN.size)
     if header is None:
         return None
     (length,) = _LEN.unpack(header)
+    if limit is not None and length > limit:
+        return None
     if length == 0:
         return b""
     return recv_exactly(sock, length)

@@ -1,148 +1,131 @@
 """TCP-emulated transport: the queue-pair surface across real sockets.
 
-The passive side runs a `TcpAgent`, which plays the role of the NIC: it
-owns the registered regions and executes every one-sided verb that
-arrives, without ever calling into application code.  The active side
-uses `TcpFabric.connect()` to get a `TcpQueuePair` exposing the same
-post_read/post_write/post_cas/post_fa/post_send/post_recv/poll_recv
-surface as the in-process queue pair, so lock managers run unchanged on
-either transport.
-
-Each connected client holds two sockets:
-
-* the verb channel — client-initiated request/reply frames carrying
-  one-sided verbs and outbound SENDs (one in flight per queue pair);
-* the delivery channel — agent-initiated frames carrying SENDs addressed
-  to the client, each answered with a status byte computed against the
-  client's locally posted receive buffers, so receiver-not-ready is
-  honest in both directions.
-
-SENDs from a client land in a server-side queue-pair object the agent
-offers to its accept queue; only lockperf's per-layer SEND/RECV timings
-use it, as the lock server takes framed sockets over TCP.  Both receiving
-ends, that object and the client's `TcpQueuePair`, are a `verbs.Mailbox`,
-so a SEND is matched against posted receives by the same code as in
-process.  On the delivery channel the client matches, puts the status
-byte on the wire, and only then makes the completion visible.  Atomic
-completions carry the region's per-word serial stamps across the wire, so
-linearizability checks work on this transport too.
+The passive side runs a `TcpAgent`, which plays the role of the NIC: a
+`verbs.InprocFabric` behind a listening socket.  Each connection gets the
+fabric's queue pair for its client, and every frame on it runs one call
+of that queue pair, so the agent has no verb code and no application
+logic of its own.  `TcpFabric.connect()` opens one socket and starts no
+thread; its `TcpQueuePair` has the in-process queue pair's surface, so
+lock managers run unchanged on either transport.  Each call, two-sided
+ones included, is one request/reply frame pair: posting and polling a
+receive are round trips to the agent-side queue pair's mailbox.  (Only
+lockperf's per-layer SEND/RECV timings use the two-sided calls.)  Serial
+stamps cross the wire, so linearizability checks work here too.
 """
 
 from __future__ import annotations
 
-import itertools
 import socket
 import struct
+import math
 import threading
+import time
+from contextlib import suppress
 
 from . import framing
 from .framing import recv_frame, send_frame
 from .verbs import (
     _CAS,
     _FA,
-    _OK,
     _READ,
-    _RNR,
-    _SEND,
     _WRITE,
     Completion,
     CompletionStatus,
-    Mailbox,
-    RegionAccessError,
-    RegionRegistry,
-    SrListener,
+    InprocFabric,
+    QueuePair,
     VerbKind,
 )
 
 # Verb request: kind, region_id, offset, length, operand_a, operand_b
-# (+ payload bytes for WRITE and SEND).
+# (+ payload bytes for WRITE and SEND).  RECV posts a receive of `length`
+# bytes; POLL waits operand_a - 1 µs for one (operand_a 0: no timeout).
 VERB_HEADER = struct.Struct("<BIQIQQ")
-# Verb reply: status, serial+1 (0 = no serial) + payload bytes.
+# Verb reply: status (| _QP_CLOSED), serial+1 (0 = no serial) + payload bytes.
 REPLY_HEADER = struct.Struct("<BQ")
-# Hello (both directions): kind/status + client_id.
-HELLO = struct.Struct("<BI")
+# Hello, both directions: the client ID (0 in a request: assign one).
+HELLO = struct.Struct("<I")
+# The longest frame the agent reads; a longer length prefix ends the
+# connection before anything is allocated for it.
+MAX_REQUEST = VERB_HEADER.size + 64 * 1024
 
-CHANNEL_VERB = 1
-CHANNEL_DELIVERY = 2
+_POLL = 7  # wire kind of poll_recv; not a verb
+# Reply status bit: the agent-side queue pair is closed (its peer closed it).
+_QP_CLOSED = 0x80
+# A poll occupies its connection's thread; between slices of this many
+# seconds it checks whether the client hung up meanwhile.
+_POLL_SLICE = 0.05
 
-_HELLO_OK = 0
-_HELLO_BAD = 1
-
-
-def _pack_reply(status: CompletionStatus, serial: int | None, payload: bytes = b"") -> bytes:
-    return REPLY_HEADER.pack(status, 0 if serial is None else serial + 1) + payload
-
-
-def _unpack_reply(frame: bytes) -> tuple[CompletionStatus, int | None, bytes]:
-    status, serial_plus1 = REPLY_HEADER.unpack_from(frame)
-    serial = None if serial_plus1 == 0 else serial_plus1 - 1
-    return CompletionStatus(status), serial, frame[REPLY_HEADER.size :]
-
-
-class _AgentServerQp(Mailbox):
-    """Server-side queue pair living inside the agent process.
-
-    Receives are local; a SEND travels the delivery channel and completes
-    with the status the remote client reported against its own posted
-    receive buffers.
-    """
-
-    def __init__(self, client_id: int, delivery_sock: socket.socket):
-        super().__init__()
-        self.client_id = client_id
-        self._sock = delivery_sock
-        self._send_lock = threading.Lock()
-
-    def post_send(self, payload: bytes) -> Completion:
-        with self._send_lock:
-            if self.closed:
-                return Completion(_SEND, _RNR)
-            try:
-                send_frame(self._sock, payload)
-                status_frame = recv_frame(self._sock)
-            except OSError:
-                status_frame = None
-            if status_frame is None or len(status_frame) != 1:
-                return Completion(_SEND, _RNR)
-            return Completion(_SEND, CompletionStatus(status_frame[0]))
-
-    def close(self) -> None:
-        if self.closed:
-            return
-        super().close()
-        # Taking the send lock lets an in-flight post_send finish reading
-        # its status byte before the socket is torn down; otherwise a reply
-        # that was in fact delivered would report a phantom failure.
-        with self._send_lock:
-            framing.close(self._sock)
+_SEND, _RECV = VerbKind.SEND, VerbKind.RECV
+_RECEIVED = (CompletionStatus.OK, CompletionStatus.TRUNCATED)
+_RECV_POSTED = Completion(_RECV, CompletionStatus.OK)
+_EMPTY_POLL = Completion(_RECV, CompletionStatus.RECEIVER_NOT_READY)
+_BAD_REQUEST = Completion(_RECV, CompletionStatus.BAD_REQUEST)
 
 
-class TcpAgent(RegionRegistry):
-    """Passive-side host: region registry, verb executor, SEND bridge.
+def _hung_up(conn: socket.socket) -> bool:
+    """Whether the client closed its end (or the socket is gone)."""
+    try:
+        return conn.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT) == b""
+    except BlockingIOError:
+        return False
+    except OSError:
+        return True
 
-    Runs no application logic — the lock managers' passive side is pure
-    memory, exactly as on the in-process fabric.
+
+def _poll(conn: socket.socket, qp: QueuePair, timeout: float) -> Completion | None:
+    """`qp.poll_recv(timeout)`, cut short when the client hangs up."""
+    deadline = time.monotonic() + timeout
+    while True:
+        left = deadline - time.monotonic()
+        completion = qp.poll_recv(max(0.0, min(left, _POLL_SLICE)))
+        if completion is not None or qp.closed or left <= _POLL_SLICE or _hung_up(conn):
+            return completion
+
+
+def _execute(conn: socket.socket, qp: QueuePair, frame: bytes) -> bytes:
+    """Run one request frame on `qp`; returns the reply frame."""
+    if len(frame) < VERB_HEADER.size:
+        completion = _BAD_REQUEST
+    else:
+        kind, region_id, offset, length, op_a, op_b = VERB_HEADER.unpack_from(frame)
+        if kind == _READ:
+            completion = qp.post_read(region_id, offset, length)
+        elif kind == _WRITE:
+            completion = qp.post_write(region_id, offset, frame[VERB_HEADER.size :])
+        elif kind == _CAS:
+            completion = qp.post_cas(region_id, offset, op_a, op_b)
+        elif kind == _FA:
+            completion = qp.post_fa(region_id, offset, op_a)
+        elif kind == _SEND:
+            completion = qp.post_send(frame[VERB_HEADER.size :])
+        elif kind == _RECV:
+            qp.post_recv(length)
+            completion = _RECV_POSTED
+        elif kind == _POLL:
+            completion = _poll(conn, qp, math.inf if op_a == 0 else (op_a - 1) / 1e6) or _EMPTY_POLL
+        else:
+            completion = _BAD_REQUEST
+    status, serial = completion.status, completion.serial
+    return REPLY_HEADER.pack(
+        status | _QP_CLOSED if qp.closed else status, 0 if serial is None else serial + 1
+    ) + completion.payload
+
+
+class TcpAgent(InprocFabric):
+    """Passive-side host: an `InprocFabric` served over TCP.
+
+    One thread per connection runs its client's queue pair.  When the
+    connection ends, from either side, that thread closes the queue pair,
+    and with it the peer, exactly as a client's close does in process.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         super().__init__()
         self._host = host
         self._port = port
-        self._lock = threading.Lock()
-        self._client_ids = itertools.count(1)
-        self._server_qps: dict[int, _AgentServerQp] = {}
-        self._verb_socks: set[socket.socket] = set()
-        self._listener: SrListener | None = None
+        self._conns: set[socket.socket] = set()
         self._listen_sock: socket.socket | None = None
         self._closing = False
-
-    # -- host surface (mirrors InprocFabric) ----------------------------
-
-    def sr_listen(self) -> SrListener:
-        with self._lock:
-            if self._listener is None:
-                self._listener = SrListener()
-            return self._listener
 
     def start(self) -> tuple[str, int]:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -150,27 +133,20 @@ class TcpAgent(RegionRegistry):
         sock.bind((self._host, self._port))
         sock.listen(128)
         self._listen_sock = sock
-        self._spawn(self._accept_loop, "accept")
+        threading.Thread(target=self._accept_loop, name="tcpagent-accept", daemon=True).start()
         return sock.getsockname()
 
     def stop(self) -> None:
-        self._closing = True
-        if self._listen_sock is not None:
-            self._listen_sock.close()
-        if self._listener is not None:
-            self._listener.close()
+        """Stop accepting and end every connection (each one's thread then
+        closes its queue pair)."""
         with self._lock:
-            qps = list(self._server_qps.values())
-            socks = list(self._verb_socks)
-        for qp in qps:
-            qp.close()
-        for sock in socks:
-            framing.close(sock)
-
-    # -- connection handling ---------------------------------------------
-
-    def _spawn(self, target, name: str, *args) -> None:
-        threading.Thread(target=target, args=args, name=f"tcpagent-{name}", daemon=True).start()
+            self._closing = True
+            conns = list(self._conns)
+        if self._listen_sock is not None:
+            framing.close(self._listen_sock)  # the shutdown wakes accept()
+        self.close()
+        for conn in conns:
+            framing.close(conn)
 
     def _accept_loop(self) -> None:
         while True:
@@ -178,125 +154,74 @@ class TcpAgent(RegionRegistry):
                 conn, _ = self._listen_sock.accept()
             except OSError:
                 return
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._spawn(self._handshake, "hello", conn)
+            threading.Thread(target=self._serve, args=(conn,), name="tcpagent-conn", daemon=True).start()
 
-    def _handshake(self, conn: socket.socket) -> None:
-        frame = recv_frame(conn)
-        if frame is None or len(frame) != HELLO.size:
-            conn.close()
-            return
-        kind, client_id = HELLO.unpack(frame)
-        if kind == CHANNEL_VERB:
-            if client_id == 0:
-                with self._lock:
-                    client_id = next(self._client_ids)
-            send_frame(conn, HELLO.pack(_HELLO_OK, client_id))
-            with self._lock:
-                self._verb_socks.add(conn)
-            self._verb_loop(conn, client_id)
-        elif kind == CHANNEL_DELIVERY and client_id > 0:
-            send_frame(conn, HELLO.pack(_HELLO_OK, client_id))
-            qp = _AgentServerQp(client_id, conn)
-            with self._lock:
-                self._server_qps[client_id] = qp
-                listener = self._listener
-            if listener is not None:
-                listener._offer(qp)
-        else:
-            send_frame(conn, HELLO.pack(_HELLO_BAD, 0))
-            conn.close()
-
-    def _verb_loop(self, conn: socket.socket, client_id: int) -> None:
-        while True:
-            frame = recv_frame(conn)
-            if frame is None or self._closing:
-                break
-            try:
-                reply = self._execute(frame, client_id)
-            except Exception:
-                reply = _pack_reply(CompletionStatus.BAD_REQUEST, None)
-            try:
-                send_frame(conn, reply)
-            except OSError:
-                break
-        conn.close()
-        with self._lock:
-            self._verb_socks.discard(conn)
-            qp = self._server_qps.pop(client_id, None)
-        if qp is not None:
-            qp.close()
-
-    def _execute(self, frame: bytes, client_id: int) -> bytes:
-        if len(frame) < VERB_HEADER.size:
-            return _pack_reply(CompletionStatus.BAD_REQUEST, None)
-        kind, region_id, offset, length, op_a, op_b = VERB_HEADER.unpack_from(frame)
-        payload = frame[VERB_HEADER.size :]
-        if kind == _SEND:
-            with self._lock:
-                qp = self._server_qps.get(client_id)
-            if qp is None:
-                return _pack_reply(_RNR, None)
-            return _pack_reply(qp._deliver(payload), None)
-        region = self._regions.get(region_id)
-        if region is None:
-            return _pack_reply(CompletionStatus.LOCAL_ACCESS_ERROR, None)
+    def _serve(self, conn: socket.socket) -> None:
+        """Serve one connection: a hello, then verb frames until it ends."""
+        qp = None
         try:
-            if kind == _READ:
-                data, serial = region.read(offset, length)
-                return _pack_reply(_OK, serial, data)
-            if kind == _WRITE:
-                serial = region.write(offset, payload)
-                return _pack_reply(_OK, serial)
-            if kind == _CAS:
-                old, serial = region.compare_and_swap(offset, op_a, op_b)
-                return _pack_reply(_OK, serial, old.to_bytes(8, "little"))
-            if kind == _FA:
-                old, serial = region.fetch_and_add(offset, op_a)
-                return _pack_reply(_OK, serial, old.to_bytes(8, "little"))
-        except RegionAccessError:
-            return _pack_reply(CompletionStatus.LOCAL_ACCESS_ERROR, None)
-        return _pack_reply(CompletionStatus.BAD_REQUEST, None)
+            with self._lock:
+                if self._closing:
+                    return
+                self._conns.add(conn)
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            hello = recv_frame(conn, MAX_REQUEST)
+            if hello is None or len(hello) != HELLO.size:
+                return
+            (client_id,) = HELLO.unpack(hello)
+            qp = self.connect(client_id or None)
+            send_frame(conn, HELLO.pack(qp.client_id))
+            while (frame := recv_frame(conn, MAX_REQUEST)) is not None:
+                send_frame(conn, _execute(conn, qp, frame))
+        except OSError:
+            pass
+        finally:
+            with self._lock:
+                self._conns.discard(conn)
+            if qp is not None:
+                qp.close()
+            framing.close(conn)
 
 
-class TcpQueuePair(Mailbox):
-    """Client-side queue pair over the two-socket TCP channel pair."""
+class TcpQueuePair:
+    """Client-side queue pair: every call is one request/reply frame pair
+    on the connection's one socket, run by the agent on its queue pair for
+    this client.
 
-    def __init__(self, client_id: int, verb_sock: socket.socket, delivery_sock: socket.socket):
-        super().__init__()
+    `closed` turns True on this end's close, when the connection is lost,
+    and on the first reply after the peer closed the agent-side queue
+    pair.  As in process, a peer's close stops no call: a SEND then
+    completes RECEIVER_NOT_READY, and one-sided verbs still work.  After
+    this end's close, a call raises ConnectionError (a poll returns None).
+    """
+
+    def __init__(self, client_id: int, sock: socket.socket):
         self.client_id = client_id
-        self._verb_sock = verb_sock
-        self._verb_lock = threading.Lock()
-        # Only this queue pair's own close() ends the verb channel: after
-        # the peer's close, a SEND still reaches the agent and completes
-        # RECEIVER_NOT_READY, and one-sided verbs still work.
-        self._verbs_open = True
-        self._delivery_sock = delivery_sock
-        self._reader = threading.Thread(
-            target=self._delivery_loop, name=f"tcpqp-delivery-{client_id}", daemon=True
-        )
-        self._reader.start()
+        self.closed = False
+        self._sock = sock
+        self._lock = threading.Lock()
 
-    # -- verb channel ----------------------------------------------------
-
-    def _rpc(self, kind: VerbKind, region_id: int = 0, offset: int = 0,
+    def _rpc(self, kind: int, region_id: int = 0, offset: int = 0,
              length: int = 0, op_a: int = 0, op_b: int = 0, payload: bytes = b"") -> Completion:
         try:
             frame = VERB_HEADER.pack(kind, region_id, offset, length, op_a, op_b) + payload
         except struct.error:  # e.g. a negative offset: outside every region, as in process
             return Completion(kind, CompletionStatus.LOCAL_ACCESS_ERROR)
-        with self._verb_lock:
-            if not self._verbs_open:
-                return Completion(kind, CompletionStatus.LOCAL_ACCESS_ERROR)
+        with self._lock:
             try:
-                send_frame(self._verb_sock, frame)
-                reply = recv_frame(self._verb_sock)
+                send_frame(self._sock, frame)
+                reply = recv_frame(self._sock)
             except OSError:
                 reply = None
         if reply is None:
+            self.closed = True
             raise ConnectionError("verb channel closed")
-        status, serial, data = _unpack_reply(reply)
-        return Completion(kind, status, data, serial)
+        status, serial_plus1 = REPLY_HEADER.unpack_from(reply)
+        if status & _QP_CLOSED:
+            self.closed = True
+            status ^= _QP_CLOSED
+        serial = serial_plus1 - 1 if serial_plus1 else None
+        return Completion(kind, CompletionStatus(status), reply[REPLY_HEADER.size :], serial)
 
     def post_read(self, region_id: int, offset: int, length: int) -> Completion:
         return self._rpc(_READ, region_id, offset, length)
@@ -313,31 +238,31 @@ class TcpQueuePair(Mailbox):
     def post_send(self, payload: bytes) -> Completion:
         return self._rpc(_SEND, payload=payload)
 
-    # -- delivery channel ------------------------------------------------
+    def post_recv(self, capacity: int) -> None:
+        self._rpc(_RECV, length=capacity)
 
-    def _delivery_loop(self) -> None:
-        while True:
-            payload = recv_frame(self._delivery_sock)
-            if payload is None:
-                Mailbox.close(self)
-                return
-            completion = self._match(payload)
-            status = _RNR if completion is None else completion.status
-            # The status byte must be on the wire before the completion is
-            # visible locally: a consumer that wakes and closes this queue
-            # pair must not be able to cut off the in-flight status reply.
-            try:
-                send_frame(self._delivery_sock, bytes([status]))
-            except OSError:
-                pass
-            if completion is not None:
-                self._inbox.put(completion)
+    def poll_recv(self, timeout: float | None = None) -> Completion | None:
+        """Pop the next receive completion; None on timeout or close."""
+        try:
+            completion = self._rpc(_POLL, op_a=0 if timeout is None else round(timeout * 1e6) + 1)
+        except ConnectionError:
+            return None
+        return completion._replace(op_kind=_RECV) if completion.status in _RECEIVED else None
 
     def close(self) -> None:
-        self._verbs_open = False
-        super().close()
-        framing.close(self._verb_sock)
-        framing.close(self._delivery_sock)
+        """Close this end.  With no call in flight, half-close and wait for
+        the agent's EOF, which follows its close of the agent-side queue
+        pair: the peer sees the close before this returns.  A call in
+        flight ends when the socket closes."""
+        self.closed = True
+        if self._lock.acquire(blocking=False):
+            try:
+                with suppress(OSError):
+                    self._sock.shutdown(socket.SHUT_WR)
+                    self._sock.recv(1)
+            finally:
+                self._lock.release()
+        framing.close(self._sock)
 
 
 class TcpFabric:
@@ -347,24 +272,19 @@ class TcpFabric:
         self.host = host
         self.port = port
 
-    def _open_channel(self, kind: int, client_id: int) -> tuple[socket.socket, int]:
-        """Connect one channel and say hello; returns the socket and the
-        client ID the agent confirmed or assigned."""
-        sock = framing.connect(self.host, self.port)
-        send_frame(sock, HELLO.pack(kind, client_id))
-        reply = recv_frame(sock)
-        if reply is None or len(reply) != HELLO.size or HELLO.unpack(reply)[0] != _HELLO_OK:
-            framing.close(sock)
-            raise ConnectionError(f"channel {kind} handshake failed")
-        return sock, HELLO.unpack(reply)[1]
-
     def connect(self, client_id: int | None = None) -> TcpQueuePair:
+        """Open one socket and say hello; the agent confirms `client_id`
+        or assigns one."""
         if client_id is not None and client_id < 1:
             raise ValueError("client IDs start at 1")
-        verb_sock, assigned = self._open_channel(CHANNEL_VERB, client_id or 0)
+        hello = HELLO.pack(client_id or 0)
+        sock = framing.connect(self.host, self.port)
         try:
-            delivery_sock, _ = self._open_channel(CHANNEL_DELIVERY, assigned)
+            send_frame(sock, hello)
+            reply = recv_frame(sock)
+            if reply is None or len(reply) != HELLO.size:
+                raise ConnectionError("handshake failed")
         except OSError:  # ConnectionError included
-            framing.close(verb_sock)
+            framing.close(sock)
             raise
-        return TcpQueuePair(assigned, verb_sock, delivery_sock)
+        return TcpQueuePair(HELLO.unpack(reply)[0], sock)

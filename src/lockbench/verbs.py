@@ -2,9 +2,11 @@
 
 Provides registered memory regions, queue pairs and completions, with
 one-sided READ/WRITE/CAS/FA executed against region memory and two-sided
-SEND/RECV between paired endpoints.  This module implements the in-process
-transport (clients are threads in one process); the TCP-emulated transport
-in `tcp_transport` exposes the same queue-pair surface.
+SEND/RECV between paired endpoints.  An `InprocFabric` registers regions
+and creates queue pairs; in-process clients call those directly, and
+`tcp_transport.TcpAgent` is an `InprocFabric` that runs each arriving
+frame on the queue pair of its connection, so both transports share this
+code.
 
 A region stores one Python int per 8-byte little-endian word, so CAS and
 FA are plain integer operations, and a READ or WRITE confined to one word
@@ -192,26 +194,6 @@ class MemoryRegion:
         return int.from_bytes(data, "little")
 
 
-class RegionRegistry:
-    """Registered regions of one host (`InprocFabric` or `TcpAgent`).
-
-    Regions are only ever added, under a lock, to `_regions`; a dict read
-    is atomic, so lookups on the verb path take no lock, and a reference
-    to the dict is a live view of every region registered later.
-    """
-
-    def __init__(self):
-        self._regions: dict[int, MemoryRegion] = {}
-        self._region_ids = itertools.count(1)
-        self._region_lock = threading.Lock()
-
-    def register_region(self, length: int) -> MemoryRegion:
-        with self._region_lock:
-            region = MemoryRegion(next(self._region_ids), length)
-            self._regions[region.region_id] = region
-            return region
-
-
 # Builds an OK completion without the NamedTuple constructor's Python frame.
 _new_tuple = tuple.__new__
 
@@ -281,7 +263,8 @@ class Mailbox:
 
 
 class QueuePair(Mailbox):
-    """In-process queue pair.
+    """A fabric's queue pair, called by an in-process client or by a TCP
+    agent's connection for its client.
 
     One-sided verbs execute directly against the fabric's region registry
     (the passive side runs no code, mirroring RNIC DMA).  Two-sided SEND
@@ -354,14 +337,26 @@ class SrListener(Mailbox):
         self._inbox.put(qp)
 
 
-class InprocFabric(RegionRegistry):
-    """In-process transport: a region registry plus queue-pair wiring."""
+class InprocFabric:
+    """A verb host: the region registry plus queue-pair wiring.
+
+    Regions are only ever added, under `_lock`, to `_regions`; a dict read
+    is atomic, so lookups on the verb path take no lock, and a reference
+    to the dict is a live view of every region registered later.
+    """
 
     def __init__(self):
-        super().__init__()
+        self._regions: dict[int, MemoryRegion] = {}
+        self._region_ids = itertools.count(1)
         self._lock = threading.Lock()
         self._client_ids = itertools.count(1)
         self._listener: SrListener | None = None
+
+    def register_region(self, length: int) -> MemoryRegion:
+        with self._lock:
+            region = MemoryRegion(next(self._region_ids), length)
+            self._regions[region.region_id] = region
+            return region
 
     def sr_listen(self) -> SrListener:
         with self._lock:

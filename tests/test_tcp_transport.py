@@ -3,13 +3,15 @@
 The shared two-sided SEND/RECV set in test_verbs runs on this transport too.
 """
 
+import struct
 import threading
 import time
 
 import pytest
 
+from lockbench import framing
 from lockbench.locktable import WORD_SIZE, LockTable, encode
-from lockbench.tcp_transport import TcpAgent, TcpFabric
+from lockbench.tcp_transport import MAX_REQUEST, TcpAgent, TcpFabric
 from lockbench.verbs import CompletionStatus
 
 U64 = 1 << 64
@@ -158,7 +160,7 @@ def test_undersized_receive_buffer_truncates(agent, fabric):
 
 
 def test_concurrent_atomics_from_processes_of_one_word(agent, fabric, region):
-    # Threads here, but each with its own socket pair: the serialization
+    # Threads here, but each with its own socket: the serialization
     # point is the agent's region, exactly as with real remote clients.
     n, per = 4, 200
     qps = [fabric.connect() for _ in range(n)]
@@ -213,9 +215,9 @@ def test_closed_connections_leave_no_verb_socket_behind(agent, fabric):
         fabric.connect().close()
     # Each verb loop drops its socket once it reads the client's EOF.
     deadline = time.monotonic() + 5
-    while agent._verb_socks and time.monotonic() < deadline:
+    while agent._conns and time.monotonic() < deadline:
         time.sleep(0.001)
-    assert agent._verb_socks == set()
+    assert agent._conns == set()
 
 
 def test_agent_stop_closes_client_channels():
@@ -224,6 +226,103 @@ def test_agent_stop_closes_client_channels():
     host, port = agent.start()
     qp = TcpFabric(host, port).connect()
     agent.stop()
-    # The delivery channel drops; polling must not hang.
+    # The connection drops; polling must not hang.
     assert qp.poll_recv(timeout=5) is None
     qp.close()
+
+
+def _wait_for(condition, seconds=5):
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return condition()
+
+
+@pytest.fixture
+def thread_deaths(monkeypatch):
+    """Every exception that ends a thread during the test."""
+    deaths = []
+    monkeypatch.setattr(threading, "excepthook", deaths.append)
+    return deaths
+
+
+def test_connect_opens_one_socket_and_starts_no_client_thread(agent, fabric):
+    def client_threads():
+        return {t for t in threading.enumerate() if not t.name.startswith("tcpagent-")}
+
+    before = client_threads()
+    qp = fabric.connect()
+    try:
+        assert client_threads() == before
+        assert len(agent._conns) == 1
+    finally:
+        qp.close()
+
+
+def test_frame_longer_than_the_limit_ends_the_connection(agent, fabric, thread_deaths):
+    listener = agent.sr_listen()
+    qp = fabric.connect()
+    server = listener.accept(timeout=5)
+    try:
+        # A length prefix with no payload: the agent must not wait for it.
+        qp._sock.sendall(struct.pack("<I", MAX_REQUEST + 1))
+        assert server.poll_recv(timeout=5) is None  # the agent-side queue pair closed
+        assert server.closed
+        assert _wait_for(lambda: not agent._conns)
+        assert qp.poll_recv(timeout=5) is None
+    finally:
+        qp.close()
+    assert thread_deaths == []
+
+
+@pytest.mark.parametrize(
+    "sent, agent_hangs_up",
+    [(b"", False), (struct.pack("<I", 4) + b"\x01\x00", False), (struct.pack("<I", 3) + b"abc", True)],
+    ids=["close-before-hello", "close-during-hello", "three-byte-hello"],
+)
+def test_bad_or_cut_hello_ends_the_connection(agent_and_address, sent, agent_hangs_up, thread_deaths):
+    agent, address = agent_and_address
+    sock = framing.connect(*address)
+    sock.settimeout(5)
+    sock.sendall(sent)
+    if agent_hangs_up:
+        assert sock.recv(1) == b""
+    sock.close()
+    assert _wait_for(lambda: not agent._conns)
+    assert thread_deaths == []
+
+
+def test_client_close_during_a_poll_reaches_the_peer(agent, fabric):
+    listener = agent.sr_listen()
+    qp = fabric.connect()
+    server = listener.accept(timeout=5)
+    poller = threading.Thread(target=qp.poll_recv)
+    poller.start()
+    time.sleep(0.05)  # let the poll reach the agent
+    qp.close()
+    poller.join(timeout=5)
+    assert not poller.is_alive()
+    assert server.poll_recv(timeout=5) is None
+    assert server.closed
+    assert _wait_for(lambda: not agent._conns)
+
+
+def test_stop_ends_every_agent_thread():
+    before = set(threading.enumerate())
+    agent = TcpAgent()
+    host, port = agent.start()
+    fabric = TcpFabric(host, port)
+    idle, polling = fabric.connect(), fabric.connect()
+    silent = framing.connect(host, port)  # never says hello
+    polled = []
+    poller = threading.Thread(target=lambda: polled.append(polling.poll_recv()))
+    poller.start()
+    time.sleep(0.05)  # let the poll reach the agent
+    agent.stop()
+    try:
+        assert _wait_for(lambda: not (set(threading.enumerate()) - before))
+        assert polled == [None]
+    finally:
+        idle.close()
+        polling.close()
+        silent.close()
