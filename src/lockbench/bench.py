@@ -9,9 +9,9 @@ transport.
 
 Every run's trace is validated by the checker before metrics are
 reported; a violating trace raises RunCheckError instead of returning
-numbers.  The in-process transport runs clients as threads; the TCP
-transport runs each client in its own process (forkserver start method,
-so worker startup does not fork a thread-laden parent).
+numbers.  One worker runs each client: a thread in process, a process
+over TCP (forkserver start method, so worker startup does not fork a
+thread-laden parent).  A failed or killed client ends the run at once.
 
 Design x transport matrix, hosted by `host_design` and connected to by
 `connect_client`:
@@ -29,6 +29,7 @@ in the server's frontend cost.
 from __future__ import annotations
 
 import csv
+import functools
 import multiprocessing
 import queue
 import random
@@ -237,116 +238,90 @@ def connect_client(spec: WorkloadSpec, client_index: int, target, region_id: int
 
 
 # ---------------------------------------------------------------------------
-# In-process transport: clients are threads.
+# Clients: one worker each, a thread in process or a process over TCP.
+
+# How long a client that has ended may take to deliver a report in flight.
+_REPORT_GRACE_S = 1.0
 
 
-def _run_inproc(spec: WorkloadSpec, hosted: HostedDesign, recorder: TraceRecorder):
-    """Returns {client index: (start_ns, end_ns, locks acquired)}."""
-    clients = []
-    try:
-        for i in range(1, spec.n_clients + 1):
-            clients.append(connect_client(spec, i, hosted.target, hosted.region_id, recorder))
-        barrier = threading.Barrier(spec.n_clients)
-        results: list[object] = [None] * spec.n_clients
-
-        def work(idx: int) -> None:
-            try:
-                ops = client_op_stream(spec, idx + 1)
-                barrier.wait()
-                results[idx] = _drive(clients[idx], ops)
-            except Exception as exc:  # re-raised in the harness thread
-                results[idx] = exc
-
-        threads = [
-            threading.Thread(target=work, args=(i,), name=f"bench-client-{i + 1}")
-            for i in range(spec.n_clients)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        for i, outcome in enumerate(results):
-            if isinstance(outcome, Exception):
-                raise RuntimeError(f"client {i + 1} failed") from outcome
-        return {i + 1: outcome for i, outcome in enumerate(results)}
-    finally:
-        for client in clients:
-            try:
-                client.close()
-            except Exception:
-                pass
-
-
-# ---------------------------------------------------------------------------
-# TCP transport: clients are processes.
-
-_MP_CONTEXT = None
-
-
+@functools.cache
 def _mp_context():
-    global _MP_CONTEXT
-    if _MP_CONTEXT is None:
-        ctx = multiprocessing.get_context("forkserver")
-        ctx.set_forkserver_preload(["lockbench.bench"])
-        _MP_CONTEXT = ctx
-    return _MP_CONTEXT
+    ctx = multiprocessing.get_context("forkserver")
+    ctx.set_forkserver_preload(["lockbench.bench"])
+    return ctx
 
 
-def _tcp_client_worker(spec, client_index, target, region_id, barrier, results_queue):
+def _client_worker(spec, i, target, region_id, barrier, results, recorder=None):
+    """Run client `i` from connect to close, then put `(i, start_ns, end_ns,
+    locks, events, error)` on `results`.  A client process (no `recorder`)
+    records and ships its own trace, as plain tuples, which pickle faster.
+    A failure breaks the barrier, so no client waits there for this one."""
+    own_trace = recorder is None
+    recorder = TraceRecorder() if own_trace else recorder
     try:
-        recorder = TraceRecorder()
-        client = connect_client(spec, client_index, target, region_id, recorder)
-        ops = client_op_stream(spec, client_index)
-        barrier.wait()
-        start, end, locks = _drive(client, ops)
-        client.close()
-        events = list(map(tuple, recorder.sorted_events()))  # plain tuples pickle faster
-        results_queue.put((client_index, start, end, locks, events, None))
+        client = connect_client(spec, i, target, region_id, recorder)
+        try:
+            ops = client_op_stream(spec, i)
+            barrier.wait()
+            start, end, locks = _drive(client, ops)
+        finally:
+            client.close()  # before the trace ships: lockperf's client spans dump on close
     except Exception as exc:
-        results_queue.put((client_index, 0, 0, 0, [], f"{type(exc).__name__}: {exc}"))
+        barrier.abort()
+        results.put((i, 0, 0, 0, [], f"{type(exc).__name__}: {exc}"))
+    else:
+        events = list(map(tuple, recorder.sorted_events())) if own_trace else []
+        results.put((i, start, end, locks, events, None))
 
 
-def _run_tcp(spec: WorkloadSpec, hosted: HostedDesign, recorder: TraceRecorder):
-    """Returns {client index: (start_ns, end_ns, locks acquired)}; the
-    client processes' trace events go into `recorder`."""
-    ctx = _mp_context()
-    barrier = ctx.Barrier(spec.n_clients)
-    results_queue = ctx.Queue()
-    procs = [
-        ctx.Process(
-            target=_tcp_client_worker,
-            args=(spec, i, hosted.target, hosted.region_id, barrier, results_queue),
-            daemon=True,
-        )
+def _run_clients(spec: WorkloadSpec, hosted: HostedDesign, recorder: TraceRecorder):
+    """Returns {client index: (start_ns, end_ns, locks acquired)}; client
+    processes' events go into `recorder`.  Raises RuntimeError naming every
+    client's error once all have reported, or naming exit codes once a
+    client has ended without a report.  No client process outlives it."""
+    inproc = spec.transport == TRANSPORT_INPROC
+    if inproc:
+        barrier, results = threading.Barrier(spec.n_clients), queue.SimpleQueue()
+        make, extra = threading.Thread, (recorder,)
+    else:
+        ctx = _mp_context()
+        barrier, results = ctx.Barrier(spec.n_clients), ctx.Queue()
+        make, extra = ctx.Process, ()
+    args = (hosted.target, hosted.region_id, barrier, results, *extra)
+    workers = {
+        i: make(target=_client_worker, args=(spec, i, *args), name=f"bench-client-{i}", daemon=True)
         for i in range(1, spec.n_clients + 1)
-    ]
+    }
+    per_client, errors, pending, ended = {}, {}, set(workers), set()
     try:
-        for proc in procs:
-            proc.start()
-        per_client: dict[int, tuple[int, int, int]] = {}
-        errors = []
-        for _ in procs:
+        for worker in workers.values():
+            worker.start()
+        while pending:
             try:
-                idx, start, end, locks, events, error = results_queue.get(timeout=120)
+                i, start, end, locks, events, error = results.get(timeout=_REPORT_GRACE_S)
             except queue.Empty:
-                codes = [proc.exitcode for proc in procs]
-                raise RuntimeError(
-                    f"client process produced no result (exit codes: {codes})"
-                ) from None
+                # Seen ended at two empty polls in a row: no report is coming.
+                silent = {i for i in pending if not workers[i].is_alive()}
+                if silent & ended:
+                    codes = {i: getattr(workers[i], "exitcode", None) for i in sorted(silent)}
+                    raise RuntimeError(f"clients ended without a result (exit codes: {codes})") from None
+                ended = silent
+                continue
+            pending.discard(i)
             if error is not None:
-                errors.append(f"client {idx}: {error}")
+                errors[i] = error
             else:
-                per_client[idx] = (start, end, locks)
+                per_client[i] = (start, end, locks)
                 recorder.extend([tuple.__new__(TraceEvent, t) for t in events])
-        for proc in procs:
-            proc.join(timeout=30)
         if errors:
-            raise RuntimeError("; ".join(errors))
+            raise RuntimeError("; ".join(f"client {i}: {errors[i]}" for i in sorted(errors)))
         return per_client
     finally:
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
+        for worker in workers.values():
+            if worker.is_alive():
+                if not inproc:
+                    worker.terminate()
+                worker.join()
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +368,7 @@ def run_workload(spec: WorkloadSpec) -> tuple[RunResult, list[TraceEvent]]:
     recorder = TraceRecorder()
     hosted = host_design(spec, recorder)
     try:
-        run = _run_inproc if spec.transport == TRANSPORT_INPROC else _run_tcp
-        per_client = run(spec, hosted, recorder)
+        per_client = _run_clients(spec, hosted, recorder)
         words = hosted.words() if hosted.words is not None else None
         return _finish(spec, recorder.sorted_events(), per_client, words)
     finally:

@@ -20,6 +20,7 @@ from .bench import (
 )
 from .checker import DESIGN_SERVER_TCP, DESIGNS, check_all
 from .errors import ConfigurationError, RunCheckError
+from .server_lm import DEFAULT_SR_MESSAGE_COST, DEFAULT_TCP_MESSAGE_COST
 from .trace import TraceParseError, read_trace, write_trace
 
 
@@ -29,8 +30,9 @@ def _add_cost_args(parser) -> None:
         type=float,
         default=None,
         metavar="US",
-        help="simulated CPU cost per server message in microseconds "
-        "(default: 20 for the TCP frontend, 2 for SEND/RECV)",
+        help="simulated CPU cost per server message in microseconds (default: "
+        f"{DEFAULT_TCP_MESSAGE_COST * 1e6:g} for the TCP frontend, "
+        f"{DEFAULT_SR_MESSAGE_COST * 1e6:g} for SEND/RECV)",
     )
     parser.add_argument(
         "--worker-limit",

@@ -16,6 +16,11 @@ def connect(host: str, port: int) -> socket.socket:
     return sock
 
 
+def listen(host: str, port: int) -> socket.socket:
+    """A listening TCP socket with SO_REUSEADDR; port 0 picks a free port."""
+    return socket.create_server((host, port), backlog=128)
+
+
 def close(sock: socket.socket) -> None:
     """Shut down both directions, which wakes a thread blocked in recv on
     this socket, then close it; a socket the peer already reset is fine."""

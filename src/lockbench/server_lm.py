@@ -430,10 +430,7 @@ class LockServer:
         self._spawn(accept_loop, "sr-accept")
 
     def serve_tcp(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host, port))
-        sock.listen(128)
+        sock = framing.listen(host, port)
         wake, self._wake = socket.socketpair()
         self._loop = self._spawn(self._tcp_loop, "tcp-loop", sock, wake)
         return sock.getsockname()

@@ -128,11 +128,7 @@ class TcpAgent(InprocFabric):
         self._closing = False
 
     def start(self) -> tuple[str, int]:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self._host, self._port))
-        sock.listen(128)
-        self._listen_sock = sock
+        sock = self._listen_sock = framing.listen(self._host, self._port)
         threading.Thread(target=self._accept_loop, name="tcpagent-accept", daemon=True).start()
         return sock.getsockname()
 

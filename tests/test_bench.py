@@ -1,12 +1,16 @@
 """Bench harness: determinism, metrics, checker gating, sweeps, CSV."""
 
 import csv
+import multiprocessing
+import os
+import signal
 import threading
+import time
 from collections import Counter
 
 import pytest
 
-from lockbench import bench
+from lockbench import bench, framing
 from lockbench.bench import (
     CSV_COLUMNS,
     TRANSPORT_INPROC,
@@ -37,6 +41,9 @@ from lockbench.server_lm import (
     ServerLockClient,
     SocketConn,
 )
+from lockbench.framing import recv_frame, send_frame
+from lockbench.tcp_transport import HELLO
+from lockbench.trace import TraceRecorder
 
 FAST = dict(n_clients=3, n_items=2, ops_per_client=30, per_message_cost=0.0)
 
@@ -203,7 +210,7 @@ def test_unbalanced_release_is_caught_at_quiescence(monkeypatch):
     # A client that silently skips its very last release leaves the lock
     # word nonzero; the quiescence scan must flag it.  One client only:
     # a peer blocked on the leaked lock would never finish the run.
-    from lockbench import bench
+    from lockbench import bench, framing
 
     real_drive = bench._drive
 
@@ -215,6 +222,99 @@ def test_unbalanced_release_is_caught_at_quiescence(monkeypatch):
     monkeypatch.setattr(bench, "_drive", leaky_drive)
     with pytest.raises(RunCheckError):
         run_workload(WorkloadSpec(design=DESIGN_CLIENT_CENTRIC, **dict(FAST, n_clients=1)))
+
+
+def _start(fn, *args):
+    """Run `fn(*args)` on a daemon thread.  No pytest-timeout is installed,
+    so each test bounds its own wait: `raised(seconds)` joins the thread
+    for at most that long, checks that it ended, and returns what `fn`
+    raised (None if it returned)."""
+    outcome = []
+
+    def run():
+        try:
+            fn(*args)
+        except Exception as exc:
+            outcome.append(exc)
+        else:
+            outcome.append(None)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+
+    def raised(seconds):
+        thread.join(seconds)
+        assert not thread.is_alive(), f"still running after {seconds} s"
+        return outcome[0]
+
+    return raised
+
+
+def test_inproc_client_that_fails_to_connect_ends_the_run(monkeypatch):
+    # Client 1 waits at the barrier; client 2's failure must break it.
+    real_connect = bench.connect_client
+
+    def flaky_connect(spec, i, *args):
+        if i == 2:
+            raise ConnectionError("refused")
+        return real_connect(spec, i, *args)
+
+    monkeypatch.setattr(bench, "connect_client", flaky_connect)
+    spec = WorkloadSpec(design=DESIGN_CLIENT_CENTRIC, **dict(FAST, n_clients=2))
+    exc = _start(run_workload, spec)(5)
+    assert isinstance(exc, RuntimeError)
+    assert "client 2: ConnectionError: refused" in str(exc)
+
+
+def test_tcp_client_whose_handshake_fails_ends_the_run():
+    # A stub agent says hello to the first client and hangs up on the
+    # second, whose connect then fails before the barrier.
+    listener = framing.listen("127.0.0.1", 0)
+
+    def stub():
+        first, _ = listener.accept()
+        (client_id,) = HELLO.unpack(recv_frame(first))
+        send_frame(first, HELLO.pack(client_id))
+        second, _ = listener.accept()
+        recv_frame(second)
+        framing.close(second)
+        recv_frame(first)  # returns at the first client's close
+        framing.close(first)
+
+    threading.Thread(target=stub, daemon=True).start()
+    spec = WorkloadSpec(design=DESIGN_CLIENT_CENTRIC, transport=TRANSPORT_TCP, n_clients=2)
+    hosted = bench.HostedDesign(listener.getsockname(), 0, None, listener.close)
+    try:
+        exc = _start(bench._run_clients, spec, hosted, TraceRecorder())(10)
+    finally:
+        listener.close()
+    assert isinstance(exc, RuntimeError)
+    assert "handshake failed" in str(exc)
+    assert multiprocessing.active_children() == []
+
+
+def test_killed_tcp_client_process_ends_the_run():
+    # At 1 ms per message the run would take minutes; killing one client
+    # process must end it within seconds and leave no client behind.
+    spec = WorkloadSpec(
+        design=DESIGN_SERVER_TCP,
+        transport=TRANSPORT_TCP,
+        n_clients=2,
+        n_items=2,
+        ops_per_client=50_000,
+        per_message_cost=1e-3,
+    )
+    raised = _start(run_workload, spec)
+    deadline = time.monotonic() + 10
+    while len(children := multiprocessing.active_children()) < 2:
+        assert time.monotonic() < deadline, "client processes did not start"
+        time.sleep(0.01)
+    time.sleep(1)  # both clients connect and start locking
+    os.kill(children[0].pid, signal.SIGKILL)
+    exc = raised(10)
+    assert isinstance(exc, RuntimeError)
+    assert "-9" in str(exc)
+    assert multiprocessing.active_children() == []
 
 
 def test_result_row_round_trips_through_csv(tmp_path):
