@@ -36,6 +36,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, replace
+from operator import countOf, itemgetter
 from typing import Callable, NamedTuple
 
 from .checker import (
@@ -336,7 +337,7 @@ def _finish(spec, events, per_client, words):
             if word != 0
         )
     total = sum(locks for _, _, locks in per_client.values())
-    grants = sum(1 for e in events if e.op == OP_ACQ and e.outcome == OUT_GRANT)
+    grants = countOf(map(itemgetter(5), events), OUT_GRANT)  # recorders stamp GRANT only on ACQ
     if grants != total:
         violations.append(
             Violation(

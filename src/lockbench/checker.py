@@ -1,17 +1,19 @@
 """Offline safety and fairness oracle over recorded traces.
 
-Every check is a view of one replay: the trace is sorted once, then one
-pass pairs each grant with its release stamp and counts each (client,
-item)'s lifecycle events, and a second replays each item's holders and,
-for the server designs, its FIFO queue.  check_all takes every verdict
-from a single replay.
+Every check is a view of one replay, which reads each event once in
+`sort_events` order.  A recorder's merge leaves a trace in that order, so
+the replay only checks it as it goes, and sorts input that breaks it.
 
 Hold intervals are reconstructed per client as [ACQ/GRANT stamp, REL/REQ
-stamp].  Grants are stamped by the acquirer after the lock is won and
+stamp).  Grants are stamped by the acquirer after the lock is won and
 release requests are stamped before the releasing verb or message is
 issued, so every stamped interval is contained in the true hold interval;
 on a shared monotonic clock an overlap between stamped intervals is
-therefore a real overlap, never a stamping artifact.
+therefore a real overlap, never a stamping artifact.  A holder's REL/REQ
+stamped in the same nanosecond as a GRANT sorts after it, so at a grant
+whose next event has the same stamp the replay looks ahead through that
+equal-stamp run: adjacent intervals do not overlap.  On a clock that never
+repeats a stamp, that costs one look at the next stamp per grant.
 
 The FIFO replay re-derives the server's admission rule from scratch (queue
 arrival order from server-stamped REQ events, grants admissible only from
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .client_lm import ClientSession
 from .errors import AcquisitionTimeout, ProtocolError
@@ -42,6 +45,7 @@ from .trace import (
     OUT_TIMEOUT,
     TraceEvent,
     sort_events,  # re-exported: the order every verdict replays
+    sort_key,
 )
 from .verbs import InprocFabric
 
@@ -75,114 +79,112 @@ class Violation:
 _NEVER = float("inf")
 
 
-def _replay(events: list, fifo: bool) -> tuple[list, list, list]:
-    """Sort `events` once and replay them: (safety, conservation, FIFO)
-    violations, the FIFO list empty unless `fifo`."""
-    ordered = sort_events(events)
-
-    # Pass 1.  Hold intervals are half-open: a grant stamped at the same
-    # nanosecond as the previous holder's release is adjacent, not
-    # overlapping, so pair each grant with its release stamp up front.
-    # Conservation counts per (client, item): requests, grants, shared and
-    # exclusive timeouts, releases, release acks, rollbacks.
-    release_at = [_NEVER] * len(ordered)
-    open_grants: dict[tuple[int, int], list[int]] = defaultdict(list)
-    counts: dict[tuple[int, int], list[int]] = defaultdict(lambda: [0] * 7)
-    for i, (ts, client, item, op, mode, outcome) in enumerate(ordered):
-        key = (client, item)
-        c = counts[key]
-        if op == OP_ACQ:
-            if outcome == OUT_GRANT:
-                c[1] += 1
-                open_grants[key].append(i)
-            elif outcome == OUT_REQ:
-                c[0] += 1
-            elif outcome == OUT_TIMEOUT:
-                c[2 if mode == MODE_SHARED else 3] += 1
-        elif outcome == OUT_REQ:
-            c[4] += 1
-            stack = open_grants.get(key)
-            if stack:
-                release_at[stack.pop()] = ts
-        elif outcome == OUT_ACK:
-            c[5] += 1
-        elif outcome == OUT_TIMEOUT:
-            c[6] += 1
-
-    # Pass 2: holders per item and, for the server designs, the FIFO
-    # queue: arrival order from server-stamped REQs, admission by the
-    # compatible head batch.
-    safety: list[Violation] = []
-    fifo_violations: list[Violation] = []
-    holders: dict[int, dict] = defaultdict(dict)  # item -> client -> (grant, release)
+def _replay(events: list, fifo: bool, ordered: list | None = None) -> tuple[list, list, list]:
+    """(safety, conservation, FIFO) violations, the FIFO list empty unless
+    `fifo`, from one pass over `ordered` (default: `events`).  At an event
+    out of `sort_events` order it starts over on `sort_events(events)`.
+    The pass counts lifecycles and replays each item's holders and, if
+    `fifo`, its queue: arrival order from server-stamped REQs, admission by
+    the compatible head batch.  A holder is [grant event, release stamp]; a
+    REL/REQ stamps its client's newest open grant on the item."""
+    ordered = events if ordered is None else ordered
+    safety, fifo_violations = [], []
+    # item -> client -> requests, grants, shared and exclusive timeouts,
+    # releases, release acks, rollbacks, then the open grants (newest last).
+    lifecycles: dict[int, dict] = defaultdict(lambda: defaultdict(lambda: [0] * 7 + [[]]))
+    holders: dict[int, dict] = defaultdict(dict)  # item -> client -> [grant, release]
     pre_released: set[tuple[int, int]] = set()
     pending: dict[int, deque] = defaultdict(deque)  # item -> (client, mode, REQ event)
     granted: dict[int, dict] = defaultdict(dict)  # item -> client -> mode
+    last = -_NEVER
+    after_last = len(ordered) - 1
     for i, event in enumerate(ordered):
         ts, client, item, op, mode, outcome = event
+        if ts <= last and (ts < last or sort_key(ordered[i - 1]) > sort_key(event)):
+            return _replay(events, fifo, sort_events(events))
+        last = ts
+        c = lifecycles[item][client]
         if op == OP_ACQ:
             if outcome == OUT_GRANT:
+                c[1] += 1
                 item_holders = holders[item]
                 if item_holders:
-                    expired = [c for c, (_, rel) in item_holders.items() if rel <= ts]
-                    for c in expired:
-                        del item_holders[c]
-                        pre_released.add((item, c))
+                    if i < after_last and ordered[i + 1][0] == ts:
+                        _pair_releases_in_run(ordered, i, item_holders)
+                    expired = [h for h, (_, rel) in item_holders.items() if rel <= ts]
+                    for h in expired:
+                        del item_holders[h]
+                        pre_released.add((item, h))
                     previous = item_holders.get(client)
                     if previous is not None:
                         message = f"client {client} granted item {item} twice"
                         safety.append(Violation(ORPHAN_EVENT, message, (previous[0], event)))
                     for other, _ in item_holders.values():
-                        if other[1] == client:
-                            continue
-                        if mode == MODE_EXCLUSIVE and other[4] == MODE_EXCLUSIVE:
-                            kind = DOUBLE_EXCLUSIVE
-                        elif MODE_EXCLUSIVE in (mode, other[4]):
-                            kind = SHARED_EXCLUSIVE_OVERLAP
-                        else:
-                            continue
-                        safety.append(
-                            Violation(
-                                kind,
+                        if other[1] != client and MODE_EXCLUSIVE in (mode, other[4]):
+                            kind = DOUBLE_EXCLUSIVE if mode == other[4] else SHARED_EXCLUSIVE_OVERLAP
+                            message = (
                                 f"item {item}: client {client} ({mode}) "
-                                f"overlaps client {other[1]} ({other[4]})",
-                                (other, event),
+                                f"overlaps client {other[1]} ({other[4]})"
                             )
-                        )
-                item_holders[client] = (event, release_at[i])
+                            safety.append(Violation(kind, message, (other, event)))
+                grant = [event, _NEVER]
+                c[7].append(grant)
+                item_holders[client] = grant
                 if fifo:
                     item_pending = pending[item]
-                    item_granted = granted[item]
-                    if not _admits(item_pending, item_granted, client):
-                        fifo_violations.append(
-                            Violation(
-                                FIFO_VIOLATION,
-                                f"item {item}: grant to client {client} jumps the queue",
-                                (item_pending[0][2], event) if item_pending else (event,),
-                            )
-                        )
-                        # Keep simulating past the violation.
+                    if not _admits(item_pending, granted[item], client):  # noted, replay goes on
+                        message = f"item {item}: grant to client {client} jumps the queue"
+                        cited = (item_pending[0][2], event) if item_pending else (event,)
+                        fifo_violations.append(Violation(FIFO_VIOLATION, message, cited))
                     for k, req in enumerate(item_pending):
                         if req[0] == client:
                             del item_pending[k]
                             break
-                    item_granted[client] = mode
-            elif outcome == OUT_REQ and fifo:
-                pending[item].append((client, mode, event))
+                    granted[item][client] = mode
+            elif outcome == OUT_REQ:
+                c[0] += 1
+                if fifo:
+                    pending[item].append((client, mode, event))
+            elif outcome == OUT_TIMEOUT:
+                c[2 if mode == MODE_SHARED else 3] += 1
         elif outcome == OUT_REQ:
+            c[4] += 1
+            if c[7]:
+                c[7].pop()[1] = ts
             if pre_released and (item, client) in pre_released:
                 pre_released.discard((item, client))
             elif holders[item].pop(client, None) is None:
-                safety.append(
-                    Violation(
-                        ORPHAN_EVENT,
-                        f"client {client} released item {item} without holding it",
-                        (event,),
-                    )
-                )
+                message = f"client {client} released item {item} without holding it"
+                safety.append(Violation(ORPHAN_EVENT, message, (event,)))
             if fifo:
                 granted[item].pop(client, None)
-    return safety, _conservation(events, counts), fifo_violations
+        elif outcome == OUT_ACK:
+            c[5] += 1
+        elif outcome == OUT_TIMEOUT:
+            c[6] += 1
+    return safety, _conservation(events, lifecycles), fifo_violations
+
+
+def _pair_releases_in_run(ordered: list, i: int, item_holders: dict) -> None:
+    """Stamp now each open holder grant that a REL/REQ later in grant i's
+    equal-stamp run pops.  A REL/REQ pops its client's newest open grant on
+    the item: an open holder, except the granting client's, under grant i."""
+    ts, client, item = ordered[i][:3]
+    depth = {h: int(h == client) for h, (_, rel) in item_holders.items() if rel == _NEVER}
+    for e in islice(ordered, i + 1, None):
+        if e[0] != ts:
+            break
+        h = e[1]
+        if e[2] != item or h not in depth:
+            continue
+        if e[3] == OP_ACQ and e[5] == OUT_GRANT:
+            depth[h] += 1
+        elif e[3] == OP_REL and e[5] == OUT_REQ:
+            if depth[h]:
+                depth[h] -= 1
+            else:
+                item_holders[h][1] = ts
+                del depth[h]
 
 
 def _admits(pending: deque, granted: dict, client: int) -> bool:
@@ -200,10 +202,11 @@ def _admits(pending: deque, granted: dict, client: int) -> bool:
     return False
 
 
-def _conservation(events: list, counts: dict) -> list[Violation]:
+def _conservation(events: list, lifecycles: dict) -> list[Violation]:
+    counts = {(client, item): c for item, cs in lifecycles.items() for client, c in cs.items()}
     flagged = []
     for key in sorted(counts):
-        req, grant, timeout_shared, timeout_excl, rel_req, rel_ack, rollback = counts[key]
+        req, grant, timeout_shared, timeout_excl, rel_req, rel_ack, rollback, _ = counts[key]
         answered = grant + timeout_shared + timeout_excl
         if req != answered:
             flagged.append((key, f"{req} acquire request(s) but {answered} grant(s)/timeout(s)"))
@@ -249,8 +252,7 @@ def check_fifo(events, design: str) -> list[Violation]:
 def check_conservation(events) -> list[Violation]:
     """End-of-run accounting per (client, item): every request answered,
     every grant released, every release acknowledged, every shared timeout
-    rolled back.  Counting is order-insensitive, so it tolerates the
-    nanosecond-scale stamp ties interval replay cannot."""
+    rolled back.  Counting is order-insensitive."""
     return _replay(list(events), False)[1]
 
 

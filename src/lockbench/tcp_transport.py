@@ -54,6 +54,9 @@ _QP_CLOSED = 0x80
 # A poll occupies its connection's thread; between slices of this many
 # seconds it checks whether the client hung up meanwhile.
 _POLL_SLICE = 0.05
+# How long close() waits for the agent's EOF.  Verbs set no timeout: CPython
+# polls before every recv on a socket that has one.
+CLOSE_WAIT_S = 3.0
 
 _SEND, _RECV = VerbKind.SEND, VerbKind.RECV
 _RECEIVED = (CompletionStatus.OK, CompletionStatus.TRUNCATED)
@@ -246,14 +249,15 @@ class TcpQueuePair:
         return completion._replace(op_kind=_RECV) if completion.status in _RECEIVED else None
 
     def close(self) -> None:
-        """Close this end.  With no call in flight, half-close and wait for
-        the agent's EOF, which follows its close of the agent-side queue
-        pair: the peer sees the close before this returns.  A call in
-        flight ends when the socket closes."""
+        """Close this end.  With no call in flight, half-close and wait up
+        to CLOSE_WAIT_S for the agent's EOF, which follows its close of the
+        agent-side queue pair: the peer sees the close before this returns.
+        A call in flight ends when the socket closes."""
         self.closed = True
         if self._lock.acquire(blocking=False):
             try:
-                with suppress(OSError):
+                with suppress(OSError):  # socket.timeout included
+                    self._sock.settimeout(CLOSE_WAIT_S)
                     self._sock.shutdown(socket.SHUT_WR)
                     self._sock.recv(1)
             finally:

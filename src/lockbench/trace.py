@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from itertools import chain, groupby, islice
+from itertools import chain, islice
 from operator import itemgetter, lt
 from typing import Iterable, NamedTuple
 
@@ -105,22 +105,14 @@ def read_trace(path) -> list[TraceEvent]:
 _timestamp = itemgetter(0)
 
 
-def _tie_key(e: TraceEvent):
-    return PHASE_RANK[(e[3], e[5])], e[1], e[2]
-
-
-def _strictly_increasing(ordered) -> bool:
-    stamps = list(map(_timestamp, ordered))
-    return all(map(lt, stamps, islice(stamps, 1, None)))
+def sort_key(e: TraceEvent):
+    """Stamp; equal stamps by lifecycle phase, client, item."""
+    return e[0], PHASE_RANK[(e[3], e[5])], e[1], e[2]
 
 
 def sort_events(events) -> list[TraceEvent]:
-    """Order by stamp; equal stamps by lifecycle phase, client, item; full
-    ties keep input order."""
-    ordered = sorted(events, key=_timestamp)
-    if _strictly_increasing(ordered):
-        return ordered
-    return [e for _, run in groupby(ordered, _timestamp) for e in sorted(run, key=_tie_key)]
+    """Order by `sort_key`; full ties keep input order."""
+    return sorted(events, key=sort_key)
 
 
 def _bump(buffer):
@@ -160,6 +152,7 @@ class TraceRecorder:
 
     def sorted_events(self) -> list[TraceEvent]:
         ordered = sorted(chain(self._extended, *self._buffers.values()), key=_timestamp)
-        if _strictly_increasing(ordered):
+        stamps = list(map(_timestamp, ordered))
+        if all(map(lt, stamps, islice(stamps, 1, None))):  # no two stamps equal
             return ordered
         return sort_events(chain(self._extended, *map(_bump, self._buffers.values())))

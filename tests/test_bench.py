@@ -42,7 +42,7 @@ from lockbench.server_lm import (
     SocketConn,
 )
 from lockbench.framing import recv_frame, send_frame
-from lockbench.tcp_transport import HELLO
+from lockbench.tcp_transport import CLOSE_WAIT_S, HELLO
 from lockbench.trace import TraceRecorder
 
 FAST = dict(n_clients=3, n_items=2, ops_per_client=30, per_message_cost=0.0)
@@ -287,6 +287,35 @@ def test_tcp_client_whose_handshake_fails_ends_the_run():
     try:
         exc = _start(bench._run_clients, spec, hosted, TraceRecorder())(10)
     finally:
+        listener.close()
+    assert isinstance(exc, RuntimeError)
+    assert "handshake failed" in str(exc)
+    assert multiprocessing.active_children() == []
+
+
+def test_tcp_client_whose_agent_never_closes_ends_the_run():
+    # As above, but the stub keeps the first client's socket open after
+    # that client's half-close: its close must give up on the agent's EOF.
+    listener = framing.listen("127.0.0.1", 0)
+    held = []
+
+    def stub():
+        first, _ = listener.accept()
+        held.append(first)
+        (client_id,) = HELLO.unpack(recv_frame(first))
+        send_frame(first, HELLO.pack(client_id))
+        second, _ = listener.accept()
+        recv_frame(second)
+        framing.close(second)
+
+    threading.Thread(target=stub, daemon=True).start()
+    spec = WorkloadSpec(design=DESIGN_CLIENT_CENTRIC, transport=TRANSPORT_TCP, n_clients=2)
+    hosted = bench.HostedDesign(listener.getsockname(), 0, None, listener.close)
+    try:
+        exc = _start(bench._run_clients, spec, hosted, TraceRecorder())(CLOSE_WAIT_S + 5)
+    finally:
+        for sock in held:
+            framing.close(sock)
         listener.close()
     assert isinstance(exc, RuntimeError)
     assert "handshake failed" in str(exc)

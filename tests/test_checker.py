@@ -1,6 +1,7 @@
 """Checker oracle: constructed histories with known verdicts, plus the
 brute-force model check of the client-driven protocol."""
 
+import checker_reference as reference
 import pytest
 
 from lockbench.checker import (
@@ -8,6 +9,7 @@ from lockbench.checker import (
     DESIGN_CLIENT_CENTRIC,
     DESIGN_SERVER_SR,
     DESIGN_SERVER_TCP,
+    DESIGNS,
     DOUBLE_EXCLUSIVE,
     FIFO_VIOLATION,
     ORPHAN_EVENT,
@@ -98,8 +100,9 @@ def test_double_grant_to_same_client_is_orphan():
 
 
 def test_adjacent_intervals_do_not_overlap():
-    # Client 2 is granted at the instant client 1 releases; the tiebreak
-    # orders the release first, so no false positive.
+    # Client 2 is granted at the instant client 1 releases.  sort_events
+    # orders the GRANT before the REL/REQ; the half-open pairing of client
+    # 1's grant with that release prevents the false positive.
     events = lifecycle(1, E, 10, 20, 50) + [
         ev(30, 2, "ACQ", E, "REQ"),
         ev(50, 2, "ACQ", E, "GRANT"),
@@ -107,6 +110,51 @@ def test_adjacent_intervals_do_not_overlap():
         ev(61, 2, "REL", E, "ACK"),
     ]
     assert check_safety(events) == []
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_grant_in_the_nanosecond_of_a_release_is_adjacent_in_either_input_order(swap):
+    # The tied pair in sort order replays as given; swapped, it is sorted.
+    tied = [ev(50, 2, "ACQ", E, "GRANT"), ev(50, 1, "REL", E, "REQ")]
+    if swap:
+        tied.reverse()
+    events = [
+        ev(10, 1, "ACQ", E, "REQ"),
+        ev(20, 1, "ACQ", E, "GRANT"),
+        ev(30, 2, "ACQ", E, "REQ"),
+        *tied,
+        ev(51, 1, "REL", E, "ACK"),
+        ev(60, 2, "REL", E, "REQ"),
+        ev(61, 2, "REL", E, "ACK"),
+    ]
+    assert check_safety(events) == []
+    assert check_all(events, DESIGN_CLIENT_CENTRIC) == []
+
+
+def test_grant_a_nanosecond_before_a_release_overlaps():
+    events = lifecycle(1, E, 10, 20, 50) + lifecycle(2, E, 30, 49, 60)
+    assert kinds(check_safety(events)) == [DOUBLE_EXCLUSIVE]
+
+
+def test_duplicated_grant_in_a_tied_run_takes_the_release_it_pairs_with():
+    # Client 2 holds from 20.  At 50 client 1 is granted, client 2's grant
+    # is duplicated, and client 2's one REL/REQ pops the newer grant, so the
+    # grant from 20 is still held when client 1 is granted.
+    events = [
+        ev(10, 2, "ACQ", E, "REQ"),
+        ev(20, 2, "ACQ", E, "GRANT"),
+        ev(30, 1, "ACQ", E, "REQ"),
+        ev(50, 1, "ACQ", E, "GRANT"),
+        ev(50, 2, "ACQ", E, "GRANT"),
+        ev(50, 2, "REL", E, "REQ"),
+        ev(51, 2, "REL", E, "ACK"),
+        ev(60, 1, "REL", E, "REQ"),
+        ev(61, 1, "REL", E, "ACK"),
+    ]
+    assert check_safety(events) == reference.check_safety(events)
+    assert kinds(check_safety(events)) == [DOUBLE_EXCLUSIVE, ORPHAN_EVENT, DOUBLE_EXCLUSIVE]
+    for design in DESIGNS:
+        assert check_all(events, design) == reference.check_all(events, design)
 
 
 def test_sort_breaks_stamp_ties_by_lifecycle_phase():
