@@ -1,19 +1,25 @@
 """Offline safety and fairness oracle over recorded traces.
 
-Every check is a view of one replay, which reads each event once in
-`sort_events` order.  A recorder's merge leaves a trace in that order, so
-the replay only checks it as it goes, and sorts input that breaks it.
+Every check is a view of one replay.  The replay buckets events by item
+and replays each item in `seq` order, its position in the item's
+linearization; equal `seq`s keep input order, which for a recorder's
+merge is each client's program order.  No verdict reads a timestamp.
 
-Hold intervals are reconstructed per client as [ACQ/GRANT stamp, REL/REQ
-stamp).  Grants are stamped by the acquirer after the lock is won and
-release requests are stamped before the releasing verb or message is
-issued, so every stamped interval is contained in the true hold interval;
-on a shared monotonic clock an overlap between stamped intervals is
-therefore a real overlap, never a stamping artifact.  A holder's REL/REQ
-stamped in the same nanosecond as a GRANT sorts after it, so at a grant
-whose next event has the same stamp the replay looks ahead through that
-equal-stamp run: adjacent intervals do not overlap.  On a clock that never
-repeats a stamp, that costs one look at the next stamp per grant.
+Why replaying `seq` order is sound:
+
+- Client-centric: `seq` is the serial of the verb on the item's lock word,
+  so the replay is the word's own history.  A grant takes the serial of
+  the CAS that won, or of the FA or READ that saw no owner; a release, the
+  serial of its WRITE or FA(-1).
+- Server designs: `seq` is the item queue's counter, taken under the item
+  mutex by each request, grant and release, so the replay is the server's
+  own order.  The server's [grant, release] interval contains what the
+  client believes it holds: the client learns of the grant after the
+  server makes it, and releases before the server drops it.  A clean
+  replay therefore means clean client beliefs.
+
+See Herlihy & Wing, *Linearizability*, TOPLAS 1990, and Lamport, *Time,
+Clocks, and the Ordering of Events*, CACM 1978.
 
 The FIFO replay re-derives the server's admission rule from scratch (queue
 arrival order from server-stamped REQ events, grants admissible only from
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from itertools import islice
+from operator import itemgetter
 
 from .client_lm import ClientSession
 from .errors import AcquisitionTimeout, ProtocolError
@@ -38,14 +44,12 @@ from .trace import (
     MODE_EXCLUSIVE,
     MODE_SHARED,
     OP_ACQ,
-    OP_REL,
     OUT_ACK,
     OUT_GRANT,
     OUT_REQ,
     OUT_TIMEOUT,
     TraceEvent,
-    sort_events,  # re-exported: the order every verdict replays
-    sort_key,
+    sort_events,  # re-exported: the recorder's merge order
 )
 from .verbs import InprocFabric
 
@@ -76,50 +80,37 @@ class Violation:
         return f"{self.kind}: {self.detail}"
 
 
-_NEVER = float("inf")
+_seq = itemgetter(6)
 
 
-def _replay(events: list, fifo: bool, ordered: list | None = None) -> tuple[list, list, list]:
+def _replay(events: list, fifo: bool) -> tuple[list, list, list]:
     """(safety, conservation, FIFO) violations, the FIFO list empty unless
-    `fifo`, from one pass over `ordered` (default: `events`).  At an event
-    out of `sort_events` order it starts over on `sort_events(events)`.
-    The pass counts lifecycles and replays each item's holders and, if
-    `fifo`, its queue: arrival order from server-stamped REQs, admission by
-    the compatible head batch.  A holder is [grant event, release stamp]; a
-    REL/REQ stamps its client's newest open grant on the item."""
-    ordered = events if ordered is None else ordered
-    safety, fifo_violations = [], []
-    # item -> client -> requests, grants, shared and exclusive timeouts,
-    # releases, release acks, rollbacks, then the open grants (newest last).
-    lifecycles: dict[int, dict] = defaultdict(lambda: defaultdict(lambda: [0] * 7 + [[]]))
-    holders: dict[int, dict] = defaultdict(dict)  # item -> client -> [grant, release]
-    pre_released: set[tuple[int, int]] = set()
-    pending: dict[int, deque] = defaultdict(deque)  # item -> (client, mode, REQ event)
-    granted: dict[int, dict] = defaultdict(dict)  # item -> client -> mode
-    last = -_NEVER
-    after_last = len(ordered) - 1
-    for i, event in enumerate(ordered):
-        ts, client, item, op, mode, outcome = event
-        if ts <= last and (ts < last or sort_key(ordered[i - 1]) > sort_key(event)):
-            return _replay(events, fifo, sort_events(events))
-        last = ts
-        c = lifecycles[item][client]
-        if op == OP_ACQ:
-            if outcome == OUT_GRANT:
-                c[1] += 1
-                item_holders = holders[item]
-                if item_holders:
-                    if i < after_last and ordered[i + 1][0] == ts:
-                        _pair_releases_in_run(ordered, i, item_holders)
-                    expired = [h for h, (_, rel) in item_holders.items() if rel <= ts]
-                    for h in expired:
-                        del item_holders[h]
-                        pre_released.add((item, h))
-                    previous = item_holders.get(client)
+    `fifo`.  Per item, in `seq` order: count lifecycles, replay holders
+    (a GRANT checks the current holders, a REL/REQ removes one) and, if
+    `fifo`, the queue: arrival order from server-stamped REQs, admission
+    by the compatible head batch."""
+    by_item: dict[int, list] = defaultdict(list)
+    for event in events:
+        by_item[event[2]].append(event)
+    safety, fifo_violations, counts = [], [], {}
+    for item, bucket in by_item.items():
+        bucket.sort(key=_seq)
+        # client -> requests, grants, shared and exclusive timeouts,
+        # releases, release acks, rollbacks
+        lifecycles: dict[int, list] = defaultdict(lambda: [0] * 7)
+        holders: dict[int, TraceEvent] = {}  # client -> grant
+        pending: deque = deque()  # (client, mode, REQ event)
+        for event in bucket:
+            _, client, _, op, mode, outcome, _ = event
+            c = lifecycles[client]
+            if op == OP_ACQ:
+                if outcome == OUT_GRANT:
+                    c[1] += 1
+                    previous = holders.get(client)
                     if previous is not None:
                         message = f"client {client} granted item {item} twice"
-                        safety.append(Violation(ORPHAN_EVENT, message, (previous[0], event)))
-                    for other, _ in item_holders.values():
+                        safety.append(Violation(ORPHAN_EVENT, message, (previous, event)))
+                    for other in holders.values():
                         if other[1] != client and MODE_EXCLUSIVE in (mode, other[4]):
                             kind = DOUBLE_EXCLUSIVE if mode == other[4] else SHARED_EXCLUSIVE_OVERLAP
                             message = (
@@ -127,73 +118,43 @@ def _replay(events: list, fifo: bool, ordered: list | None = None) -> tuple[list
                                 f"overlaps client {other[1]} ({other[4]})"
                             )
                             safety.append(Violation(kind, message, (other, event)))
-                grant = [event, _NEVER]
-                c[7].append(grant)
-                item_holders[client] = grant
-                if fifo:
-                    item_pending = pending[item]
-                    if not _admits(item_pending, granted[item], client):  # noted, replay goes on
-                        message = f"item {item}: grant to client {client} jumps the queue"
-                        cited = (item_pending[0][2], event) if item_pending else (event,)
-                        fifo_violations.append(Violation(FIFO_VIOLATION, message, cited))
-                    for k, req in enumerate(item_pending):
-                        if req[0] == client:
-                            del item_pending[k]
-                            break
-                    granted[item][client] = mode
+                    if fifo:
+                        if not _admits(pending, holders, client):  # noted, replay goes on
+                            message = f"item {item}: grant to client {client} jumps the queue"
+                            cited = (pending[0][2], event) if pending else (event,)
+                            fifo_violations.append(Violation(FIFO_VIOLATION, message, cited))
+                        for k, req in enumerate(pending):
+                            if req[0] == client:
+                                del pending[k]
+                                break
+                    holders[client] = event
+                elif outcome == OUT_REQ:
+                    c[0] += 1
+                    if fifo:
+                        pending.append((client, mode, event))
+                elif outcome == OUT_TIMEOUT:
+                    c[2 if mode == MODE_SHARED else 3] += 1
             elif outcome == OUT_REQ:
-                c[0] += 1
-                if fifo:
-                    pending[item].append((client, mode, event))
+                c[4] += 1
+                if holders.pop(client, None) is None:
+                    message = f"client {client} released item {item} without holding it"
+                    safety.append(Violation(ORPHAN_EVENT, message, (event,)))
+            elif outcome == OUT_ACK:
+                c[5] += 1
             elif outcome == OUT_TIMEOUT:
-                c[2 if mode == MODE_SHARED else 3] += 1
-        elif outcome == OUT_REQ:
-            c[4] += 1
-            if c[7]:
-                c[7].pop()[1] = ts
-            if pre_released and (item, client) in pre_released:
-                pre_released.discard((item, client))
-            elif holders[item].pop(client, None) is None:
-                message = f"client {client} released item {item} without holding it"
-                safety.append(Violation(ORPHAN_EVENT, message, (event,)))
-            if fifo:
-                granted[item].pop(client, None)
-        elif outcome == OUT_ACK:
-            c[5] += 1
-        elif outcome == OUT_TIMEOUT:
-            c[6] += 1
-    return safety, _conservation(events, lifecycles), fifo_violations
+                c[6] += 1
+        for client, c in lifecycles.items():
+            counts[client, item] = c
+    return safety, _conservation(events, counts), fifo_violations
 
 
-def _pair_releases_in_run(ordered: list, i: int, item_holders: dict) -> None:
-    """Stamp now each open holder grant that a REL/REQ later in grant i's
-    equal-stamp run pops.  A REL/REQ pops its client's newest open grant on
-    the item: an open holder, except the granting client's, under grant i."""
-    ts, client, item = ordered[i][:3]
-    depth = {h: int(h == client) for h, (_, rel) in item_holders.items() if rel == _NEVER}
-    for e in islice(ordered, i + 1, None):
-        if e[0] != ts:
-            break
-        h = e[1]
-        if e[2] != item or h not in depth:
-            continue
-        if e[3] == OP_ACQ and e[5] == OUT_GRANT:
-            depth[h] += 1
-        elif e[3] == OP_REL and e[5] == OUT_REQ:
-            if depth[h]:
-                depth[h] -= 1
-            else:
-                item_holders[h][1] = ts
-                del depth[h]
-
-
-def _admits(pending: deque, granted: dict, client: int) -> bool:
+def _admits(pending: deque, holders: dict, client: int) -> bool:
     """Whether the FIFO admission rule may grant `client` right now."""
-    if not pending or MODE_EXCLUSIVE in granted.values():
+    if not pending or any(h[4] == MODE_EXCLUSIVE for h in holders.values()):
         return False
     head_client, head_mode, _ = pending[0]
     if head_mode == MODE_EXCLUSIVE:
-        return not granted and head_client == client
+        return not holders and head_client == client
     for req_client, req_mode, _ in pending:
         if req_mode != MODE_SHARED:
             return False
@@ -202,11 +163,10 @@ def _admits(pending: deque, granted: dict, client: int) -> bool:
     return False
 
 
-def _conservation(events: list, lifecycles: dict) -> list[Violation]:
-    counts = {(client, item): c for item, cs in lifecycles.items() for client, c in cs.items()}
+def _conservation(events: list, counts: dict) -> list[Violation]:
     flagged = []
     for key in sorted(counts):
-        req, grant, timeout_shared, timeout_excl, rel_req, rel_ack, rollback, _ = counts[key]
+        req, grant, timeout_shared, timeout_excl, rel_req, rel_ack, rollback = counts[key]
         answered = grant + timeout_shared + timeout_excl
         if req != answered:
             flagged.append((key, f"{req} acquire request(s) but {answered} grant(s)/timeout(s)"))
@@ -228,11 +188,10 @@ def _conservation(events: list, lifecycles: dict) -> list[Violation]:
 
 
 def check_safety(events) -> list[Violation]:
-    """Replay hold intervals per item; flag conflicting concurrent holders.
+    """Replay holders per item; flag conflicting concurrent holders.
 
-    A GRANT while an incompatible holder is still inside its stamped
-    interval is DOUBLE_EXCLUSIVE (both exclusive) or
-    SHARED_EXCLUSIVE_OVERLAP.  Releases of locks the trace never granted,
+    A GRANT while an incompatible holder has not yet released is
+    DOUBLE_EXCLUSIVE (both exclusive) or SHARED_EXCLUSIVE_OVERLAP.  Releases of locks the trace never granted,
     and grants to a client already holding the item, are ORPHAN_EVENT.
     """
     return _replay(list(events), False)[0]

@@ -18,7 +18,15 @@ trace stamps every request and grant, so it can be measured.
 A session's surface is `acquire(item, shared)` and `release(item)`, as for
 the server-centric client; the session records each held lock's mode.  A
 release whose verb fails raises ReleaseError and leaves the lock held, so
-the release may be retried; a retry stamps no second REL/REQ.
+the release may be retried.
+
+Each trace event carries the per-word serial of a verb as its `seq`: a
+GRANT the serial of the CAS that won, or of the FA or READ that saw no
+owner; REL/REQ and REL/ACK that of the release WRITE or FA(-1); ACQ/REQ
+that of the first verb; a TIMEOUT that of the last verb or of the
+rollback FA.  A request reads the clock before its first verb but is
+appended once that verb returns, so a REL/REQ is stamped only for a
+release that succeeded.
 
 A shared acquirer that exhausts its retry budget must undo its
 pre-increment with FA(-1), otherwise the leaked count would block
@@ -85,7 +93,6 @@ class ClientSession:
         self.max_retries = max_retries
         self._stamp = None if recorder is None else recorder.stamper(client_id)
         self._held: dict[int, str] = {}
-        self._releasing: set[int] = set()  # REL/REQ stamped, not yet released
         self._owner_word = encode(client_id, 0)
 
     def _pause(self) -> None:
@@ -111,27 +118,30 @@ class ClientSession:
         stamp, cid = self._stamp, self.client_id
         mode = MODE_SHARED if shared else MODE_EXCLUSIVE
         if stamp is not None:
-            stamp(_new_tuple(TraceEvent, (trace._clock(), cid, item_id, OP_ACQ, mode, OUT_REQ)))
+            requested = trace._clock()
         if shared:
             completion = qp.post_fa(region_id, offset, 1)
             if completion.status != _OK:
                 raise ProtocolError(f"shared FA failed: {completion.status.name}")
+            if stamp is not None:
+                stamp(_new_tuple(
+                    TraceEvent, (requested, cid, item_id, OP_ACQ, mode, OUT_REQ, completion.serial)))
             owner = int.from_bytes(completion.payload, "little") >> 32
             polls = 0
             while owner:
                 polls += 1
                 if max_retries is not None and polls > max_retries:
                     if stamp is not None:
-                        stamp(_new_tuple(
-                            TraceEvent, (trace._clock(), cid, item_id, OP_ACQ, mode, OUT_TIMEOUT)))
+                        stamp(_new_tuple(TraceEvent, (
+                            trace._clock(), cid, item_id, OP_ACQ, mode, OUT_TIMEOUT, completion.serial)))
                     completion = qp.post_fa(region_id, offset, U64_MINUS_ONE)  # the rollback
                     if completion.status != _OK:
                         raise ProtocolError(f"shared release FA failed: {completion.status.name}")
                     if not int.from_bytes(completion.payload, "little") & U32_MASK:
                         raise ProtocolError(f"shared count underflow on item {item_id}")
                     if stamp is not None:
-                        stamp(_new_tuple(
-                            TraceEvent, (trace._clock(), cid, item_id, OP_REL, mode, OUT_TIMEOUT)))
+                        stamp(_new_tuple(TraceEvent, (
+                            trace._clock(), cid, item_id, OP_REL, mode, OUT_TIMEOUT, completion.serial)))
                     raise AcquisitionTimeout(
                         f"shared acquire of item {item_id} gave up after {polls - 1} polls"
                     )
@@ -142,26 +152,31 @@ class ClientSession:
                 owner = int.from_bytes(completion.payload, "little")
         else:
             owner_word = self._owner_word
+            completion = qp.post_cas(region_id, offset, 0, owner_word)
+            if completion.status != _OK:
+                raise ProtocolError(f"exclusive CAS failed: {completion.status.name}")
+            if stamp is not None:
+                stamp(_new_tuple(
+                    TraceEvent, (requested, cid, item_id, OP_ACQ, mode, OUT_REQ, completion.serial)))
             failures = 0
-            while True:
-                completion = qp.post_cas(region_id, offset, 0, owner_word)
-                if completion.status != _OK:
-                    raise ProtocolError(f"exclusive CAS failed: {completion.status.name}")
-                if not int.from_bytes(completion.payload, "little"):
-                    break
+            while int.from_bytes(completion.payload, "little"):
                 failures += 1
                 if max_retries is not None and failures > max_retries:
                     # The failed CASes never modified the word: nothing to undo.
                     if stamp is not None:
-                        stamp(_new_tuple(
-                            TraceEvent, (trace._clock(), cid, item_id, OP_ACQ, mode, OUT_TIMEOUT)))
+                        stamp(_new_tuple(TraceEvent, (
+                            trace._clock(), cid, item_id, OP_ACQ, mode, OUT_TIMEOUT, completion.serial)))
                     raise AcquisitionTimeout(
                         f"exclusive acquire of item {item_id} gave up after {failures} attempts"
                     )
                 self._pause()
+                completion = qp.post_cas(region_id, offset, 0, owner_word)
+                if completion.status != _OK:
+                    raise ProtocolError(f"exclusive CAS failed: {completion.status.name}")
         self._held[item_id] = mode
         if stamp is not None:
-            stamp(_new_tuple(TraceEvent, (trace._clock(), cid, item_id, OP_ACQ, mode, OUT_GRANT)))
+            stamp(_new_tuple(
+                TraceEvent, (trace._clock(), cid, item_id, OP_ACQ, mode, OUT_GRANT, completion.serial)))
 
     # -- release ---------------------------------------------------------
 
@@ -174,10 +189,8 @@ class ClientSession:
             raise ProtocolError(f"releasing item {item_id} that is not held")
         offset = item_id * WORD_SIZE
         stamp, cid = self._stamp, self.client_id
-        if item_id not in self._releasing:  # a retry continues the stamped release
-            if stamp is not None:
-                stamp(_new_tuple(TraceEvent, (trace._clock(), cid, item_id, OP_REL, mode, OUT_REQ)))
-            self._releasing.add(item_id)
+        if stamp is not None:
+            requested = trace._clock()
         if mode == MODE_SHARED:
             completion = self.qp.post_fa(self._region_id, offset, U64_MINUS_ONE)
             if completion.status != _OK:
@@ -188,10 +201,11 @@ class ClientSession:
             completion = self.qp.post_write(self._region_id, offset + HALF_SIZE, _ZERO_HALF)
             if completion.status != _OK:
                 raise ReleaseError(f"exclusive release WRITE failed: {completion.status.name}")
-        self._releasing.discard(item_id)
         del self._held[item_id]
         if stamp is not None:
-            stamp(_new_tuple(TraceEvent, (trace._clock(), cid, item_id, OP_REL, mode, OUT_ACK)))
+            seq = completion.serial
+            stamp(_new_tuple(TraceEvent, (requested, cid, item_id, OP_REL, mode, OUT_REQ, seq)))
+            stamp(_new_tuple(TraceEvent, (trace._clock(), cid, item_id, OP_REL, mode, OUT_ACK, seq)))
 
     def close(self) -> None:
         self.qp.close()

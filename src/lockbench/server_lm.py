@@ -1,11 +1,13 @@
 """Server-centric lock manager.
 
 A central server keeps one FIFO queue per item, each guarded by its own
-mutex.  Lock and release messages are 17-byte records; the server grants
+mutex.  Lock and release messages are 25-byte records; the server grants
 the queue head when compatible, batching consecutive SHARED requests.
 Admission is strict FIFO: a SHARED request arriving behind a queued
 EXCLUSIVE request waits even while other SHARED holders are active, which
-keeps writers from starving.
+keeps writers from starving.  Each item's requests, grants and releases
+take the next value of the item's counter under its mutex; GRANT and ACK
+replies carry that value, and the client stamps it as the event's `seq`.
 
 Two frontends carry the same protocol: a socket-style frontend and a
 SEND/RECV verb frontend.  Each charges a configurable amount of busy CPU
@@ -47,7 +49,7 @@ from .trace import (
 )
 from .verbs import _OK, _RNR, QueuePair, SrListener
 
-MESSAGE = struct.Struct("<BIIQ")  # op, client_id, item_id, request_id
+MESSAGE = struct.Struct("<BIIQQ")  # op, client_id, item_id, request_id, seq
 MESSAGE_SIZE = MESSAGE.size
 _PREFIX = _LEN.pack(MESSAGE_SIZE)
 _FRAME_SIZE = len(_PREFIX) + MESSAGE_SIZE
@@ -68,20 +70,21 @@ DEFAULT_TCP_MESSAGE_COST = 20e-6
 DEFAULT_SR_MESSAGE_COST = 2e-6
 
 
-def pack_message(op: int, client_id: int, item_id: int, request_id: int) -> bytes:
-    return MESSAGE.pack(op, client_id, item_id, request_id)
+def pack_message(op: int, client_id: int, item_id: int, request_id: int, seq: int = 0) -> bytes:
+    return MESSAGE.pack(op, client_id, item_id, request_id, seq)
 
 
-def unpack_message(data: bytes) -> tuple[int, int, int, int]:
+def unpack_message(data: bytes) -> tuple[int, int, int, int, int]:
     return MESSAGE.unpack(data)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LockRequest:
     request_id: int
     client_id: int
     item_id: int
     mode: str
+    seq: int = 0  # set when granted
 
 
 @dataclass(slots=True)
@@ -90,6 +93,7 @@ class ItemQueue:
     mutex: threading.Lock = field(default_factory=threading.Lock)
     pending: deque = field(default_factory=deque)
     granted: dict = field(default_factory=dict)  # client_id -> mode
+    seqs: itertools.count = field(default_factory=lambda: itertools.count(1))
 
 
 def grant_scan(item_queue: ItemQueue) -> list[LockRequest]:
@@ -119,6 +123,14 @@ def grant_scan(item_queue: ItemQueue) -> list[LockRequest]:
     return newly
 
 
+def _grant(item_queue: ItemQueue) -> list[LockRequest]:
+    """`grant_scan`, each grant given the item's next `seq` (mutex held)."""
+    newly = grant_scan(item_queue)
+    for req in newly:
+        req.seq = next(item_queue.seqs)
+    return newly
+
+
 class LockServerCore:
     """Frontend-independent lock state: item queues, grants, validation."""
 
@@ -143,21 +155,24 @@ class LockServerCore:
             ):
                 return f"client {client_id} already acquired item {item_id}", []
             item.pending.append(LockRequest(request_id, client_id, item_id, mode))
+            seq = next(item.seqs)
             stamp = self._stamp
             if stamp is not None:
-                stamp(_new_tuple(TraceEvent, (trace._clock(), client_id, item_id, OP_ACQ, mode, OUT_REQ)))
-            return None, grant_scan(item)
+                stamp(_new_tuple(
+                    TraceEvent, (trace._clock(), client_id, item_id, OP_ACQ, mode, OUT_REQ, seq)))
+            return None, _grant(item)
 
-    def release(self, client_id: int, item_id: int) -> tuple[str | None, list[LockRequest]]:
-        """Drop a grant; returns (error, follow-on grants)."""
+    def release(self, client_id: int, item_id: int) -> tuple[str | None, list[LockRequest], int]:
+        """Drop a grant; returns (error, follow-on grants, the release's seq)."""
         if not 0 <= item_id < self.n_items:
-            return f"unknown item {item_id}", []
+            return f"unknown item {item_id}", [], 0
         item = self._items[item_id]
         with item.mutex:
             if client_id not in item.granted:
-                return f"client {client_id} does not hold item {item_id}", []
+                return f"client {client_id} does not hold item {item_id}", [], 0
             del item.granted[client_id]
-            return None, grant_scan(item)
+            seq = next(item.seqs)
+            return None, _grant(item), seq
 
     def drop_client(self, client_id: int) -> list[LockRequest]:
         """Drop a departed client's grants and queued requests; returns
@@ -170,7 +185,7 @@ class LockServerCore:
                     if req.client_id == client_id:
                         item.pending.remove(req)
                         break
-                grants += grant_scan(item)
+                grants += _grant(item)
         return grants
 
     def pending_count(self) -> int:
@@ -255,8 +270,8 @@ class MessageCostModel:
 
 
 # ---------------------------------------------------------------------------
-# Connection plumbing.  Every endpoint speaks 17-byte messages; the server
-# binds client_id -> endpoint on first contact until the endpoint closes,
+# Connection plumbing.  Every endpoint speaks MESSAGE_SIZE-byte messages; the
+# server binds client_id -> endpoint on first contact until the endpoint closes,
 # so grants reach waiting clients from whichever thread frees them.
 
 
@@ -507,14 +522,14 @@ class LockServer:
     def _push_grant(self, g: LockRequest) -> None:
         endpoint = self._endpoints.get(g.client_id)
         if endpoint is not None:
-            endpoint.send_reply(pack_message(MSG_GRANT, g.client_id, g.item_id, g.request_id))
+            endpoint.send_reply(pack_message(MSG_GRANT, g.client_id, g.item_id, g.request_id, g.seq))
         # Else the client's connection closed, and its purge drops the lock.
 
     def _dispatch(self, endpoint, data: bytes) -> bool:
         """Serve one request from `endpoint`; False for a malformed frame."""
         self.cost.charge()
         try:
-            op, client_id, item_id, request_id = unpack_message(data)
+            op, client_id, item_id, request_id, _ = unpack_message(data)
         except struct.error:
             return False
         if self._endpoints.get(client_id) is not endpoint and not self._bind(client_id, endpoint):
@@ -523,9 +538,9 @@ class LockServer:
         if op in (MSG_ACQ_SHARED, MSG_ACQ_EXCL):
             error, grants = self.core.acquire(client_id, item_id, op == MSG_ACQ_SHARED, request_id)
         elif op == MSG_RELEASE:
-            error, grants = self.core.release(client_id, item_id)
+            error, grants, seq = self.core.release(client_id, item_id)
             if error is None:
-                endpoint.send_reply(pack_message(MSG_ACK, client_id, item_id, request_id))
+                endpoint.send_reply(pack_message(MSG_ACK, client_id, item_id, request_id, seq))
         else:
             error, grants = "unknown op", []
         if error is not None:
@@ -579,7 +594,7 @@ class ServerLockClient:
         cid, stamp, request_id = self.client_id, self._stamp, next(self._request_ids)
         op = MSG_ACQ_SHARED if shared else MSG_ACQ_EXCL
         reply = self.conn.rpc(pack_message(op, cid, item_id, request_id))
-        rop, _, ritem, rrid = unpack_message(reply)
+        rop, _, ritem, rrid, seq = unpack_message(reply)
         if rop == MSG_ERROR:
             raise ProtocolError(f"acquire rejected for item {item_id}")
         if rop != MSG_GRANT or ritem != item_id or rrid != request_id:
@@ -587,7 +602,7 @@ class ServerLockClient:
         mode = MODE_SHARED if shared else MODE_EXCLUSIVE
         self._held[item_id] = mode
         if stamp is not None:
-            stamp(_new_tuple(TraceEvent, (trace._clock(), cid, item_id, OP_ACQ, mode, OUT_GRANT)))
+            stamp(_new_tuple(TraceEvent, (trace._clock(), cid, item_id, OP_ACQ, mode, OUT_GRANT, seq)))
 
     def release(self, item_id: int) -> None:
         mode = self._held.get(item_id)
@@ -595,16 +610,17 @@ class ServerLockClient:
             raise ProtocolError(f"releasing item {item_id} that is not held")
         cid, stamp, request_id = self.client_id, self._stamp, next(self._request_ids)
         if stamp is not None:
-            stamp(_new_tuple(TraceEvent, (trace._clock(), cid, item_id, OP_REL, mode, OUT_REQ)))
+            requested = trace._clock()
         reply = self.conn.rpc(pack_message(MSG_RELEASE, cid, item_id, request_id))
-        rop, _, ritem, rrid = unpack_message(reply)
+        rop, _, ritem, rrid, seq = unpack_message(reply)
         if rop == MSG_ERROR:
             raise ProtocolError(f"release rejected for item {item_id}")
         if rop != MSG_ACK or ritem != item_id or rrid != request_id:
             raise ProtocolError(f"unexpected reply op={rop} item={ritem}")
         del self._held[item_id]
         if stamp is not None:
-            stamp(_new_tuple(TraceEvent, (trace._clock(), cid, item_id, OP_REL, mode, OUT_ACK)))
+            stamp(_new_tuple(TraceEvent, (requested, cid, item_id, OP_REL, mode, OUT_REQ, seq)))
+            stamp(_new_tuple(TraceEvent, (trace._clock(), cid, item_id, OP_REL, mode, OUT_ACK, seq)))
 
     def close(self) -> None:
         self.conn.close()

@@ -1,19 +1,22 @@
 """Trace events and the on-disk trace format.
 
-One event per line: `timestamp_ns,client_id,item_id,op,mode,outcome` with
-mode in {SHARED, EXCLUSIVE} and (op, outcome) one of the six pairs in
+One event per line: `timestamp_ns,client_id,item_id,op,mode,outcome,seq`
+with mode in {SHARED, EXCLUSIVE} and (op, outcome) one of the six pairs in
 `PHASE_RANK`: ACQ with REQ, GRANT or TIMEOUT; REL with REQ, TIMEOUT or ACK.
-Timestamps come from the shared monotonic clock. In a merged trace they
-are strictly increasing per recording source, so a sorted trace preserves
-each client's program order.
+`seq` is the event's position in its item's linearization: the serial of
+the verb on the item's lock word (client-centric) or the item queue's
+counter under its mutex (server designs).  One client's events may share a
+`seq`; they keep program order.  Timestamps come from the shared monotonic
+clock and feed only latencies.  They never decrease within a client's
+buffer, so a stable sort by stamp keeps each client's program order.
 """
 
 from __future__ import annotations
 
 import time
 from collections import defaultdict
-from itertools import chain, islice
-from operator import itemgetter, lt
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 OP_ACQ = "ACQ"
@@ -30,16 +33,17 @@ OUT_ACK = "ACK"
 OUT_TIMEOUT = "TIMEOUT"
 OUTCOMES = (OUT_REQ, OUT_GRANT, OUT_ACK, OUT_TIMEOUT)
 
-# The (op, outcome) pairs recorders stamp, each with its lifecycle phase,
-# which orders equal stamps: REQ precedes GRANT precedes release.
-PHASE_RANK = {
-    (OP_ACQ, OUT_REQ): 0,
-    (OP_ACQ, OUT_GRANT): 1,
-    (OP_ACQ, OUT_TIMEOUT): 1,
-    (OP_REL, OUT_REQ): 2,
-    (OP_REL, OUT_TIMEOUT): 2,
-    (OP_REL, OUT_ACK): 3,
-}
+# The (op, outcome) pairs recorders stamp.
+PHASE_RANK = frozenset(
+    {
+        (OP_ACQ, OUT_REQ),
+        (OP_ACQ, OUT_GRANT),
+        (OP_ACQ, OUT_TIMEOUT),
+        (OP_REL, OUT_REQ),
+        (OP_REL, OUT_TIMEOUT),
+        (OP_REL, OUT_ACK),
+    }
+)
 
 
 class TraceEvent(NamedTuple):
@@ -49,6 +53,7 @@ class TraceEvent(NamedTuple):
     op: str
     mode: str
     outcome: str
+    seq: int = 0
 
 
 class TraceParseError(Exception):
@@ -66,24 +71,25 @@ def format_event(event: TraceEvent) -> str:
             event.op,
             event.mode,
             event.outcome,
+            str(event.seq),
         )
     )
 
 
 def parse_line(line: str, lineno: int) -> TraceEvent:
     parts = line.strip().split(",")
-    if len(parts) != 6:
-        raise TraceParseError(lineno, f"expected 6 fields, got {len(parts)}")
-    ts_s, client_s, item_s, op, mode, outcome = parts
+    if len(parts) != 7:
+        raise TraceParseError(lineno, f"expected 7 fields, got {len(parts)}")
+    ts_s, client_s, item_s, op, mode, outcome, seq_s = parts
     try:
-        ts, client, item = int(ts_s), int(client_s), int(item_s)
+        ts, client, item, seq = int(ts_s), int(client_s), int(item_s), int(seq_s)
     except ValueError as exc:
         raise TraceParseError(lineno, str(exc)) from None
     if mode not in MODES:
         raise TraceParseError(lineno, f"unknown mode {mode!r}")
     if (op, outcome) not in PHASE_RANK:
         raise TraceParseError(lineno, f"no recorder stamps {op}/{outcome}")
-    return TraceEvent(ts, client, item, op, mode, outcome)
+    return TraceEvent(ts, client, item, op, mode, outcome, seq)
 
 
 def write_trace(path, events: Iterable[TraceEvent]) -> None:
@@ -105,22 +111,9 @@ def read_trace(path) -> list[TraceEvent]:
 _timestamp = itemgetter(0)
 
 
-def sort_key(e: TraceEvent):
-    """Stamp; equal stamps by lifecycle phase, client, item."""
-    return e[0], PHASE_RANK[(e[3], e[5])], e[1], e[2]
-
-
 def sort_events(events) -> list[TraceEvent]:
-    """Order by `sort_key`; full ties keep input order."""
-    return sorted(events, key=sort_key)
-
-
-def _bump(buffer):
-    """One source's events by stamp (stable), each moved to `max(ts, last + 1)`."""
-    last = -1
-    for e in sorted(buffer, key=_timestamp):
-        last = max(e[0], last + 1)
-        yield e if e[0] == last else e._replace(timestamp_ns=last)
+    """Order by stamp; equal stamps keep input order."""
+    return sorted(events, key=_timestamp)
 
 
 _clock = time.monotonic_ns
@@ -130,11 +123,12 @@ _new_tuple = tuple.__new__
 class TraceRecorder:
     """Append-only event buffers, one per recording source (client ID, or 0
     for the server).  An actor appends `tuple.__new__(TraceEvent,
-    (trace._clock(), ...))` to its source's `stamper` inline, taking no lock
-    (list.append is atomic under the GIL).  `sorted_events` merges by stamp;
-    only when two stamps are equal does it `_bump` each buffer's equal stamps
-    apart.  The in-process server's buffer is appended to from several client
-    threads, so its append order need not be its stamp order."""
+    (trace._clock(), ..., seq))` to its source's `stamper` inline, taking no
+    lock (list.append is atomic under the GIL).  `sorted_events` merges the
+    buffers by stamp.  The in-process server's buffer is appended to from
+    several client threads, so its append order need not be its stamp
+    order; per item it is, since each item's stamps are taken under the
+    item's mutex."""
 
     def __init__(self):
         self._buffers: defaultdict[int, list[TraceEvent]] = defaultdict(list)
@@ -145,14 +139,12 @@ class TraceRecorder:
         return self._buffers[source].append
 
     def record(self, source: int, client_id: int, item_id: int, op: str, mode: str, outcome: str) -> None:
-        self._buffers[source].append(_new_tuple(TraceEvent, (_clock(), client_id, item_id, op, mode, outcome)))
+        """Stamp one event now, with `seq` 0."""
+        event = (_clock(), client_id, item_id, op, mode, outcome, 0)
+        self._buffers[source].append(_new_tuple(TraceEvent, event))
 
     def extend(self, events: Iterable[TraceEvent]) -> None:
         self._extended.extend(events)
 
     def sorted_events(self) -> list[TraceEvent]:
-        ordered = sorted(chain(self._extended, *self._buffers.values()), key=_timestamp)
-        stamps = list(map(_timestamp, ordered))
-        if all(map(lt, stamps, islice(stamps, 1, None))):  # no two stamps equal
-            return ordered
-        return sort_events(chain(self._extended, *map(_bump, self._buffers.values())))
+        return sort_events(chain(self._extended, *self._buffers.values()))

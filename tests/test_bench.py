@@ -224,6 +224,34 @@ def test_unbalanced_release_is_caught_at_quiescence(monkeypatch):
         run_workload(WorkloadSpec(design=DESIGN_CLIENT_CENTRIC, **dict(FAST, n_clients=1)))
 
 
+def test_a_server_that_breaks_fifo_fails_the_run(monkeypatch):
+    # A mutant admission rule: when the real one admits nothing and no
+    # EXCLUSIVE is held, admit the first SHARED request queued behind an
+    # EXCLUSIVE one.  Safe, so only the FIFO replay can catch it.
+    from lockbench import server_lm
+    from lockbench.checker import FIFO_VIOLATION
+    from lockbench.trace import MODE_EXCLUSIVE, MODE_SHARED
+
+    real_scan = server_lm.grant_scan
+
+    def jumping_scan(item_queue):
+        newly = real_scan(item_queue)
+        if newly or MODE_EXCLUSIVE in item_queue.granted.values():
+            return newly
+        for req in item_queue.pending:
+            if req.mode == MODE_SHARED:
+                item_queue.pending.remove(req)
+                item_queue.granted[req.client_id] = MODE_SHARED
+                return [req]
+        return []
+
+    monkeypatch.setattr(server_lm, "grant_scan", jumping_scan)
+    spec = WorkloadSpec(design=DESIGN_SERVER_SR, n_clients=8, n_items=1, ops_per_client=500)
+    with pytest.raises(RunCheckError) as exc_info:
+        run_workload(spec)
+    assert FIFO_VIOLATION in {v.kind for v in exc_info.value.violations}
+
+
 def _start(fn, *args):
     """Run `fn(*args)` on a daemon thread.  No pytest-timeout is installed,
     so each test bounds its own wait: `raised(seconds)` joins the thread

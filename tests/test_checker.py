@@ -21,15 +21,16 @@ from lockbench.checker import (
     check_fifo,
     check_safety,
     explore,
-    sort_events,
 )
 from lockbench.trace import MODE_EXCLUSIVE, MODE_SHARED, TraceEvent
 
 E, S = MODE_EXCLUSIVE, MODE_SHARED
 
 
-def ev(ts, client, op, mode, outcome, item=0):
-    return TraceEvent(ts, client, item, op, mode, outcome)
+def ev(ts, client, op, mode, outcome, item=0, seq=None):
+    """An event whose `seq` is its stamp unless given: stamp order is then
+    the item's linearization."""
+    return TraceEvent(ts, client, item, op, mode, outcome, ts if seq is None else seq)
 
 
 def lifecycle(client, mode, t0, t_grant, t_rel, item=0):
@@ -100,35 +101,49 @@ def test_double_grant_to_same_client_is_orphan():
 
 
 def test_adjacent_intervals_do_not_overlap():
-    # Client 2 is granted at the instant client 1 releases.  sort_events
-    # orders the GRANT before the REL/REQ; the half-open pairing of client
-    # 1's grant with that release prevents the false positive.
+    # Client 2 is granted at the instant client 1 releases, after the
+    # release (and its ack, seq 51) in the item's linearization.
     events = lifecycle(1, E, 10, 20, 50) + [
         ev(30, 2, "ACQ", E, "REQ"),
-        ev(50, 2, "ACQ", E, "GRANT"),
+        ev(50, 2, "ACQ", E, "GRANT", seq=52),
         ev(60, 2, "REL", E, "REQ"),
         ev(61, 2, "REL", E, "ACK"),
     ]
     assert check_safety(events) == []
+
+
+def _handover(release_first):
+    """Client 1 holds item 0 exclusively; client 2 is granted it in the
+    nanosecond client 1 releases it, at seq 5 after the release's 4 or at 4
+    before the release's 5.  A REL/ACK shares its REL/REQ's seq."""
+    grant_seq, release_seq = (5, 4) if release_first else (4, 5)
+    tied = [ev(50, 2, "ACQ", E, "GRANT", seq=grant_seq), ev(50, 1, "REL", E, "REQ", seq=release_seq)]
+    return [
+        ev(10, 1, "ACQ", E, "REQ", seq=1),
+        ev(20, 1, "ACQ", E, "GRANT", seq=2),
+        ev(30, 2, "ACQ", E, "REQ", seq=3),
+        *tied,
+        ev(51, 1, "REL", E, "ACK", seq=release_seq),
+        ev(60, 2, "REL", E, "REQ", seq=6),
+        ev(61, 2, "REL", E, "ACK", seq=6),
+    ]
 
 
 @pytest.mark.parametrize("swap", [False, True])
 def test_grant_in_the_nanosecond_of_a_release_is_adjacent_in_either_input_order(swap):
-    # The tied pair in sort order replays as given; swapped, it is sorted.
-    tied = [ev(50, 2, "ACQ", E, "GRANT"), ev(50, 1, "REL", E, "REQ")]
+    # The release's seq comes first, so the stamps' tie does not matter.
+    events = _handover(release_first=True)
     if swap:
-        tied.reverse()
-    events = [
-        ev(10, 1, "ACQ", E, "REQ"),
-        ev(20, 1, "ACQ", E, "GRANT"),
-        ev(30, 2, "ACQ", E, "REQ"),
-        *tied,
-        ev(51, 1, "REL", E, "ACK"),
-        ev(60, 2, "REL", E, "REQ"),
-        ev(61, 2, "REL", E, "ACK"),
-    ]
+        events[3], events[4] = events[4], events[3]
     assert check_safety(events) == []
-    assert check_all(events, DESIGN_CLIENT_CENTRIC) == []
+    for design in DESIGNS:
+        assert check_all(events, design) == []
+
+
+def test_a_grant_sequenced_before_the_release_overlaps_at_equal_stamps():
+    events = _handover(release_first=False)
+    assert kinds(check_safety(events)) == [DOUBLE_EXCLUSIVE]
+    assert kinds(check_all(events, DESIGN_SERVER_SR)) == [DOUBLE_EXCLUSIVE, FIFO_VIOLATION]
 
 
 def test_grant_a_nanosecond_before_a_release_overlaps():
@@ -137,19 +152,19 @@ def test_grant_a_nanosecond_before_a_release_overlaps():
 
 
 def test_duplicated_grant_in_a_tied_run_takes_the_release_it_pairs_with():
-    # Client 2 holds from 20.  At 50 client 1 is granted, client 2's grant
-    # is duplicated, and client 2's one REL/REQ pops the newer grant, so the
-    # grant from 20 is still held when client 1 is granted.
+    # Client 2 holds from seq 2.  In one nanosecond client 1 is granted
+    # (seq 4), client 2's grant is duplicated (seq 5), and client 2's one
+    # REL/REQ (seq 6) ends client 2's hold, so client 1 alone holds after it.
     events = [
-        ev(10, 2, "ACQ", E, "REQ"),
-        ev(20, 2, "ACQ", E, "GRANT"),
-        ev(30, 1, "ACQ", E, "REQ"),
-        ev(50, 1, "ACQ", E, "GRANT"),
-        ev(50, 2, "ACQ", E, "GRANT"),
-        ev(50, 2, "REL", E, "REQ"),
-        ev(51, 2, "REL", E, "ACK"),
-        ev(60, 1, "REL", E, "REQ"),
-        ev(61, 1, "REL", E, "ACK"),
+        ev(10, 2, "ACQ", E, "REQ", seq=1),
+        ev(20, 2, "ACQ", E, "GRANT", seq=2),
+        ev(30, 1, "ACQ", E, "REQ", seq=3),
+        ev(50, 1, "ACQ", E, "GRANT", seq=4),
+        ev(50, 2, "ACQ", E, "GRANT", seq=5),
+        ev(50, 2, "REL", E, "REQ", seq=6),
+        ev(51, 2, "REL", E, "ACK", seq=6),
+        ev(60, 1, "REL", E, "REQ", seq=7),
+        ev(61, 1, "REL", E, "ACK", seq=7),
     ]
     assert check_safety(events) == reference.check_safety(events)
     assert kinds(check_safety(events)) == [DOUBLE_EXCLUSIVE, ORPHAN_EVENT, DOUBLE_EXCLUSIVE]
@@ -157,20 +172,36 @@ def test_duplicated_grant_in_a_tied_run_takes_the_release_it_pairs_with():
         assert check_all(events, design) == reference.check_all(events, design)
 
 
-def test_sort_breaks_stamp_ties_by_lifecycle_phase():
-    scrambled = [
-        ev(10, 1, "REL", E, "ACK"),
-        ev(10, 1, "ACQ", E, "GRANT"),
-        ev(10, 1, "REL", E, "REQ"),
-        ev(10, 1, "ACQ", E, "REQ"),
+def test_verdicts_follow_seq_not_stamps():
+    # Stamps that overlap with seqs that do not, and the other way round.
+    apart = lifecycle(1, E, 10, 20, 80) + [
+        ev(30, 2, "ACQ", E, "REQ", seq=81),
+        ev(40, 2, "ACQ", E, "GRANT", seq=82),
+        ev(70, 2, "REL", E, "REQ", seq=83),
+        ev(71, 2, "REL", E, "ACK", seq=84),
     ]
-    ordered = sort_events(scrambled)
-    assert [(e.op, e.outcome) for e in ordered] == [
-        ("ACQ", "REQ"),
-        ("ACQ", "GRANT"),
-        ("REL", "REQ"),
-        ("REL", "ACK"),
+    assert check_all(apart, DESIGN_SERVER_TCP) == []
+    overlapping = lifecycle(1, E, 10, 20, 30) + [
+        ev(40, 2, "ACQ", E, "REQ", seq=11),
+        ev(50, 2, "ACQ", E, "GRANT", seq=21),
+        ev(60, 2, "REL", E, "REQ"),
+        ev(61, 2, "REL", E, "ACK"),
     ]
+    assert kinds(check_safety(overlapping)) == [DOUBLE_EXCLUSIVE]
+
+
+def test_equal_seqs_keep_input_order():
+    # One client's events may share a seq (the FA that both registers and
+    # grants a reader); the replay keeps them in the order given.
+    granted_then_released = [
+        ev(10, 1, "ACQ", S, "REQ", seq=1),
+        ev(11, 1, "ACQ", S, "GRANT", seq=1),
+        ev(12, 1, "REL", S, "REQ", seq=1),
+        ev(13, 1, "REL", S, "ACK", seq=1),
+    ]
+    assert check_all(granted_then_released, DESIGN_CLIENT_CENTRIC) == []
+    released_first = [granted_then_released[i] for i in (0, 2, 1, 3)]
+    assert kinds(check_safety(released_first)) == [ORPHAN_EVENT]
 
 
 # -- check_fifo ---------------------------------------------------------------

@@ -25,10 +25,12 @@ def test_bench_single_run_prints_summary(capsys):
     assert "75 locks" in out
 
 
-def test_bench_writes_csv_and_trace(tmp_path, capsys):
+@pytest.mark.parametrize("design", ["client-centric", "server-sr"])
+def test_bench_writes_csv_and_trace(tmp_path, capsys, design):
     csv_path = tmp_path / "run.csv"
     trace_path = tmp_path / "run.trace"
-    argv = BENCH_FAST + ["--csv", str(csv_path), "--trace", str(trace_path)]
+    argv = ["bench", "--design", design, "--clients", "3", "--items", "2", "--ops", "25"]
+    argv += ["--csv", str(csv_path), "--trace", str(trace_path)]
     assert main(argv) == 0
     with open(csv_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -36,7 +38,7 @@ def test_bench_writes_csv_and_trace(tmp_path, capsys):
     assert rows[0]["total_locks"] == "75"
     assert trace_path.read_text().count("\n") == 4 * 75
     # The written trace passes its own checker.
-    assert main(["check", str(trace_path), "--design", "client-centric"]) == 0
+    assert main(["check", str(trace_path), "--design", design]) == 0
 
 
 def test_bench_sweep_prints_one_row_per_point(tmp_path, capsys):
@@ -58,10 +60,10 @@ def test_bench_sweep_flags_are_mutually_exclusive(capsys):
 def test_check_accepts_clean_trace(tmp_path, capsys):
     path = tmp_path / "clean.trace"
     write_trace(path, [
-        TraceEvent(1, 1, 0, "ACQ", "EXCLUSIVE", "REQ"),
-        TraceEvent(2, 1, 0, "ACQ", "EXCLUSIVE", "GRANT"),
-        TraceEvent(3, 1, 0, "REL", "EXCLUSIVE", "REQ"),
-        TraceEvent(4, 1, 0, "REL", "EXCLUSIVE", "ACK"),
+        TraceEvent(1, 1, 0, "ACQ", "EXCLUSIVE", "REQ", 1),
+        TraceEvent(2, 1, 0, "ACQ", "EXCLUSIVE", "GRANT", 2),
+        TraceEvent(3, 1, 0, "REL", "EXCLUSIVE", "REQ", 3),
+        TraceEvent(4, 1, 0, "REL", "EXCLUSIVE", "ACK", 3),
     ])
     assert main(["check", str(path)]) == 0
     assert "no violations" in capsys.readouterr().out
@@ -70,10 +72,10 @@ def test_check_accepts_clean_trace(tmp_path, capsys):
 def test_check_flags_unsafe_trace(tmp_path, capsys):
     path = tmp_path / "bad.trace"
     write_trace(path, [
-        TraceEvent(1, 1, 0, "ACQ", "EXCLUSIVE", "REQ"),
-        TraceEvent(2, 1, 0, "ACQ", "EXCLUSIVE", "GRANT"),
-        TraceEvent(3, 2, 0, "ACQ", "EXCLUSIVE", "REQ"),
-        TraceEvent(4, 2, 0, "ACQ", "EXCLUSIVE", "GRANT"),
+        TraceEvent(1, 1, 0, "ACQ", "EXCLUSIVE", "REQ", 1),
+        TraceEvent(2, 1, 0, "ACQ", "EXCLUSIVE", "GRANT", 2),
+        TraceEvent(3, 2, 0, "ACQ", "EXCLUSIVE", "REQ", 3),
+        TraceEvent(4, 2, 0, "ACQ", "EXCLUSIVE", "GRANT", 4),
     ])
     assert main(["check", str(path)]) == 1
     assert "DOUBLE_EXCLUSIVE" in capsys.readouterr().out
@@ -92,9 +94,16 @@ def test_check_malformed_trace_exits_2(tmp_path, capsys):
 
 def test_check_rejects_an_event_no_recorder_stamps(tmp_path, capsys):
     path = tmp_path / "acq-ack.trace"
-    path.write_text("10,1,0,ACQ,SHARED,ACK\n")
+    path.write_text("10,1,0,ACQ,SHARED,ACK,1\n")
     assert main(["check", str(path)]) == 2
     assert "malformed" in capsys.readouterr().err
+
+
+def test_check_rejects_a_trace_without_seqs(tmp_path, capsys):
+    path = tmp_path / "six-columns.trace"
+    path.write_text("10,1,0,ACQ,SHARED,REQ\n")
+    assert main(["check", str(path)]) == 2
+    assert "expected 7 fields" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

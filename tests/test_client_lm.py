@@ -286,6 +286,45 @@ def test_failed_release_keeps_the_lock_for_a_retry(fabric, table, shared, verb):
     assert check_all(rec.sorted_events(), DESIGN_CLIENT_CENTRIC) == []  # one release in the trace
 
 
+class SerialQp(CountingQp):
+    """Also records each completion's serial, in posting order."""
+
+    def __init__(self, qp):
+        super().__init__(qp)
+        self.serials = []
+
+    def _posted(self, kind, completion):
+        self.serials.append(completion.serial)
+        return super()._posted(kind, completion)
+
+
+def test_each_event_carries_the_serial_of_its_verb(fabric, table):
+    qp = SerialQp(fabric.connect(2))
+    rec = TraceRecorder()
+    s = ClientSession(qp, table, 2, backoff=0.001, max_retries=1, recorder=rec)
+    s.acquire(0, shared=False)  # CAS wins
+    s.release(0)  # WRITE
+    set_word(table, 1, encode(9, 0))
+    with pytest.raises(AcquisitionTimeout):
+        s.acquire(1, shared=True)  # FA, READ, then the rollback FA
+    cas, write, fa, read, rollback = qp.serials
+    s.max_retries = None
+    owner_leaves = threading.Timer(0.02, table.region.write, (WORD_SIZE + HALF_SIZE, bytes(4)))
+    owner_leaves.start()
+    try:
+        s.acquire(1, shared=True)  # FA, then READs until one sees no owner
+    finally:
+        owner_leaves.join()
+    polled = qp.serials[-1]
+    s.release(1)  # FA(-1)
+    assert [e.seq for e in rec.sorted_events()] == [
+        cas, cas, write, write,  # REQ, GRANT, REL/REQ, REL/ACK
+        fa, read, rollback,  # REQ, ACQ/TIMEOUT, REL/TIMEOUT
+        qp.serials[5], polled, qp.serials[-1], qp.serials[-1],
+    ]
+    assert polled != qp.serials[5]  # granted by a READ, not by the FA
+
+
 # -- interleavings and accounting --------------------------------------------
 
 

@@ -113,7 +113,7 @@ def test_core_release_triggers_follow_on_grants():
     core.acquire(1, 0, shared=False, request_id=1)
     core.acquire(2, 0, shared=True, request_id=1)
     core.acquire(3, 0, shared=True, request_id=1)
-    error, grants = core.release(1, 0)
+    error, grants, _ = core.release(1, 0)
     assert error is None
     assert sorted(g.client_id for g in grants) == [2, 3]
     assert core.granted_count() == 2
@@ -128,7 +128,7 @@ def test_core_rejects_duplicate_acquire():
 
 def test_core_rejects_release_without_hold():
     core = LockServerCore(1)
-    error, _ = core.release(5, 0)
+    error, _, _ = core.release(5, 0)
     assert error is not None
 
 
@@ -145,6 +145,23 @@ def test_core_records_requests_in_arrival_order():
     core.acquire(2, 0, shared=True, request_id=1)
     reqs = [e for e in rec.sorted_events() if e.outcome == "REQ"]
     assert [e.client_id for e in reqs] == [1, 2]
+
+
+def test_core_sequences_each_items_requests_grants_and_releases():
+    rec = TraceRecorder()
+    core = LockServerCore(2, rec)
+    _, grants = core.acquire(1, 0, shared=False, request_id=1)  # REQ 1, grant 2
+    assert [g.seq for g in grants] == [2]
+    core.acquire(2, 0, shared=True, request_id=1)  # REQ 3, queued
+    core.acquire(3, 0, shared=True, request_id=1)  # REQ 4, queued
+    _, grants = core.acquire(1, 1, shared=True, request_id=2)  # item 1 counts apart
+    assert [g.seq for g in grants] == [2]
+    _, grants, seq = core.release(1, 0)
+    assert seq == 5
+    assert [(g.client_id, g.seq) for g in grants] == [(2, 6), (3, 7)]
+    assert [(e.client_id, e.item_id, e.seq) for e in rec.sorted_events()] == [
+        (1, 0, 1), (2, 0, 3), (3, 0, 4), (1, 1, 1)
+    ]
 
 
 # -- throughput upper bound --------------------------------------------------
@@ -167,9 +184,10 @@ def test_upper_bound_rejects_nonpositive_inputs():
 
 
 def test_message_pack_unpack_round_trip():
-    data = pack_message(2, 7, 3, 123456789)
+    data = pack_message(2, 7, 3, 123456789, 42)
     assert len(data) == MESSAGE_SIZE
-    assert unpack_message(data) == (2, 7, 3, 123456789)
+    assert unpack_message(data) == (2, 7, 3, 123456789, 42)
+    assert unpack_message(pack_message(1, 7, 3, 5)) == (1, 7, 3, 5, 0)  # requests carry no seq
 
 
 # -- cost model -------------------------------------------------------------
@@ -433,7 +451,7 @@ def test_a_frame_sent_byte_by_byte_does_not_hold_up_other_clients(tcp_server):
         t.join(timeout=5)
         assert not t.is_alive()  # all 50 cycles done while the frame is partial
         slow.sendall(frame[-1:])
-        assert unpack_message(recv_frame(slow)) == (MSG_GRANT, 1, 0, 1)
+        assert unpack_message(recv_frame(slow)) == (MSG_GRANT, 1, 0, 1, 2)
         fast.close()
 
 
@@ -441,8 +459,8 @@ def test_two_frames_in_one_send_get_two_replies_in_order(tcp_server):
     _, address = tcp_server
     with socket.create_connection(address, timeout=5) as sock:
         sock.sendall(_frame(MSG_ACQ_EXCL, 1, 0, 1) + _frame(MSG_RELEASE, 1, 0, 2))
-        assert unpack_message(recv_frame(sock)) == (MSG_GRANT, 1, 0, 1)
-        assert unpack_message(recv_frame(sock)) == (MSG_ACK, 1, 0, 2)
+        assert unpack_message(recv_frame(sock)) == (MSG_GRANT, 1, 0, 1, 2)
+        assert unpack_message(recv_frame(sock)) == (MSG_ACK, 1, 0, 2, 3)
 
 
 class _ShortSendSocket:
@@ -512,7 +530,7 @@ def test_shutdown_wakes_a_socket_client_waiting_for_a_deferred_grant():
 
 
 # -- malformed frames from outside the program -------------------------------
-# A frame that is not a 17-byte message ends its connection, as EOF does,
+# A frame that is not a MESSAGE_SIZE-byte message ends its connection, as EOF does,
 # instead of leaving the client waiting for a reply that never comes.
 
 
