@@ -217,7 +217,10 @@ def check_conservation(events) -> list[Violation]:
 
 def check_all(events, design: str | None) -> list[Violation]:
     """Every applicable check for one run's trace: safety, conservation,
-    then FIFO for the server designs.  Without a design, no FIFO."""
+    then FIFO for the server designs.  Without a design, no FIFO; a
+    design not in DESIGNS raises ValueError."""
+    if design is not None and design not in DESIGNS:
+        raise ValueError(f"unknown design {design!r}")
     safety, conservation, fifo = _replay(list(events), design in SERVER_DESIGNS)
     return safety + conservation + fifo
 
@@ -282,7 +285,7 @@ def _resume(table: LockTable, client_id: int, mode: str, completions):
     return None, None
 
 
-def explore(modes, full_word_release: bool = False) -> ModelResult:
+def explore(modes) -> ModelResult:
     """Enumerate every interleaving of one `ClientSession` per entry of
     `modes` acquiring and releasing one item.
 
@@ -291,10 +294,6 @@ def explore(modes, full_word_release: bool = False) -> ModelResult:
     them rebuilds it.  A state is unsafe when the sessions holding the item
     have conflicting modes, and a bad terminal when every session is done
     and the word is nonzero.
-
-    `full_word_release` rewrites the exclusive release's 4-byte WRITE into
-    an 8-byte zero WRITE, a deliberately broken variant that erases
-    pre-registered shared counts, used as the negative control.
     """
     modes = list(modes)
     for mode in modes:
@@ -322,8 +321,6 @@ def explore(modes, full_word_release: bool = False) -> ModelResult:
             if verb is None:
                 continue
             name, args = verb
-            if full_word_release and name == "post_write":
-                args = (args[0], 0, bytes(WORD_SIZE))
             table.region.write(0, word.to_bytes(WORD_SIZE, "little"))
             completion = getattr(qp, name)(*args)._replace(serial=None)
             history = histories[i] + (completion,)

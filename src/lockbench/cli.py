@@ -196,6 +196,9 @@ def _cmd_bench(args, parser) -> int:
         for violation in exc.violations:
             print(violation, file=sys.stderr)
         return 1
+    except RuntimeError as exc:  # a client failed or ended without a result
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
     print(
         f"{spec.design} on {spec.transport}: {result.total_locks_granted} locks in "
         f"{result.elapsed:.3f}s = {result.throughput:.1f} locks/s "

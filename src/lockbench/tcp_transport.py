@@ -4,13 +4,16 @@ The passive side runs a `TcpAgent`, which plays the role of the NIC: a
 `verbs.InprocFabric` behind a listening socket.  Each connection gets the
 fabric's queue pair for its client, and every frame on it runs one call
 of that queue pair, so the agent has no verb code and no application
-logic of its own.  `TcpFabric.connect()` opens one socket and starts no
-thread; its `TcpQueuePair` has the in-process queue pair's surface, so
-lock managers run unchanged on either transport.  Each call, two-sided
-ones included, is one request/reply frame pair: posting and polling a
-receive are round trips to the agent-side queue pair's mailbox.  (Only
-lockperf's per-layer SEND/RECV timings use the two-sided calls.)  Serial
-stamps cross the wire, so linearizability checks work here too.
+logic of its own.  Every frame is one bounded step: a one-sided verb on
+one word, or a poll that waits at most `_POLL_SLICE`.
+`TcpFabric.connect()` opens one socket and starts no thread; its
+`TcpQueuePair` has the in-process queue pair's surface, so lock managers
+run unchanged on either transport.  Each call, two-sided ones included,
+is one request/reply frame pair, except that `poll_recv` repeats its
+POLL frame until a completion, its own deadline or the close of the
+agent-side queue pair.  (Only lockperf's per-layer SEND/RECV timings use
+the two-sided calls.)  Serial stamps cross the wire, so linearizability
+checks work here too.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .verbs import (
 
 # Verb request: kind, region_id, offset, length, operand_a, operand_b
 # (+ payload bytes for WRITE and SEND).  RECV posts a receive of `length`
-# bytes; POLL waits operand_a - 1 µs for one (operand_a 0: no timeout).
+# bytes; POLL waits up to operand_a µs, and never beyond _POLL_SLICE, for one.
 VERB_HEADER = struct.Struct("<BIQIQQ")
 # Verb reply: status (| _QP_CLOSED), serial+1 (0 = no serial) + payload bytes.
 REPLY_HEADER = struct.Struct("<BQ")
@@ -51,8 +54,8 @@ MAX_REQUEST = VERB_HEADER.size + 64 * 1024
 _POLL = 7  # wire kind of poll_recv; not a verb
 # Reply status bit: the agent-side queue pair is closed (its peer closed it).
 _QP_CLOSED = 0x80
-# A poll occupies its connection's thread; between slices of this many
-# seconds it checks whether the client hung up meanwhile.
+# The longest a POLL frame occupies its connection's thread, so the agent
+# reads a client's hang-up within this many seconds.
 _POLL_SLICE = 0.05
 # How long close() waits for the agent's EOF.  Verbs set no timeout: CPython
 # polls before every recv on a socket that has one.
@@ -65,27 +68,7 @@ _EMPTY_POLL = Completion(_RECV, CompletionStatus.RECEIVER_NOT_READY)
 _BAD_REQUEST = Completion(_RECV, CompletionStatus.BAD_REQUEST)
 
 
-def _hung_up(conn: socket.socket) -> bool:
-    """Whether the client closed its end (or the socket is gone)."""
-    try:
-        return conn.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT) == b""
-    except BlockingIOError:
-        return False
-    except OSError:
-        return True
-
-
-def _poll(conn: socket.socket, qp: QueuePair, timeout: float) -> Completion | None:
-    """`qp.poll_recv(timeout)`, cut short when the client hangs up."""
-    deadline = time.monotonic() + timeout
-    while True:
-        left = deadline - time.monotonic()
-        completion = qp.poll_recv(max(0.0, min(left, _POLL_SLICE)))
-        if completion is not None or qp.closed or left <= _POLL_SLICE or _hung_up(conn):
-            return completion
-
-
-def _execute(conn: socket.socket, qp: QueuePair, frame: bytes) -> bytes:
+def _execute(qp: QueuePair, frame: bytes) -> bytes:
     """Run one request frame on `qp`; returns the reply frame."""
     if len(frame) < VERB_HEADER.size:
         completion = _BAD_REQUEST
@@ -105,7 +88,7 @@ def _execute(conn: socket.socket, qp: QueuePair, frame: bytes) -> bytes:
             qp.post_recv(length)
             completion = _RECV_POSTED
         elif kind == _POLL:
-            completion = _poll(conn, qp, math.inf if op_a == 0 else (op_a - 1) / 1e6) or _EMPTY_POLL
+            completion = qp.poll_recv(min(op_a / 1e6, _POLL_SLICE)) or _EMPTY_POLL
         else:
             completion = _BAD_REQUEST
     status, serial = completion.status, completion.serial
@@ -171,7 +154,7 @@ class TcpAgent(InprocFabric):
             qp = self.connect(client_id or None)
             send_frame(conn, HELLO.pack(qp.client_id))
             while (frame := recv_frame(conn, MAX_REQUEST)) is not None:
-                send_frame(conn, _execute(conn, qp, frame))
+                send_frame(conn, _execute(qp, frame))
         except OSError:
             pass
         finally:
@@ -241,12 +224,19 @@ class TcpQueuePair:
         self._rpc(_RECV, length=capacity)
 
     def poll_recv(self, timeout: float | None = None) -> Completion | None:
-        """Pop the next receive completion; None on timeout or close."""
-        try:
-            completion = self._rpc(_POLL, op_a=0 if timeout is None else round(timeout * 1e6) + 1)
-        except ConnectionError:
-            return None
-        return completion._replace(op_kind=_RECV) if completion.status in _RECEIVED else None
+        """Pop the next receive completion; None on timeout or close.  Each
+        POLL frame waits at most `_POLL_SLICE` at the agent."""
+        deadline = math.inf if timeout is None else time.monotonic() + timeout
+        while True:
+            left = min(deadline - time.monotonic(), _POLL_SLICE)
+            try:
+                completion = self._rpc(_POLL, op_a=max(0, round(left * 1e6)))
+            except ConnectionError:
+                return None
+            if completion.status in _RECEIVED:
+                return completion._replace(op_kind=_RECV)
+            if self.closed or left < _POLL_SLICE:
+                return None
 
     def close(self) -> None:
         """Close this end.  With no call in flight, half-close and wait up

@@ -1,8 +1,9 @@
 """Trace events and the on-disk trace format.
 
 One event per line: `timestamp_ns,client_id,item_id,op,mode,outcome,seq`
-with mode in {SHARED, EXCLUSIVE} and (op, outcome) one of the six pairs in
-`PHASE_RANK`: ACQ with REQ, GRANT or TIMEOUT; REL with REQ, TIMEOUT or ACK.
+with mode in {SHARED, EXCLUSIVE} and (op, outcome) one of the six pairs
+recorders stamp, `STAMPED_PAIRS`: ACQ with REQ, GRANT or TIMEOUT; REL with
+REQ, TIMEOUT or ACK.  The set orders nothing.
 `seq` is the event's position in its item's linearization: the serial of
 the verb on the item's lock word (client-centric) or the item queue's
 counter under its mutex (server designs).  One client's events may share a
@@ -34,7 +35,7 @@ OUT_TIMEOUT = "TIMEOUT"
 OUTCOMES = (OUT_REQ, OUT_GRANT, OUT_ACK, OUT_TIMEOUT)
 
 # The (op, outcome) pairs recorders stamp.
-PHASE_RANK = frozenset(
+STAMPED_PAIRS = frozenset(
     {
         (OP_ACQ, OUT_REQ),
         (OP_ACQ, OUT_GRANT),
@@ -87,7 +88,7 @@ def parse_line(line: str, lineno: int) -> TraceEvent:
         raise TraceParseError(lineno, str(exc)) from None
     if mode not in MODES:
         raise TraceParseError(lineno, f"unknown mode {mode!r}")
-    if (op, outcome) not in PHASE_RANK:
+    if (op, outcome) not in STAMPED_PAIRS:
         raise TraceParseError(lineno, f"no recorder stamps {op}/{outcome}")
     return TraceEvent(ts, client, item, op, mode, outcome, seq)
 

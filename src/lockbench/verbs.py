@@ -9,12 +9,12 @@ frame on the queue pair of its connection, so both transports share this
 code.
 
 A region stores one Python int per 8-byte little-endian word, so CAS and
-FA are plain integer operations, and a READ or WRITE confined to one word
-is a shift and a mask.  All one-sided effects on a given word are
-serialized by a per-word lock, so any mix of CAS, FA, half-word WRITE and
-READ on one word is linearizable.  READs and WRITEs that span several
-words take every overlapped word's lock; without that, a 4-byte release
-WRITE could tear a concurrent FA on the other half of the word.
+FA are plain integer operations, and a READ or WRITE is a shift and a
+mask.  Every one-sided verb touches one word, the unit of NIC atomics, and
+runs under that word's lock, so any mix of CAS, FA, half-word WRITE and
+READ on one word is linearizable and a 4-byte release WRITE cannot tear a
+concurrent FA on the other half.  A READ or WRITE that crosses a word
+boundary is rejected: no verb holds more than one word lock.
 """
 
 from __future__ import annotations
@@ -59,8 +59,9 @@ class Completion(NamedTuple):
 
     `payload` carries the old value (little-endian, 8 bytes) for atomics,
     the data snapshot for READ, and the message for RECV.  `serial` is the
-    per-word serialization stamp for ops confined to a single 8-byte word;
-    replaying completions in serial order reproduces the word's history.
+    per-word serialization stamp that every successful one-sided verb
+    carries (two-sided completions have none); replaying completions in
+    serial order reproduces the word's history.
     """
 
     op_kind: VerbKind
@@ -79,16 +80,15 @@ class Completion(NamedTuple):
 
 
 class RegionAccessError(Exception):
-    """Out-of-bounds or misaligned access to a registered region."""
+    """Out-of-bounds, misaligned or word-crossing access to a registered region."""
 
 
 class MemoryRegion:
     """A registered, zero-initialized byte region.
 
-    8-byte atomics must target 8-byte-aligned offsets.  READ/WRITE may
-    target any in-bounds (offset, length); they lock every overlapped word
-    so multi-byte accesses are atomic with respect to word-level atomics.
-    Only accesses confined to one word return a serial stamp.
+    8-byte atomics must target 8-byte-aligned offsets; READ/WRITE may
+    target any in-bounds (offset, length) that lies inside one word.  Each
+    access takes that word's lock and returns its next serial stamp.
     """
 
     def __init__(self, region_id: int, length: int):
@@ -111,33 +111,12 @@ class MemoryRegion:
         self._check_bounds(offset, WORD_SIZE)
         raise RegionAccessError(f"atomic offset {offset} not 8-byte aligned")
 
-    def _span(self, offset: int, length: int, payload: bytes | None = None) -> bytes:
-        """READ (no payload) or WRITE of bytes that straddle words, under
-        every overlapped word's lock; returns the span's bytes."""
-        first, last = offset // WORD_SIZE, (offset + length - 1) // WORD_SIZE
-        locks = self._word_locks[first : last + 1]
-        for lock in locks:
-            lock.acquire()
-        try:
-            words = self._words
-            buf = bytearray(b"".join(w.to_bytes(WORD_SIZE, "little") for w in words[first : last + 1]))
-            start = offset - first * WORD_SIZE
-            if payload is not None:
-                buf[start : start + length] = payload
-                for i in range(first, last + 1):
-                    at = (i - first) * WORD_SIZE
-                    words[i] = int.from_bytes(buf[at : at + WORD_SIZE], "little")
-            return bytes(buf[start : start + length])
-        finally:
-            for lock in reversed(locks):
-                lock.release()
-
-    def read(self, offset: int, length: int) -> tuple[bytes, int | None]:
-        """Atomic snapshot of `length` bytes; returns (data, serial)."""
+    def read(self, offset: int, length: int) -> tuple[bytes, int]:
+        """Atomic snapshot of `length` bytes in one word; returns (data, serial)."""
         self._check_bounds(offset, length)
         w = offset // WORD_SIZE
         if (offset + length - 1) // WORD_SIZE != w:
-            return self._span(offset, length), None
+            raise RegionAccessError(f"access [{offset}, {offset + length}) crosses a word boundary")
         shift = (offset % WORD_SIZE) * 8
         serials = self._word_serials
         with self._word_locks[w]:
@@ -145,14 +124,13 @@ class MemoryRegion:
             serial = serials[w] = serials[w] + 1
         return ((word >> shift) & ((1 << 8 * length) - 1)).to_bytes(length, "little"), serial
 
-    def write(self, offset: int, payload: bytes) -> int | None:
-        """Atomic store of `payload`; returns the serial for single-word writes."""
+    def write(self, offset: int, payload: bytes) -> int:
+        """Atomic store of `payload` in one word; returns its serial."""
         length = len(payload)
         self._check_bounds(offset, length)
         w = offset // WORD_SIZE
         if (offset + length - 1) // WORD_SIZE != w:
-            self._span(offset, length, payload)
-            return None
+            raise RegionAccessError(f"access [{offset}, {offset + length}) crosses a word boundary")
         shift = (offset % WORD_SIZE) * 8
         keep = ~(((1 << 8 * length) - 1) << shift)
         value = int.from_bytes(payload, "little") << shift

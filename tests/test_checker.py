@@ -4,6 +4,7 @@ brute-force model check of the client-driven protocol."""
 import checker_reference as reference
 import pytest
 
+from lockbench import checker
 from lockbench.checker import (
     CONSERVATION,
     DESIGN_CLIENT_CENTRIC,
@@ -22,6 +23,7 @@ from lockbench.checker import (
     check_safety,
     explore,
 )
+from lockbench.locktable import WORD_SIZE
 from lockbench.trace import MODE_EXCLUSIVE, MODE_SHARED, TraceEvent
 
 E, S = MODE_EXCLUSIVE, MODE_SHARED
@@ -338,6 +340,13 @@ def test_check_all_runs_fifo_only_for_server_designs():
     assert check_all(jumped, DESIGN_CLIENT_CENTRIC) == []
 
 
+@pytest.mark.parametrize("design", ["server_sr", "peer-to-peer", ""])
+def test_check_all_rejects_unknown_design(design):
+    # A misspelt design must not silently turn the FIFO rule off.
+    with pytest.raises(ValueError, match="unknown design"):
+        check_all(lifecycle(1, E, 10, 20, 30), design)
+
+
 def test_violation_str_is_kind_and_detail():
     events = lifecycle(1, E, 10, 20, 80) + lifecycle(2, E, 30, 40, 70)
     text = str(check_safety(events)[0])
@@ -366,17 +375,38 @@ def test_three_client_mixed_protocol_is_safe():
     assert result.ok
 
 
-def test_full_word_release_erases_waiting_readers():
+class _FullWordReleaseSpy(checker._ModelSession):
+    """A mutant session whose exclusive release WRITEs 8 zero bytes over the
+    whole word instead of 4 over the owner half, erasing any shared count
+    pre-registered meanwhile."""
+
+    def __init__(self, qp, *args, **kwargs):
+        super().__init__(qp, *args, **kwargs)
+        post_write = qp.post_write
+
+        def spy(region_id, offset, payload):
+            word_offset = offset - offset % WORD_SIZE
+            return post_write(region_id, word_offset, bytes(WORD_SIZE))
+
+        qp.post_write = spy
+
+
+@pytest.fixture
+def full_word_release(monkeypatch):
+    monkeypatch.setattr(checker, "_ModelSession", _FullWordReleaseSpy)
+
+
+def test_full_word_release_erases_waiting_readers(full_word_release):
     # Negative control: zeroing the whole word on exclusive release wipes a
     # concurrently pre-registered reader count, so some path either loses a
     # holder (bad terminal) or admits a conflicting one (unsafe).
-    result = explore((E, S), full_word_release=True)
+    result = explore((E, S))
     assert not result.ok
     assert result.bad_terminal  # a reader's count vanished mid-poll
 
 
-def test_full_word_release_admits_conflicting_writer():
-    result = explore((E, S, E), full_word_release=True)
+def test_full_word_release_admits_conflicting_writer(full_word_release):
+    result = explore((E, S, E))
     assert not result.ok
     assert result.unsafe  # writer CAS succeeds while a reader still holds
 

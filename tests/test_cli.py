@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from lockbench import bench
+from lockbench import bench, cli
 from lockbench.cli import main
 from lockbench.server_lm import DEFAULT_SR_MESSAGE_COST, DEFAULT_TCP_MESSAGE_COST
 from lockbench.trace import TraceEvent, write_trace
@@ -39,6 +39,19 @@ def test_bench_writes_csv_and_trace(tmp_path, capsys, design):
     assert trace_path.read_text().count("\n") == 4 * 75
     # The written trace passes its own checker.
     assert main(["check", str(trace_path), "--design", design]) == 0
+
+
+def test_bench_single_run_reports_a_failed_client(tmp_path, monkeypatch, capsys):
+    def fail(spec):
+        raise RuntimeError("client 2: ConnectionError: verb channel closed")
+
+    monkeypatch.setattr(cli, "run_workload", fail)
+    csv_path, trace_path = tmp_path / "run.csv", tmp_path / "run.trace"
+    assert main(BENCH_FAST + ["--csv", str(csv_path), "--trace", str(trace_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "run failed: client 2: ConnectionError: verb channel closed\n"
+    assert captured.out == ""
+    assert not csv_path.exists() and not trace_path.exists()
 
 
 def test_bench_sweep_prints_one_row_per_point(tmp_path, capsys):

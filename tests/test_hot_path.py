@@ -103,6 +103,24 @@ def test_queue_pair_atomics_at_bad_offsets_are_access_errors(host, kind, offset)
     assert words(region) == [0] * (REGION_BYTES // 8)
 
 
+@pytest.mark.parametrize("offset, length", [(4, 8), (0, 16), (7, 2)])
+@pytest.mark.parametrize("kind", [VerbKind.READ, VerbKind.WRITE], ids=lambda k: k.name)
+def test_a_read_or_write_across_a_word_boundary_is_an_access_error(host, kind, offset, length):
+    region = host.host.register_region(REGION_BYTES)
+    region.write(0, (0x1111111122222222).to_bytes(8, "little"))  # serial 1 on each word
+    region.write(8, (0x3333333344444444).to_bytes(8, "little"))
+    qp = host.connect()
+    if kind is VerbKind.READ:
+        c = qp.post_read(region.region_id, offset, length)
+    else:
+        c = qp.post_write(region.region_id, offset, bytes(length))
+    assert c.status == ACCESS_ERROR and c.op_kind == kind and c.serial is None
+    # Both words keep their value, and the rejected verb took neither's serial.
+    for w, value in enumerate((0x1111111122222222, 0x3333333344444444)):
+        c = qp.post_read(region.region_id, 8 * w, 8)
+        assert c.ok and c.value == value and c.serial == 2
+
+
 def test_a_region_registered_after_connect_is_reachable(host):
     qp = host.connect()
     region = host.host.register_region(REGION_BYTES)

@@ -11,7 +11,7 @@ import pytest
 
 from lockbench import framing
 from lockbench.locktable import WORD_SIZE, LockTable, encode
-from lockbench.tcp_transport import MAX_REQUEST, TcpAgent, TcpFabric
+from lockbench.tcp_transport import _POLL, _POLL_SLICE, MAX_REQUEST, TcpAgent, TcpFabric
 from lockbench.verbs import CompletionStatus
 
 U64 = 1 << 64
@@ -65,10 +65,14 @@ def test_completions_carry_serials_across_the_wire(agent, fabric, region):
             qp.post_fa(region.region_id, 0, 1).serial,
             qp.post_cas(region.region_id, 0, 1, 2).serial,
             qp.post_read(region.region_id, 0, 8).serial,
+            qp.post_write(region.region_id, 4, bytes(4)).serial,
+            qp.post_read(region.region_id, 0, 4).serial,
         ]
-        assert serials == [1, 2, 3]
-        # Multi-word accesses have no single-word serial, even over TCP.
-        assert qp.post_read(region.region_id, 0, 16).serial is None
+        assert serials == [1, 2, 3, 4, 5]
+        # A READ across a word boundary is rejected and takes no serial.
+        c = qp.post_read(region.region_id, 0, 16)
+        assert c.status == CompletionStatus.LOCAL_ACCESS_ERROR and c.serial is None
+        assert qp.post_read(region.region_id, 8, 8).serial == 1
     finally:
         qp.close()
 
@@ -326,3 +330,60 @@ def test_stop_ends_every_agent_thread():
         idle.close()
         polling.close()
         silent.close()
+
+
+def test_a_poll_outlasts_the_agents_slice(agent, fabric):
+    # The agent answers each POLL frame within one slice; the client polls
+    # again until its own deadline, so a SEND delivered during its third
+    # frame, after two empty slices, is still received.
+    listener = agent.sr_listen()
+    qp = fabric.connect()
+    server = listener.accept(timeout=5)
+    agent_qp = server.peer  # the agent's queue pair for this client
+    poll, frames = agent_qp.poll_recv, []
+
+    def counted_poll(timeout):
+        frames.append(timeout)
+        if len(frames) == 3:
+            assert server.post_send(b"late").ok
+        return poll(timeout)
+
+    agent_qp.poll_recv = counted_poll
+    try:
+        qp.post_recv(8)
+        start = time.monotonic()
+        got = qp.poll_recv(timeout=3 * _POLL_SLICE)
+        assert time.monotonic() - start >= 2 * _POLL_SLICE
+        assert got is not None and got.ok and got.payload == b"late"
+        assert len(frames) == 3 and max(frames) <= _POLL_SLICE
+    finally:
+        qp.close()
+
+
+def test_the_agent_answers_a_poll_within_one_slice_whatever_it_asks(agent, fabric):
+    qp = fabric.connect()
+    try:
+        start = time.monotonic()
+        c = qp._rpc(_POLL, op_a=60 * 10**6)  # a POLL frame that asks for a minute
+        assert c.status == CompletionStatus.RECEIVER_NOT_READY
+        assert time.monotonic() - start < _POLL_SLICE + 0.5
+    finally:
+        qp.close()
+
+
+def test_a_client_that_hangs_up_mid_poll_frees_its_agent_thread(agent, fabric):
+    before = set(threading.enumerate())
+    qp = fabric.connect()
+    assert _wait_for(lambda: len(agent._conns) == 1)
+    (serving,) = {t for t in set(threading.enumerate()) - before if t.name == "tcpagent-conn"}
+    poller = threading.Thread(target=qp.poll_recv)
+    poller.start()
+    time.sleep(_POLL_SLICE / 2)  # let the poll reach the agent
+    hung_up = time.monotonic()
+    framing.close(qp._sock)  # no half-close, no wait for the agent's EOF
+    serving.join(timeout=5)
+    assert not serving.is_alive()
+    assert time.monotonic() - hung_up < _POLL_SLICE + 0.5
+    poller.join(timeout=5)
+    assert not poller.is_alive()
+    assert not agent._conns

@@ -12,7 +12,7 @@ from lockbench.trace import (
     MODES,
     OPS,
     OUTCOMES,
-    PHASE_RANK,
+    STAMPED_PAIRS,
     TraceEvent,
     TraceParseError,
     TraceRecorder,
@@ -29,7 +29,7 @@ events = st.builds(
     st.integers(min_value=0, max_value=2**31 - 1),
     st.integers(min_value=0, max_value=2**31 - 1),
     st.sampled_from(MODES),
-    st.sampled_from(sorted(PHASE_RANK)),
+    st.sampled_from(sorted(STAMPED_PAIRS)),
     st.integers(min_value=0, max_value=2**63 - 1),
 )
 
@@ -77,8 +77,8 @@ def test_parse_rejects_malformed_lines(line):
 
 
 def test_checker_tie_rule_covers_exactly_the_stamped_pairs():
-    # PHASE_RANK is the set of pairs a trace line may carry; no rule orders them.
-    assert set(PHASE_RANK) == STAMPED
+    # STAMPED_PAIRS is the set of pairs a trace line may carry; no rule orders them.
+    assert set(STAMPED_PAIRS) == STAMPED
     assert checker.sort_events is sort_events
 
 

@@ -33,8 +33,7 @@ def region(fabric):
 
 
 def test_region_starts_zeroed(region):
-    data, _ = region.read(0, 64)
-    assert data == bytes(64)
+    assert [region.read(offset, 8) for offset in range(0, 64, 8)] == [(bytes(8), 1)] * 8
 
 
 def test_write_then_read_round_trip(region):
@@ -89,11 +88,18 @@ def test_serials_are_per_word_not_per_region(region):
     assert s0 == s1 == 1
 
 
-def test_multi_word_access_has_no_serial(region):
-    data, serial = region.read(0, 16)
-    assert len(data) == 16
-    assert serial is None
-    assert region.write(0, bytes(16)) is None
+def test_word_crossing_access_raises(region):
+    low, high = (0x1111111122222222).to_bytes(8, "little"), (0x3333333344444444).to_bytes(8, "little")
+    region.write(0, low)
+    region.write(8, high)
+    for offset, length in [(0, 16), (4, 8), (7, 2), (0, 64)]:
+        with pytest.raises(RegionAccessError, match="crosses a word boundary"):
+            region.read(offset, length)
+        with pytest.raises(RegionAccessError, match="crosses a word boundary"):
+            region.write(offset, bytes(length))
+    # Neither word changed, and neither counted a serial for a rejected access.
+    assert region.read(0, 8) == (low, 2)
+    assert region.read(8, 8) == (high, 2)
 
 
 @pytest.mark.parametrize(
@@ -362,21 +368,45 @@ def test_completion_is_immutable_with_defaults(fabric, region):
 U64S = st.integers(min_value=0, max_value=U64 - 1)
 
 
+def _read_words(region, serials):
+    """The whole region, one in-word READ per word; each READ must take its
+    word's next serial."""
+    data = b""
+    for offset in range(0, region.length, 8):
+        chunk, serial = region.read(offset, min(8, region.length - offset))
+        assert serial == serials.get(offset // 8, 0) + 1
+        serials[offset // 8] = serial
+        data += chunk
+    return data
+
+
 @settings(max_examples=150, deadline=None)
 @given(length=st.integers(min_value=1, max_value=40), data=st.data())
 def test_region_matches_bytearray_model(length, data):
-    """Random READ/WRITE (any in-bounds span) and aligned CAS/FA against a
-    plain bytearray; only single-word accesses carry a serial, and a word's
-    serials strictly increase."""
+    """Random in-word READ/WRITE and aligned CAS/FA against a plain
+    bytearray; every access takes its word's next serial.  A READ or WRITE
+    across a word boundary raises and changes no byte and no serial."""
     region = MemoryRegion(1, length)
     model = bytearray(length)
-    last_serial = {}
-    kinds = ["read", "write"] + (["cas", "fa"] if length >= 8 else [])
+    serials = {}
+    kinds = ["read", "write"] + (["cas", "fa"] if length >= 8 else []) + (["span"] if length > 8 else [])
     for _ in range(data.draw(st.integers(min_value=1, max_value=25))):
         kind = data.draw(st.sampled_from(kinds))
+        if kind == "span":
+            boundary = 8 * data.draw(st.integers(min_value=1, max_value=(length - 1) // 8))
+            offset = data.draw(st.integers(min_value=boundary - 7, max_value=boundary - 1))
+            size = data.draw(st.integers(min_value=boundary - offset + 1, max_value=length - offset))
+            with pytest.raises(RegionAccessError):
+                if data.draw(st.booleans()):
+                    region.read(offset, size)
+                else:
+                    region.write(offset, data.draw(st.binary(min_size=size, max_size=size)))
+            assert _read_words(region, serials) == bytes(model)
+            continue
         if kind in ("read", "write"):
             offset = data.draw(st.integers(min_value=0, max_value=length - 1))
-            size = data.draw(st.integers(min_value=1, max_value=length - offset))
+            word_end = min(offset // 8 * 8 + 8, length)
+            size = data.draw(st.integers(min_value=1, max_value=word_end - offset))
             if kind == "read":
                 got, serial = region.read(offset, size)
                 assert got == bytes(model[offset : offset + size])
@@ -385,7 +415,6 @@ def test_region_matches_bytearray_model(length, data):
                 serial = region.write(offset, payload)
                 model[offset : offset + size] = payload
             word = offset // 8
-            assert (serial is not None) == ((offset + size - 1) // 8 == word)
         else:
             word = data.draw(st.integers(min_value=0, max_value=length // 8 - 1))
             offset = word * 8
@@ -401,10 +430,9 @@ def test_region_matches_bytearray_model(length, data):
                 after = (before + addend) % U64
             assert old == before
             model[offset : offset + 8] = after.to_bytes(8, "little")
-        if serial is not None:
-            assert serial > last_serial.get(word, 0)
-            last_serial[word] = serial
-        assert region.read(0, length)[0] == bytes(model)
+        assert serial == serials.get(word, 0) + 1
+        serials[word] = serial
+        assert _read_words(region, serials) == bytes(model)
 
 
 def test_region_rejects_nonpositive_length():
