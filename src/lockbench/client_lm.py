@@ -26,7 +26,7 @@ owner; REL/REQ and REL/ACK that of the release WRITE or FA(-1); ACQ/REQ
 that of the first verb; a TIMEOUT that of the last verb or of the
 rollback FA.  A request reads the clock before its first verb but is
 appended once that verb returns, so a REL/REQ is stamped only for a
-release that succeeded.
+release that succeeded.  An untraced session stamps into `trace.DISCARD`.
 
 A shared acquirer that exhausts its retry budget must undo its
 pre-increment with FA(-1), otherwise the leaked count would block
@@ -85,20 +85,22 @@ class ClientSession:
             raise ValueError("client_id must be >= 1")
         if max_retries is not None and max_retries < 0:
             raise ValueError("max_retries must be >= 0 or None")
+        if backoff < 0:
+            raise ValueError("backoff must be >= 0")
         self.qp = qp
         self._region_id = table.region_id
         self._item_count = table.item_count
         self.client_id = client_id
         self.backoff = backoff
         self.max_retries = max_retries
-        self._stamp = None if recorder is None else recorder.stamper(client_id)
+        self._stamp = trace.DISCARD if recorder is None else recorder.stamper(client_id)
         self._held: dict[int, str] = {}
         self._owner_word = encode(client_id, 0)
 
     def _pause(self) -> None:
         # sleep(0) releases the GIL, letting peer threads run between
         # zero-backoff retries; on Linux it also sleeps for the timer slack.
-        time.sleep(self.backoff if self.backoff > 0 else 0)
+        time.sleep(self.backoff)
 
     def held_locks(self) -> dict[int, str]:
         return dict(self._held)
@@ -117,31 +119,27 @@ class ClientSession:
         qp, region_id, max_retries = self.qp, self._region_id, self.max_retries
         stamp, cid = self._stamp, self.client_id
         mode = MODE_SHARED if shared else MODE_EXCLUSIVE
-        if stamp is not None:
-            requested = trace._clock()
+        requested = trace._clock()
         if shared:
             completion = qp.post_fa(region_id, offset, 1)
             if completion.status != _OK:
                 raise ProtocolError(f"shared FA failed: {completion.status.name}")
-            if stamp is not None:
-                stamp(_new_tuple(
-                    TraceEvent, (requested, cid, item_id, OP_ACQ, mode, OUT_REQ, completion.serial)))
+            stamp(_new_tuple(
+                TraceEvent, (requested, cid, item_id, OP_ACQ, mode, OUT_REQ, completion.serial)))
             owner = int.from_bytes(completion.payload, "little") >> 32
             polls = 0
             while owner:
                 polls += 1
                 if max_retries is not None and polls > max_retries:
-                    if stamp is not None:
-                        stamp(_new_tuple(TraceEvent, (
-                            trace._clock(), cid, item_id, OP_ACQ, mode, OUT_TIMEOUT, completion.serial)))
+                    stamp(_new_tuple(TraceEvent, (
+                        trace._clock(), cid, item_id, OP_ACQ, mode, OUT_TIMEOUT, completion.serial)))
                     completion = qp.post_fa(region_id, offset, U64_MINUS_ONE)  # the rollback
                     if completion.status != _OK:
                         raise ProtocolError(f"shared release FA failed: {completion.status.name}")
                     if not int.from_bytes(completion.payload, "little") & U32_MASK:
                         raise ProtocolError(f"shared count underflow on item {item_id}")
-                    if stamp is not None:
-                        stamp(_new_tuple(TraceEvent, (
-                            trace._clock(), cid, item_id, OP_REL, mode, OUT_TIMEOUT, completion.serial)))
+                    stamp(_new_tuple(TraceEvent, (
+                        trace._clock(), cid, item_id, OP_REL, mode, OUT_TIMEOUT, completion.serial)))
                     raise AcquisitionTimeout(
                         f"shared acquire of item {item_id} gave up after {polls - 1} polls"
                     )
@@ -155,17 +153,15 @@ class ClientSession:
             completion = qp.post_cas(region_id, offset, 0, owner_word)
             if completion.status != _OK:
                 raise ProtocolError(f"exclusive CAS failed: {completion.status.name}")
-            if stamp is not None:
-                stamp(_new_tuple(
-                    TraceEvent, (requested, cid, item_id, OP_ACQ, mode, OUT_REQ, completion.serial)))
+            stamp(_new_tuple(
+                TraceEvent, (requested, cid, item_id, OP_ACQ, mode, OUT_REQ, completion.serial)))
             failures = 0
             while int.from_bytes(completion.payload, "little"):
                 failures += 1
                 if max_retries is not None and failures > max_retries:
                     # The failed CASes never modified the word: nothing to undo.
-                    if stamp is not None:
-                        stamp(_new_tuple(TraceEvent, (
-                            trace._clock(), cid, item_id, OP_ACQ, mode, OUT_TIMEOUT, completion.serial)))
+                    stamp(_new_tuple(TraceEvent, (
+                        trace._clock(), cid, item_id, OP_ACQ, mode, OUT_TIMEOUT, completion.serial)))
                     raise AcquisitionTimeout(
                         f"exclusive acquire of item {item_id} gave up after {failures} attempts"
                     )
@@ -174,9 +170,8 @@ class ClientSession:
                 if completion.status != _OK:
                     raise ProtocolError(f"exclusive CAS failed: {completion.status.name}")
         self._held[item_id] = mode
-        if stamp is not None:
-            stamp(_new_tuple(
-                TraceEvent, (trace._clock(), cid, item_id, OP_ACQ, mode, OUT_GRANT, completion.serial)))
+        stamp(_new_tuple(
+            TraceEvent, (trace._clock(), cid, item_id, OP_ACQ, mode, OUT_GRANT, completion.serial)))
 
     # -- release ---------------------------------------------------------
 
@@ -189,8 +184,7 @@ class ClientSession:
             raise ProtocolError(f"releasing item {item_id} that is not held")
         offset = item_id * WORD_SIZE
         stamp, cid = self._stamp, self.client_id
-        if stamp is not None:
-            requested = trace._clock()
+        requested = trace._clock()
         if mode == MODE_SHARED:
             completion = self.qp.post_fa(self._region_id, offset, U64_MINUS_ONE)
             if completion.status != _OK:
@@ -202,10 +196,9 @@ class ClientSession:
             if completion.status != _OK:
                 raise ReleaseError(f"exclusive release WRITE failed: {completion.status.name}")
         del self._held[item_id]
-        if stamp is not None:
-            seq = completion.serial
-            stamp(_new_tuple(TraceEvent, (requested, cid, item_id, OP_REL, mode, OUT_REQ, seq)))
-            stamp(_new_tuple(TraceEvent, (trace._clock(), cid, item_id, OP_REL, mode, OUT_ACK, seq)))
+        seq = completion.serial
+        stamp(_new_tuple(TraceEvent, (requested, cid, item_id, OP_REL, mode, OUT_REQ, seq)))
+        stamp(_new_tuple(TraceEvent, (trace._clock(), cid, item_id, OP_REL, mode, OUT_ACK, seq)))
 
     def close(self) -> None:
         self.qp.close()

@@ -60,6 +60,4 @@ def recv_frame(sock: socket.socket, limit: int | None = None) -> bytes | None:
     (length,) = _LEN.unpack(header)
     if limit is not None and length > limit:
         return None
-    if length == 0:
-        return b""
     return recv_exactly(sock, length)

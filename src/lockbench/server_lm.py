@@ -8,6 +8,7 @@ EXCLUSIVE request waits even while other SHARED holders are active, which
 keeps writers from starving.  Each item's requests, grants and releases
 take the next value of the item's counter under its mutex; GRANT and ACK
 replies carry that value, and the client stamps it as the event's `seq`.
+Untraced, the core and the client stamp into `trace.DISCARD`.
 
 Two frontends carry the same protocol: a socket-style frontend and a
 SEND/RECV verb frontend.  Each charges a configurable amount of busy CPU
@@ -139,7 +140,7 @@ class LockServerCore:
             raise ValueError("need at least one item")
         self.n_items = n_items
         self._items = [ItemQueue(i) for i in range(n_items)]
-        self._stamp = None if recorder is None else recorder.stamper(0)
+        self._stamp = trace.DISCARD if recorder is None else recorder.stamper(0)
 
     def acquire(
         self, client_id: int, item_id: int, shared: bool, request_id: int
@@ -155,11 +156,8 @@ class LockServerCore:
             ):
                 return f"client {client_id} already acquired item {item_id}", []
             item.pending.append(LockRequest(request_id, client_id, item_id, mode))
-            seq = next(item.seqs)
-            stamp = self._stamp
-            if stamp is not None:
-                stamp(_new_tuple(
-                    TraceEvent, (trace._clock(), client_id, item_id, OP_ACQ, mode, OUT_REQ, seq)))
+            self._stamp(_new_tuple(
+                TraceEvent, (trace._clock(), client_id, item_id, OP_ACQ, mode, OUT_REQ, next(item.seqs))))
             return None, _grant(item)
 
     def release(self, client_id: int, item_id: int) -> tuple[str | None, list[LockRequest], int]:
@@ -315,9 +313,9 @@ class SocketConn:
 
     def rpc(self, message: bytes) -> bytes:
         send_frame(self._sock, message)
-        reply = recv_frame(self._sock)
+        reply = recv_frame(self._sock, MESSAGE_SIZE)
         if reply is None:
-            raise ConnectionError("server closed the connection")
+            raise ConnectionError("server closed the connection or sent an oversize frame")
         return reply
 
     def close(self) -> None:
@@ -586,41 +584,41 @@ class ServerLockClient:
     def __init__(self, conn, client_id: int, recorder: trace.TraceRecorder | None = None):
         self.conn = conn
         self.client_id = client_id
-        self._stamp = None if recorder is None else recorder.stamper(client_id)
+        self._stamp = trace.DISCARD if recorder is None else recorder.stamper(client_id)
         self._request_ids = itertools.count(1)
         self._held: dict[int, str] = {}
 
-    def acquire(self, item_id: int, shared: bool) -> None:
-        cid, stamp, request_id = self.client_id, self._stamp, next(self._request_ids)
-        op = MSG_ACQ_SHARED if shared else MSG_ACQ_EXCL
-        reply = self.conn.rpc(pack_message(op, cid, item_id, request_id))
+    def _call(self, op: int, item_id: int, want: int, what: str) -> int:
+        """Send one request; the `seq` of its `want` reply.  ProtocolError for
+        an ERROR, a reply to another request, or one not MESSAGE_SIZE bytes."""
+        request_id = next(self._request_ids)
+        reply = self.conn.rpc(pack_message(op, self.client_id, item_id, request_id))
+        if len(reply) != MESSAGE_SIZE:
+            raise ProtocolError(f"{what} reply of {len(reply)} bytes for item {item_id}")
         rop, _, ritem, rrid, seq = unpack_message(reply)
         if rop == MSG_ERROR:
-            raise ProtocolError(f"acquire rejected for item {item_id}")
-        if rop != MSG_GRANT or ritem != item_id or rrid != request_id:
+            raise ProtocolError(f"{what} rejected for item {item_id}")
+        if rop != want or ritem != item_id or rrid != request_id:
             raise ProtocolError(f"unexpected reply op={rop} item={ritem}")
+        return seq
+
+    def acquire(self, item_id: int, shared: bool) -> None:
+        seq = self._call(MSG_ACQ_SHARED if shared else MSG_ACQ_EXCL, item_id, MSG_GRANT, "acquire")
         mode = MODE_SHARED if shared else MODE_EXCLUSIVE
         self._held[item_id] = mode
-        if stamp is not None:
-            stamp(_new_tuple(TraceEvent, (trace._clock(), cid, item_id, OP_ACQ, mode, OUT_GRANT, seq)))
+        self._stamp(_new_tuple(
+            TraceEvent, (trace._clock(), self.client_id, item_id, OP_ACQ, mode, OUT_GRANT, seq)))
 
     def release(self, item_id: int) -> None:
         mode = self._held.get(item_id)
         if mode is None:
             raise ProtocolError(f"releasing item {item_id} that is not held")
-        cid, stamp, request_id = self.client_id, self._stamp, next(self._request_ids)
-        if stamp is not None:
-            requested = trace._clock()
-        reply = self.conn.rpc(pack_message(MSG_RELEASE, cid, item_id, request_id))
-        rop, _, ritem, rrid, seq = unpack_message(reply)
-        if rop == MSG_ERROR:
-            raise ProtocolError(f"release rejected for item {item_id}")
-        if rop != MSG_ACK or ritem != item_id or rrid != request_id:
-            raise ProtocolError(f"unexpected reply op={rop} item={ritem}")
+        requested = trace._clock()
+        seq = self._call(MSG_RELEASE, item_id, MSG_ACK, "release")
         del self._held[item_id]
-        if stamp is not None:
-            stamp(_new_tuple(TraceEvent, (requested, cid, item_id, OP_REL, mode, OUT_REQ, seq)))
-            stamp(_new_tuple(TraceEvent, (trace._clock(), cid, item_id, OP_REL, mode, OUT_ACK, seq)))
+        cid, stamp = self.client_id, self._stamp
+        stamp(_new_tuple(TraceEvent, (requested, cid, item_id, OP_REL, mode, OUT_REQ, seq)))
+        stamp(_new_tuple(TraceEvent, (trace._clock(), cid, item_id, OP_REL, mode, OUT_ACK, seq)))
 
     def close(self) -> None:
         self.conn.close()

@@ -26,6 +26,7 @@ import time
 from contextlib import suppress
 
 from . import framing
+from .errors import ProtocolError
 from .framing import recv_frame, send_frame
 from .verbs import (
     _CAS,
@@ -47,9 +48,10 @@ VERB_HEADER = struct.Struct("<BIQIQQ")
 REPLY_HEADER = struct.Struct("<BQ")
 # Hello, both directions: the client ID (0 in a request: assign one).
 HELLO = struct.Struct("<I")
-# The longest frame the agent reads; a longer length prefix ends the
+# The longest frame each side reads; a longer length prefix ends the
 # connection before anything is allocated for it.
 MAX_REQUEST = VERB_HEADER.size + 64 * 1024
+MAX_REPLY = REPLY_HEADER.size + 64 * 1024
 
 _POLL = 7  # wire kind of poll_recv; not a verb
 # Reply status bit: the agent-side queue pair is closed (its peer closed it).
@@ -63,6 +65,7 @@ CLOSE_WAIT_S = 3.0
 
 _SEND, _RECV = VerbKind.SEND, VerbKind.RECV
 _RECEIVED = (CompletionStatus.OK, CompletionStatus.TRUNCATED)
+_STATUSES = frozenset(CompletionStatus)
 _RECV_POSTED = Completion(_RECV, CompletionStatus.OK)
 _EMPTY_POLL = Completion(_RECV, CompletionStatus.RECEIVER_NOT_READY)
 _BAD_REQUEST = Completion(_RECV, CompletionStatus.BAD_REQUEST)
@@ -192,12 +195,14 @@ class TcpQueuePair:
         with self._lock:
             try:
                 send_frame(self._sock, frame)
-                reply = recv_frame(self._sock)
+                reply = recv_frame(self._sock, MAX_REPLY)
             except OSError:
                 reply = None
         if reply is None:
             self.closed = True
-            raise ConnectionError("verb channel closed")
+            raise ConnectionError("verb channel closed or reply over MAX_REPLY bytes")
+        if len(reply) < REPLY_HEADER.size or reply[0] & ~_QP_CLOSED not in _STATUSES:
+            raise ProtocolError(f"malformed verb reply {reply[:REPLY_HEADER.size]!r}")
         status, serial_plus1 = REPLY_HEADER.unpack_from(reply)
         if status & _QP_CLOSED:
             self.closed = True
@@ -271,7 +276,7 @@ class TcpFabric:
         sock = framing.connect(self.host, self.port)
         try:
             send_frame(sock, hello)
-            reply = recv_frame(sock)
+            reply = recv_frame(sock, HELLO.size)
             if reply is None or len(reply) != HELLO.size:
                 raise ConnectionError("handshake failed")
         except OSError:  # ConnectionError included

@@ -15,7 +15,7 @@ buffer, so a stable sort by stamp keeps each client's program order.
 from __future__ import annotations
 
 import time
-from collections import defaultdict
+from collections import defaultdict, deque
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -120,16 +120,20 @@ def sort_events(events) -> list[TraceEvent]:
 _clock = time.monotonic_ns
 _new_tuple = tuple.__new__
 
+# The stamper of every actor built without a recorder: a C-level append
+# that keeps nothing and is safe to share between threads.
+DISCARD = deque(maxlen=0).append
+
 
 class TraceRecorder:
     """Append-only event buffers, one per recording source (client ID, or 0
     for the server).  An actor appends `tuple.__new__(TraceEvent,
     (trace._clock(), ..., seq))` to its source's `stamper` inline, taking no
-    lock (list.append is atomic under the GIL).  `sorted_events` merges the
-    buffers by stamp.  The in-process server's buffer is appended to from
-    several client threads, so its append order need not be its stamp
-    order; per item it is, since each item's stamps are taken under the
-    item's mutex."""
+    lock (list.append is atomic under the GIL), or to `DISCARD` if built
+    without a recorder.  `sorted_events` merges the buffers by stamp.  The
+    in-process server's buffer is appended to from several client threads,
+    so its append order need not be its stamp order; per item it is, since
+    each item's stamps are taken under the item's mutex."""
 
     def __init__(self):
         self._buffers: defaultdict[int, list[TraceEvent]] = defaultdict(list)

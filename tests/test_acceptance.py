@@ -6,6 +6,7 @@ properties are statistical: they must hold in at least 9 of 10 seeded
 runs.  Timing budgets are part of the acceptance bar and are asserted.
 """
 
+import os
 import random
 import threading
 import time
@@ -42,6 +43,32 @@ def report(capfd):
             print(line, flush=True)
 
     return _report
+
+
+def _steal_ticks() -> int | None:
+    """The host's CPU steal so far, in clock ticks: the 8th field of the
+    `cpu` line of /proc/stat.  None where that file is absent."""
+    try:
+        with open("/proc/stat", encoding="ascii") as fh:
+            return int(fh.readline().split()[8])
+    except OSError:
+        return None
+
+
+@pytest.fixture
+def steal():
+    """`steal()` is the host's CPU steal since the test began, as
+    `steal <s>s`, or `steal n/a`.  Trend verdicts print it: steal is what
+    makes a short real-time run on a shared host read low."""
+    start = _steal_ticks()
+
+    def since() -> str:
+        end = _steal_ticks()
+        if start is None or end is None:
+            return "steal n/a"
+        return f"steal {(end - start) / os.sysconf('SC_CLK_TCK'):.2f}s"
+
+    return since
 
 
 def _throughput(**kwargs) -> float:
@@ -212,7 +239,7 @@ def test_codec_and_fa_bridges(report):
 # -- 4. server frontends: throughput shape over client count ------------------------
 
 
-def test_send_recv_vs_tcp_frontend_shape(report):
+def test_send_recv_vs_tcp_frontend_shape(report, steal):
     """With 20 us per TCP message vs 2 us per SEND/RECV message on 4
     workers, the SEND/RECV frontend must beat the TCP frontend at every
     point from 4 clients up, and the TCP curve must plateau (16-client
@@ -245,7 +272,7 @@ def test_send_recv_vs_tcp_frontend_shape(report):
         details.append(f"seed {seed}: sr_above={sr_above} plateau={plateau}")
     elapsed = time.monotonic() - t0
     ok = wins >= 9 and elapsed < 120
-    report("frontend-shape", ok, f"{wins}/10 seeds, {elapsed:.1f}s")
+    report("frontend-shape", ok, f"{wins}/10 seeds, {elapsed:.1f}s, {steal()}")
     assert wins >= 9, details
     assert elapsed < 120
 
@@ -253,7 +280,7 @@ def test_send_recv_vs_tcp_frontend_shape(report):
 # -- 5. client-centric vs best server design ------------------------------------------
 
 
-def test_client_centric_outperforms_send_recv_server(report):
+def test_client_centric_outperforms_send_recv_server(report, steal):
     """At 8 and 16 clients (default cost settings) the client-centric
     design must finish strictly ahead of the SEND/RECV server in >= 9 of
     10 seeded runs."""
@@ -287,7 +314,7 @@ def test_client_centric_outperforms_send_recv_server(report):
         wins += ahead
     elapsed = time.monotonic() - t0
     ok = wins >= 9 and elapsed < 120
-    report("client-centric-margin", ok, f"{wins}/10 seeds, {elapsed:.1f}s")
+    report("client-centric-margin", ok, f"{wins}/10 seeds, {elapsed:.1f}s, {steal()}")
     assert wins >= 9, details
     assert elapsed < 120
 
@@ -295,7 +322,7 @@ def test_client_centric_outperforms_send_recv_server(report):
 # -- 6. contention trend ---------------------------------------------------------------
 
 
-def test_contention_degrades_client_centric_throughput(report):
+def test_contention_degrades_client_centric_throughput(report, steal):
     """At 16 clients, client-centric throughput at contention rate 0.875
     (2 items) must fall below its value at rate 0 (16 items) in >= 9 of 10
     seeded runs.
@@ -326,7 +353,7 @@ def test_contention_degrades_client_centric_throughput(report):
         wins += thr[2] < thr[16]
     elapsed = time.monotonic() - t0
     ok = wins >= 9
-    report("contention-trend", ok, f"{wins}/10 seeds, {elapsed:.1f}s")
+    report("contention-trend", ok, f"{wins}/10 seeds, {elapsed:.1f}s, {steal()}")
     assert wins >= 9, details
 
 

@@ -45,6 +45,8 @@ from lockbench.framing import recv_frame, send_frame
 from lockbench.tcp_transport import CLOSE_WAIT_S, HELLO
 from lockbench.trace import TraceRecorder
 
+from conftest import start_call
+
 FAST = dict(n_clients=3, n_items=2, ops_per_client=30, per_message_cost=0.0)
 
 
@@ -252,32 +254,6 @@ def test_a_server_that_breaks_fifo_fails_the_run(monkeypatch):
     assert FIFO_VIOLATION in {v.kind for v in exc_info.value.violations}
 
 
-def _start(fn, *args):
-    """Run `fn(*args)` on a daemon thread.  No pytest-timeout is installed,
-    so each test bounds its own wait: `raised(seconds)` joins the thread
-    for at most that long, checks that it ended, and returns what `fn`
-    raised (None if it returned)."""
-    outcome = []
-
-    def run():
-        try:
-            fn(*args)
-        except Exception as exc:
-            outcome.append(exc)
-        else:
-            outcome.append(None)
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-
-    def raised(seconds):
-        thread.join(seconds)
-        assert not thread.is_alive(), f"still running after {seconds} s"
-        return outcome[0]
-
-    return raised
-
-
 def test_inproc_client_that_fails_to_connect_ends_the_run(monkeypatch):
     # Client 1 waits at the barrier; client 2's failure must break it.
     real_connect = bench.connect_client
@@ -289,7 +265,7 @@ def test_inproc_client_that_fails_to_connect_ends_the_run(monkeypatch):
 
     monkeypatch.setattr(bench, "connect_client", flaky_connect)
     spec = WorkloadSpec(design=DESIGN_CLIENT_CENTRIC, **dict(FAST, n_clients=2))
-    exc = _start(run_workload, spec)(5)
+    exc = start_call(run_workload, spec)(5)
     assert isinstance(exc, RuntimeError)
     assert "client 2: ConnectionError: refused" in str(exc)
 
@@ -313,7 +289,7 @@ def test_tcp_client_whose_handshake_fails_ends_the_run():
     spec = WorkloadSpec(design=DESIGN_CLIENT_CENTRIC, transport=TRANSPORT_TCP, n_clients=2)
     hosted = bench.HostedDesign(listener.getsockname(), 0, None, listener.close)
     try:
-        exc = _start(bench._run_clients, spec, hosted, TraceRecorder())(10)
+        exc = start_call(bench._run_clients, spec, hosted, TraceRecorder())(10)
     finally:
         listener.close()
     assert isinstance(exc, RuntimeError)
@@ -340,7 +316,7 @@ def test_tcp_client_whose_agent_never_closes_ends_the_run():
     spec = WorkloadSpec(design=DESIGN_CLIENT_CENTRIC, transport=TRANSPORT_TCP, n_clients=2)
     hosted = bench.HostedDesign(listener.getsockname(), 0, None, listener.close)
     try:
-        exc = _start(bench._run_clients, spec, hosted, TraceRecorder())(CLOSE_WAIT_S + 5)
+        exc = start_call(bench._run_clients, spec, hosted, TraceRecorder())(CLOSE_WAIT_S + 5)
     finally:
         for sock in held:
             framing.close(sock)
@@ -361,7 +337,7 @@ def test_killed_tcp_client_process_ends_the_run():
         ops_per_client=50_000,
         per_message_cost=1e-3,
     )
-    raised = _start(run_workload, spec)
+    raised = start_call(run_workload, spec)
     deadline = time.monotonic() + 10
     while len(children := multiprocessing.active_children()) < 2:
         assert time.monotonic() < deadline, "client processes did not start"

@@ -1,14 +1,16 @@
 """The client-centric hot path: one-sided verbs on both transports, the
 region atomics' aligned fast path, the live region registry, and the layer
 boundaries of one lock cycle (`ClientSession.acquire`/`release`,
-`QueuePair.post_*` and the stamps appended through `TraceRecorder.stamper`)."""
+`QueuePair.post_*` and the stamps appended through `TraceRecorder.stamper`,
+or into `trace.DISCARD` when untraced)."""
 
 import pytest
 
 from lockbench.client_lm import ClientSession
 from lockbench.locktable import LockTable
+from lockbench.server_lm import FRONTEND_TCP, InprocChannel, LockServer, ServerConfig, ServerLockClient
 from lockbench.tcp_transport import TcpAgent, TcpFabric
-from lockbench.trace import TraceRecorder
+from lockbench.trace import DISCARD, TraceRecorder
 from lockbench.verbs import CompletionStatus, InprocFabric, RegionAccessError, VerbKind
 
 from test_client_lm import CountingQp
@@ -147,20 +149,46 @@ class CountingRecorder(TraceRecorder):
         return stamp
 
 
+CYCLE_VERBS = {False: {VerbKind.CAS: 1, VerbKind.WRITE: 1}, True: {VerbKind.FA: 2}}
+
+
 @pytest.mark.parametrize(
-    "shared, verbs",
-    [(False, {VerbKind.CAS: 1, VerbKind.WRITE: 1}), (True, {VerbKind.FA: 2})],
-    ids=["exclusive", "shared"],
+    "shared, make_recorder",
+    [(False, CountingRecorder), (True, CountingRecorder), (False, None), (True, None)],
+    ids=["exclusive", "shared", "exclusive-untraced", "shared-untraced"],
 )
-def test_an_uncontended_cycle_posts_its_verbs_and_stamps_four_events(shared, verbs):
+def test_an_uncontended_cycle_posts_its_verbs_and_stamps_four_events(shared, make_recorder):
     fabric = InprocFabric()
     table = LockTable.allocate(fabric, 4)
     qp = CountingQp(fabric.connect(1))
-    recorder = CountingRecorder()
+    recorder = make_recorder and make_recorder()
     session = ClientSession(qp, table, 1, recorder=recorder)
     session.acquire(2, shared)
     session.release(2)
-    assert recorder.stamps == 4 == len(recorder.sorted_events())
-    assert {kind: n for kind, n in qp.counts.items() if n} == verbs
+    if recorder is not None:
+        assert recorder.stamps == 4 == len(recorder.sorted_events())
+    assert {kind: n for kind, n in qp.counts.items() if n} == CYCLE_VERBS[shared]
     assert table.words() == [0, 0, 0, 0]
+    fabric.close()
+
+
+def test_untraced_actors_stamp_into_a_sink_that_keeps_nothing():
+    # A long-lived untraced client or server (`lockbench server`) must not
+    # grow with the locks it takes.
+    fabric = InprocFabric()
+    table = LockTable.allocate(fabric, 4)
+    session = ClientSession(fabric.connect(1), table, 1)
+    server = LockServer(ServerConfig(4, FRONTEND_TCP))
+    channel = InprocChannel()
+    server.attach_channel(channel)
+    client = ServerLockClient(channel, 2)
+    assert session._stamp is client._stamp is server.core._stamp is DISCARD
+    for i in range(1000):
+        for actor in (session, client):
+            actor.acquire(i % 4, i % 2 == 0)
+            actor.release(i % 4)
+    assert DISCARD.__self__.maxlen == 0 and len(DISCARD.__self__) == 0
+    assert table.words() == [0, 0, 0, 0] and server.core.granted_count() == 0
+    client.close()
+    server.shutdown()
     fabric.close()

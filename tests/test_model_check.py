@@ -22,6 +22,7 @@ def test_three_clients_all_mode_combinations_explore_clean():
     for modes, result in results.items():
         assert result.unsafe == [], modes
         assert result.bad_terminal == [], modes
+    assert sum(r.states_explored for r in results.values()) == 2506
     assert elapsed < 10
 
 

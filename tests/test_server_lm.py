@@ -40,6 +40,8 @@ from lockbench.tcp_transport import TcpAgent, TcpFabric
 from lockbench.trace import MODE_EXCLUSIVE, MODE_SHARED, TraceRecorder
 from lockbench.verbs import InprocFabric
 
+from conftest import start_call
+
 
 def _req(client_id, mode, item=0, request_id=None):
     return LockRequest(request_id or client_id, client_id, item, mode)
@@ -429,6 +431,20 @@ def test_a_prefix_longer_than_a_message_ends_the_connection_at_once(tcp_server):
     with socket.create_connection(address, timeout=5) as sock:
         sock.sendall(struct.pack("<I", 1000) + b"abc")  # 997 bytes short
         assert sock.recv(1) == b""  # EOF; waiting for the body raises TimeoutError
+
+
+@pytest.mark.parametrize(
+    "reply, error",
+    [(struct.pack("<I", 3) + b"\x04\x00\x00", ProtocolError), (struct.pack("<I", 1 << 30), ConnectionError)],
+    ids=["three-byte-reply", "oversize-prefix"],
+)
+def test_a_malformed_reply_to_a_socket_client_raises_at_once(stub_peer, reply, error):
+    client = ServerLockClient(SocketConn(*stub_peer(reply)), 1)
+    try:
+        assert isinstance(start_call(client.acquire, 0, False)(5), error)
+        assert client._held == {}
+    finally:
+        client.close()
 
 
 def test_a_frame_sent_byte_by_byte_does_not_hold_up_other_clients(tcp_server):

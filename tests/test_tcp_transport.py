@@ -10,9 +10,20 @@ import time
 import pytest
 
 from lockbench import framing
+from lockbench.errors import ProtocolError
 from lockbench.locktable import WORD_SIZE, LockTable, encode
-from lockbench.tcp_transport import _POLL, _POLL_SLICE, MAX_REQUEST, TcpAgent, TcpFabric
+from lockbench.tcp_transport import (
+    _POLL,
+    _POLL_SLICE,
+    HELLO,
+    MAX_REQUEST,
+    REPLY_HEADER,
+    TcpAgent,
+    TcpFabric,
+)
 from lockbench.verbs import CompletionStatus
+
+from conftest import start_call
 
 U64 = 1 << 64
 
@@ -387,3 +398,34 @@ def test_a_client_that_hangs_up_mid_poll_frees_its_agent_thread(agent, fabric):
     poller.join(timeout=5)
     assert not poller.is_alive()
     assert not agent._conns
+
+
+def _framed(payload):
+    return struct.pack("<I", len(payload)) + payload
+
+
+GIB_PREFIX = struct.pack("<I", 1 << 30)  # a length prefix the peer never honours
+
+
+@pytest.mark.parametrize(
+    "reply, error",
+    [
+        (_framed(b"\x00\x00"), ProtocolError),
+        (_framed(REPLY_HEADER.pack(0x55, 0)), ProtocolError),
+        (GIB_PREFIX, ConnectionError),
+    ],
+    ids=["two-byte-reply", "unknown-status", "oversize-prefix"],
+)
+def test_a_malformed_verb_reply_raises_at_once(stub_peer, reply, error):
+    qp = TcpFabric(*stub_peer(_framed(HELLO.pack(1)), reply)).connect(1)
+    try:
+        assert isinstance(start_call(qp.post_cas, 0, 0, 0, 1)(5), error)
+        assert qp.closed == (error is ConnectionError)
+    finally:
+        qp.close()
+
+
+@pytest.mark.parametrize("hello", [_framed(b"\x01\x00"), GIB_PREFIX], ids=["two-byte-hello", "oversize-prefix"])
+def test_a_malformed_hello_fails_the_connect_at_once(stub_peer, hello):
+    exc = start_call(TcpFabric(*stub_peer(hello)).connect)(5)
+    assert isinstance(exc, ConnectionError) and "handshake failed" in str(exc)
