@@ -9,9 +9,12 @@ transport.
 
 Every run's trace is validated by the checker before metrics are
 reported; a violating trace raises RunCheckError instead of returning
-numbers.  One worker runs each client: a thread in process, a process
-over TCP (forkserver start method, so worker startup does not fork a
-thread-laden parent).  A failed or killed client ends the run at once.
+numbers.  The checked trace is the run's only report: its GRANT count is
+the lock count and its first-to-last stamp the time span, so the harness
+reads no clock and a client reports only its trace.  One worker runs each
+client: a thread in process, a process over TCP (forkserver start method,
+so worker startup does not fork a thread-laden parent).  A failed or
+killed client ends the run at once.
 
 Design x transport matrix, hosted by `host_design` and connected to by
 `connect_client`:
@@ -30,11 +33,11 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 import multiprocessing
 import queue
 import random
 import threading
-import time
 from dataclasses import dataclass, replace
 from operator import countOf, itemgetter
 from typing import Callable, NamedTuple
@@ -132,10 +135,10 @@ class WorkloadSpec:
             raise ConfigurationError(
                 f"shared_fraction must be in [0, 1], got {self.shared_fraction}"
             )
-        if self.backoff < 0:
-            raise ConfigurationError("backoff must be >= 0")
-        if self.per_message_cost is not None and self.per_message_cost < 0:
-            raise ConfigurationError("per_message_cost must be >= 0")
+        if not 0 <= self.backoff < math.inf:  # false for nan too
+            raise ConfigurationError("backoff must be finite and >= 0")
+        if self.per_message_cost is not None and not 0 <= self.per_message_cost < math.inf:
+            raise ConfigurationError("per_message_cost must be finite and >= 0")
         if self.max_retries is not None and self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0 or None")
         if self.worker_limit < 1:
@@ -168,13 +171,11 @@ def client_op_stream(spec: WorkloadSpec, client_index: int) -> list[tuple[int, b
     ]
 
 
-def _drive(client, ops) -> tuple[int, int, int]:
-    """Run the closed loop; returns (start_ns, end_ns, locks acquired)."""
-    start = time.monotonic_ns()
+def _drive(client, ops) -> None:
+    """Run the closed loop."""
     for item, shared in ops:
         client.acquire(item, shared)
         client.release(item)
-    return start, time.monotonic_ns(), len(ops)
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +254,10 @@ def _mp_context():
 
 
 def _client_worker(spec, i, target, region_id, barrier, results, recorder=None):
-    """Run client `i` from connect to close, then put `(i, start_ns, end_ns,
-    locks, events, error)` on `results`.  A client process (no `recorder`)
-    records and ships its own trace, as plain tuples, which pickle faster.
-    A failure breaks the barrier, so no client waits there for this one."""
+    """Run client `i` from connect to close, then put `(i, events, error)` on
+    `results`.  A client process (no `recorder`) records and ships its own
+    trace, as plain tuples, which pickle faster.  A failure breaks the
+    barrier, so no client waits there for this one."""
     own_trace = recorder is None
     recorder = TraceRecorder() if own_trace else recorder
     try:
@@ -264,22 +265,22 @@ def _client_worker(spec, i, target, region_id, barrier, results, recorder=None):
         try:
             ops = client_op_stream(spec, i)
             barrier.wait()
-            start, end, locks = _drive(client, ops)
+            _drive(client, ops)
         finally:
             client.close()  # before the trace ships: lockperf's client spans dump on close
     except Exception as exc:
         barrier.abort()
-        results.put((i, 0, 0, 0, [], f"{type(exc).__name__}: {exc}"))
+        results.put((i, [], f"{type(exc).__name__}: {exc}"))
     else:
         events = list(map(tuple, recorder.sorted_events())) if own_trace else []
-        results.put((i, start, end, locks, events, None))
+        results.put((i, events, None))
 
 
-def _run_clients(spec: WorkloadSpec, hosted: HostedDesign, recorder: TraceRecorder):
-    """Returns {client index: (start_ns, end_ns, locks acquired)}; client
-    processes' events go into `recorder`.  Raises RuntimeError naming every
-    client's error once all have reported, or naming exit codes once a
-    client has ended without a report.  No client process outlives it."""
+def _run_clients(spec: WorkloadSpec, hosted: HostedDesign, recorder: TraceRecorder) -> None:
+    """Run every client to its end; client processes' events go into
+    `recorder`.  Raises RuntimeError naming every client's error once all
+    have reported, or naming exit codes once a client has ended without a
+    report.  No client process outlives it."""
     inproc = spec.transport == TRANSPORT_INPROC
     if inproc:
         barrier, results = threading.Barrier(spec.n_clients), queue.SimpleQueue()
@@ -293,13 +294,13 @@ def _run_clients(spec: WorkloadSpec, hosted: HostedDesign, recorder: TraceRecord
         i: make(target=_client_worker, args=(spec, i, *args), name=f"bench-client-{i}", daemon=True)
         for i in range(1, spec.n_clients + 1)
     }
-    per_client, errors, pending, ended = {}, {}, set(workers), set()
+    errors, pending, ended = {}, set(workers), set()
     try:
         for worker in workers.values():
             worker.start()
         while pending:
             try:
-                i, start, end, locks, events, error = results.get(timeout=_REPORT_GRACE_S)
+                i, events, error = results.get(timeout=_REPORT_GRACE_S)
             except queue.Empty:
                 # Seen ended at two empty polls in a row: no report is coming.
                 silent = {i for i in pending if not workers[i].is_alive()}
@@ -311,12 +312,9 @@ def _run_clients(spec: WorkloadSpec, hosted: HostedDesign, recorder: TraceRecord
             pending.discard(i)
             if error is not None:
                 errors[i] = error
-            else:
-                per_client[i] = (start, end, locks)
-                recorder.extend([tuple.__new__(TraceEvent, t) for t in events])
+            recorder.extend([tuple.__new__(TraceEvent, t) for t in events])  # a failed client ships none
         if errors:
             raise RuntimeError("; ".join(f"client {i}: {errors[i]}" for i in sorted(errors)))
-        return per_client
     finally:
         for worker in workers.values():
             if worker.is_alive():
@@ -328,7 +326,8 @@ def _run_clients(spec: WorkloadSpec, hosted: HostedDesign, recorder: TraceRecord
 # ---------------------------------------------------------------------------
 
 
-def _finish(spec, events, per_client, words):
+def _finish(spec, events, words):
+    """Check the sorted trace, then report its GRANT count and its first-to-last stamp span."""
     violations = check_all(events, spec.design)
     if words is not None:
         violations.extend(
@@ -336,27 +335,15 @@ def _finish(spec, events, per_client, words):
             for item, word in enumerate(words)
             if word != 0
         )
-    total = sum(locks for _, _, locks in per_client.values())
+    total = spec.n_clients * spec.ops_per_client
     grants = countOf(map(itemgetter(5), events), OUT_GRANT)  # recorders stamp GRANT only on ACQ
     if grants != total:
-        violations.append(
-            Violation(
-                CONSERVATION,
-                f"trace has {grants} grant events but clients report {total} acquisitions",
-            )
-        )
+        violations.append(Violation(CONSERVATION, f"trace has {grants} grants for {total} operations"))
     if violations:
         raise RunCheckError(violations)
-    start = min(s for s, _, _ in per_client.values())
-    end = max(e for _, e, _ in per_client.values())
-    elapsed = max(end - start, 1) / 1e9
-    result = RunResult(
-        total_locks_granted=total,
-        elapsed=elapsed,
-        throughput=total / elapsed,
-        contention_rate=contention_rate(spec.n_items, spec.n_clients),
-    )
-    return result, events
+    elapsed = max(events[-1].timestamp_ns - events[0].timestamp_ns, 1) / 1e9
+    rate = contention_rate(spec.n_items, spec.n_clients)
+    return RunResult(total, elapsed, total / elapsed, rate), events
 
 
 def run_workload(spec: WorkloadSpec) -> tuple[RunResult, list[TraceEvent]]:
@@ -369,9 +356,9 @@ def run_workload(spec: WorkloadSpec) -> tuple[RunResult, list[TraceEvent]]:
     recorder = TraceRecorder()
     hosted = host_design(spec, recorder)
     try:
-        per_client = _run_clients(spec, hosted, recorder)
+        _run_clients(spec, hosted, recorder)
         words = hosted.words() if hosted.words is not None else None
-        return _finish(spec, recorder.sorted_events(), per_client, words)
+        return _finish(spec, recorder.sorted_events(), words)
     finally:
         hosted.teardown()
 

@@ -118,7 +118,11 @@ def _cmd_server(args) -> int:
         worker_limit=args.worker_limit,
     )
     spec.validate()
-    hosted = host_design(spec, host=args.host, port=args.port)
+    try:
+        hosted = host_design(spec, host=args.host, port=args.port)
+    except OSError as exc:  # the address is taken, or not an IPv4 one
+        print(f"cannot listen on {args.host}:{args.port}: {exc}", file=sys.stderr)
+        return 1
     host, port = hosted.target
     if hosted.words is None:
         print(f"{args.design} listening on {host}:{port} with {args.items} items", flush=True)

@@ -36,6 +36,7 @@ the checker can confirm the count returned to balance.
 
 from __future__ import annotations
 
+import math
 import time
 
 from . import trace
@@ -85,8 +86,8 @@ class ClientSession:
             raise ValueError("client_id must be >= 1")
         if max_retries is not None and max_retries < 0:
             raise ValueError("max_retries must be >= 0 or None")
-        if backoff < 0:
-            raise ValueError("backoff must be >= 0")
+        if not 0 <= backoff < math.inf:  # false for nan too
+            raise ValueError("backoff must be finite and >= 0")
         self.qp = qp
         self._region_id = table.region_id
         self._item_count = table.item_count

@@ -24,6 +24,7 @@ and `serve_sr_listener` serve only lockperf's per-layer timings.)
 from __future__ import annotations
 
 import itertools
+import math
 import queue
 import selectors
 import socket
@@ -233,8 +234,8 @@ class ServerConfig:
     def __post_init__(self):
         if self.frontend not in (FRONTEND_TCP, FRONTEND_SEND_RECV):
             raise ValueError(f"unknown frontend {self.frontend!r}")
-        if self.per_message_cost < 0:
-            raise ValueError("per_message_cost must be >= 0")
+        if not 0 <= self.per_message_cost < math.inf:  # false for nan too
+            raise ValueError("per_message_cost must be finite and >= 0")
         if self.worker_limit < 1:
             raise ValueError("worker_limit must be >= 1")
 
@@ -422,7 +423,7 @@ class LockServer:
         self._endpoint_lock = threading.Lock()
         self._listeners: list[object] = []
         self._loop: threading.Thread | None = None
-        self._wake: socket.socket | None = None
+        self._listener: socket.socket | None = None
         self._closing = False
 
     # -- frontend attachment -------------------------------------------
@@ -443,18 +444,17 @@ class LockServer:
         self._spawn(accept_loop, "sr-accept")
 
     def serve_tcp(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
-        sock = framing.listen(host, port)
-        wake, self._wake = socket.socketpair()
-        self._loop = self._spawn(self._tcp_loop, "tcp-loop", sock, wake)
-        return sock.getsockname()
+        listener = self._listener = framing.listen(host, port)
+        self._loop = self._spawn(self._tcp_loop, "tcp-loop", listener)
+        return listener.getsockname()
 
-    def _tcp_loop(self, listener: socket.socket, wake: socket.socket) -> None:
+    def _tcp_loop(self, listener: socket.socket) -> None:
         """Accept and serve every TCP connection on this one thread until
-        shutdown; then close every socket the loop owns."""
+        shutdown, which shuts the listener down to wake it; then close
+        every socket the loop owns."""
         selector = selectors.DefaultSelector()
-        for sock in (listener, wake):
-            sock.setblocking(False)
-            selector.register(sock, selectors.EVENT_READ)
+        listener.setblocking(False)
+        selector.register(listener, selectors.EVENT_READ)
         while not self._closing:
             for key, _ in selector.select():
                 if key.fileobj is listener:
@@ -470,7 +470,6 @@ class LockServer:
         for key in list(selector.get_map().values()):
             (key.data or key.fileobj).close()
         selector.close()
-        self._wake.close()
 
     def _serve_frames(self, endpoint: _SocketEndpoint) -> bool:
         """One recv, then dispatch every whole frame in order; False once
@@ -562,8 +561,8 @@ class LockServer:
         for listener in self._listeners:
             listener.close()
         if self._loop is not None:
-            with suppress(OSError):
-                self._wake.send(b"\0")
+            with suppress(OSError):  # accept() then fails, and the loop sees _closing
+                self._listener.shutdown(socket.SHUT_RDWR)
             if self._loop is not threading.current_thread():
                 self._loop.join()
         with self._endpoint_lock:

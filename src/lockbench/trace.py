@@ -102,8 +102,12 @@ def write_trace(path, events: Iterable[TraceEvent]) -> None:
 
 def read_trace(path) -> list[TraceEvent]:
     events = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("ascii")
+            except UnicodeDecodeError as exc:
+                raise TraceParseError(lineno, f"non-ASCII byte {raw[exc.start]:#04x}") from None
             if line.strip():
                 events.append(parse_line(line, lineno))
     return events

@@ -86,7 +86,11 @@ def test_op_stream_respects_item_range_and_mix():
     ("ops_per_client", 0),
     ("shared_fraction", 1.5),
     ("backoff", -1.0),
+    ("backoff", float("nan")),
+    ("backoff", float("inf")),
     ("per_message_cost", -1e-6),
+    ("per_message_cost", float("nan")),
+    ("per_message_cost", float("inf")),
     ("max_retries", -1),
     ("worker_limit", 0),
 ])
@@ -107,11 +111,14 @@ def test_effective_message_cost_defaults():
 
 # One run per design x transport build; the in-process runs keep their
 # design-only ids.
-@pytest.mark.parametrize(
+each_design_and_transport = pytest.mark.parametrize(
     "design,transport",
     [(d, TRANSPORT_INPROC) for d in DESIGNS] + [(d, TRANSPORT_TCP) for d in DESIGNS],
     ids=[*DESIGNS, *(f"{d}-tcp" for d in DESIGNS)],
 )
+
+
+@each_design_and_transport
 def test_small_run_produces_consistent_metrics(design, transport):
     spec = WorkloadSpec(design=design, transport=transport, **FAST)
     result, events = run_workload(spec)
@@ -122,6 +129,15 @@ def test_small_run_produces_consistent_metrics(design, transport):
     # Every client completed its whole stream: one GRANT per op each.
     grants = Counter(e.client_id for e in events if e.op == "ACQ" and e.outcome == "GRANT")
     assert grants == {i: spec.ops_per_client for i in range(1, spec.n_clients + 1)}
+
+
+@each_design_and_transport
+def test_lock_count_and_span_come_from_the_checked_trace(design, transport):
+    spec = WorkloadSpec(design=design, transport=transport, **FAST)
+    result, events = run_workload(spec)
+    grants = sum(e.op == "ACQ" and e.outcome == "GRANT" for e in events)
+    assert result.total_locks_granted == spec.n_clients * spec.ops_per_client == grants
+    assert result.elapsed == max(events[-1].timestamp_ns - events[0].timestamp_ns, 1) / 1e9
 
 
 @pytest.mark.parametrize("design", [DESIGN_SERVER_TCP, DESIGN_SERVER_SR])
@@ -217,9 +233,8 @@ def test_unbalanced_release_is_caught_at_quiescence(monkeypatch):
     real_drive = bench._drive
 
     def leaky_drive(client, ops):
-        start, end, locks = real_drive(client, ops[:-1])
+        real_drive(client, ops[:-1])
         client.acquire(*ops[-1])
-        return start, end, locks + 1
 
     monkeypatch.setattr(bench, "_drive", leaky_drive)
     with pytest.raises(RunCheckError):

@@ -1,10 +1,11 @@
 """CLI surface: bench runs, trace checking, exit codes."""
 
 import csv
+import threading
 
 import pytest
 
-from lockbench import bench, cli
+from lockbench import bench, cli, framing
 from lockbench.cli import main
 from lockbench.server_lm import DEFAULT_SR_MESSAGE_COST, DEFAULT_TCP_MESSAGE_COST
 from lockbench.trace import TraceEvent, write_trace
@@ -105,6 +106,13 @@ def test_check_malformed_trace_exits_2(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+def test_check_non_ascii_trace_exits_2(tmp_path, capsys):
+    path = tmp_path / "binary.trace"
+    path.write_bytes(b"10,1,0,ACQ,SHARED,REQ,1\n\xff\n")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "malformed trace: line 2: non-ASCII byte 0xff\n"
+
+
 def test_check_rejects_an_event_no_recorder_stamps(tmp_path, capsys):
     path = tmp_path / "acq-ack.trace"
     path.write_text("10,1,0,ACQ,SHARED,ACK,1\n")
@@ -127,8 +135,19 @@ def test_check_rejects_a_trace_without_seqs(tmp_path, capsys):
         BENCH_FAST + ["--clients", "0"],
         BENCH_FAST + ["--sweep-clients", "0,2"],
         ["server", "--worker-limit", "0"],
+        # Non-finite costs and backoffs.  The backoff cases run one client,
+        # which never retries, so a build that let them through would not
+        # sleep them either.
+        BENCH_FAST + ["--design", "server-sr", "--per-message-cost-us", "nan"],
+        BENCH_FAST + ["--design", "server-sr", "--per-message-cost-us", "inf"],
+        BENCH_FAST + ["--clients", "1", "--backoff-us", "nan"],
+        BENCH_FAST + ["--clients", "1", "--backoff-us", "inf"],
+        ["server", "--per-message-cost-us", "nan"],
     ],
-    ids=["worker-limit", "max-retries", "clients", "sweep-count", "server-worker-limit"],
+    ids=[
+        "worker-limit", "max-retries", "clients", "sweep-count", "server-worker-limit",
+        "cost-nan", "cost-inf", "backoff-nan", "backoff-inf", "server-cost-nan",
+    ],
 )
 def test_bad_settings_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -179,3 +198,22 @@ def test_server_message_cost_defaults_per_frontend(monkeypatch, argv, cost):
         main(["server"] + argv)
     assert len(configs) == 1
     assert configs[0].per_message_cost == pytest.approx(cost)
+
+
+@pytest.mark.parametrize(
+    "design,host",
+    [("server-tcp", None), ("client-centric", None), ("server-tcp", "::1")],
+    ids=["server-port-taken", "client-centric-port-taken", "server-ipv6-host"],
+)
+def test_server_that_cannot_listen_exits_1(design, host, capsys):
+    # framing.listen holds the port, or the host is not an IPv4 address.
+    held = framing.listen("127.0.0.1", 0)
+    taken_host, port = held.getsockname()
+    host = host or taken_host
+    before = set(threading.enumerate())
+    try:
+        assert main(["server", "--design", design, "--host", host, "--port", str(port)]) == 1
+    finally:
+        held.close()
+    assert set(threading.enumerate()) <= before
+    assert capsys.readouterr().err.startswith(f"cannot listen on {host}:{port}: ")

@@ -225,8 +225,9 @@ def test_cost_model_worker_limit_serializes():
 def test_server_config_validation():
     with pytest.raises(ValueError):
         ServerConfig(1, frontend="carrier-pigeon")
-    with pytest.raises(ValueError):
-        ServerConfig(1, per_message_cost=-1.0)
+    for cost in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ServerConfig(1, per_message_cost=cost)
     with pytest.raises(ValueError):
         ServerConfig(1, worker_limit=0)
     assert DEFAULT_SR_MESSAGE_COST == pytest.approx(DEFAULT_TCP_MESSAGE_COST / 10)
@@ -541,6 +542,8 @@ def test_shutdown_wakes_a_socket_client_waiting_for_a_deferred_grant():
     t.join(timeout=5)
     assert not t.is_alive() and len(errors) == 1
     assert not server._loop.is_alive()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(address, timeout=5).close()
     holder.close()
     waiter.close()
 
