@@ -11,19 +11,23 @@ Every run's trace is validated by the checker before metrics are
 reported; a violating trace raises RunCheckError instead of returning
 numbers.  The checked trace is the run's only report: its GRANT count is
 the lock count and its first-to-last stamp the time span, so the harness
-reads no clock and a client reports only its trace.  One worker runs each
-client: a thread in process, a process over TCP (forkserver start method,
-so worker startup does not fork a thread-laden parent).  A failed or
-killed client ends the run at once.
+reads no clock and a client reports only its trace.  A failed or killed
+client ends the run at once.
 
-Design x transport matrix, hosted by `host_design` and connected to by
-`connect_client`:
+`TRANSPORT_ROWS` holds one row per transport.  A row hosts each design's
+passive side, connects each client and picks the clients' worker kind;
+`host_design`, `connect_client` and `_run_clients` read the row and test no
+transport.
 
-* server-tcp or server-sr / inproc — in-process channels that dispatch on
-  the client's thread
-* server-tcp or server-sr / tcp    — framed sockets against the server's
-  TCP port, every connection served by the server's one loop thread
-* client-centric / inproc or tcp   — one-sided verbs against the lock table
+* inproc — a server design is the LockServer itself, behind one
+  InprocChannel per client that dispatches on the client's thread; the
+  lock table sits on an InprocFabric; each client is a thread that stamps
+  into the run's recorder.
+* tcp — a server design is the LockServer's framed-socket port, every
+  connection served by its one loop thread; the lock table sits on a
+  TcpAgent, reached through a TcpFabric; each client is a forkserver
+  process (so worker startup does not fork a thread-laden parent) that
+  ships its own trace and is terminated on cleanup.
 
 On either transport the two server designs take one path and differ only
 in the server's frontend cost.
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import math
 import multiprocessing
 import queue
 import random
@@ -52,7 +55,7 @@ from .checker import (
     check_all,
 )
 from .client_lm import ClientSession
-from .errors import ConfigurationError, RunCheckError
+from .errors import MAX_DURATION_S, ConfigurationError, RunCheckError
 from .locktable import LockTable, TableHandle, check_client_capacity
 from .server_lm import (
     DEFAULT_SR_MESSAGE_COST,
@@ -78,7 +81,6 @@ from .tcp_transport import TcpAgent, TcpFabric
 
 TRANSPORT_INPROC = "inproc"
 TRANSPORT_TCP = "tcp"
-TRANSPORTS = (TRANSPORT_INPROC, TRANSPORT_TCP)
 
 # Design -> (server frontend, default per-message cost).  The client-centric
 # design runs no server, so it has no frontend and no message cost.
@@ -135,10 +137,10 @@ class WorkloadSpec:
             raise ConfigurationError(
                 f"shared_fraction must be in [0, 1], got {self.shared_fraction}"
             )
-        if not 0 <= self.backoff < math.inf:  # false for nan too
-            raise ConfigurationError("backoff must be finite and >= 0")
-        if self.per_message_cost is not None and not 0 <= self.per_message_cost < math.inf:
-            raise ConfigurationError("per_message_cost must be finite and >= 0")
+        if not 0 <= self.backoff <= MAX_DURATION_S:  # false for nan too
+            raise ConfigurationError(f"backoff must be in [0, {MAX_DURATION_S:g}] s")
+        if self.per_message_cost is not None and not 0 <= self.per_message_cost <= MAX_DURATION_S:
+            raise ConfigurationError(f"per_message_cost must be in [0, {MAX_DURATION_S:g}] s")
         if self.max_retries is not None and self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0 or None")
         if self.worker_limit < 1:
@@ -179,7 +181,54 @@ def _drive(client, ops) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Design x transport: one place hosts each passive side, one connects clients.
+# Transports: one row each, read by host_design, connect_client and _run_clients.
+
+
+@functools.cache
+def _mp_context():
+    ctx = multiprocessing.get_context("forkserver")
+    ctx.set_forkserver_preload(["lockbench.bench"])
+    return ctx
+
+
+def _process_workers(n_clients, _recorder):
+    ctx = _mp_context()
+    return ctx.Barrier(n_clients), ctx.Queue(), ctx.Process, ()
+
+
+class Transport(NamedTuple):
+    host_server: Callable  # LockServer -> the target its clients connect to
+    new_fabric: Callable  # () -> a verb host for the lock table
+    host_fabric: Callable  # that verb host -> (the target its clients connect to, teardown)
+    connect_server: Callable  # target -> a server client's connection
+    verb_fabric: Callable  # target -> the fabric a verb client connects on
+    workers: Callable  # (n_clients, recorder) -> (barrier, results, worker class, extra args)
+    stop_worker: Callable  # stops a worker still alive at cleanup, before it is joined
+
+
+# A row calls what it builds through this module's globals when it runs, so
+# tests can replace them.
+TRANSPORT_ROWS = {
+    TRANSPORT_INPROC: Transport(
+        host_server=lambda server: server,
+        new_fabric=lambda: InprocFabric(),
+        host_fabric=lambda fabric: (fabric, fabric.close),
+        connect_server=lambda server: server.attach_channel(InprocChannel()),
+        verb_fabric=lambda fabric: fabric,
+        workers=lambda n, recorder: (threading.Barrier(n), queue.SimpleQueue(), threading.Thread, (recorder,)),
+        stop_worker=lambda thread: None,  # a thread cannot be stopped, only joined
+    ),
+    TRANSPORT_TCP: Transport(
+        host_server=lambda server: server.serve_tcp(),
+        new_fabric=lambda: TcpAgent(),
+        host_fabric=lambda agent: (agent.start(), agent.stop),
+        connect_server=lambda address: SocketConn(*address),
+        verb_fabric=lambda address: TcpFabric(*address),
+        workers=_process_workers,
+        stop_worker=lambda process: process.terminate(),
+    ),
+}
+TRANSPORTS = TRANSPORT_ROWS.keys()
 
 
 class HostedDesign(NamedTuple):
@@ -189,48 +238,35 @@ class HostedDesign(NamedTuple):
     teardown: Callable[[], None]
 
 
-def host_design(
-    spec: WorkloadSpec, recorder: TraceRecorder | None = None, host: str = "127.0.0.1", port: int = 0
-) -> HostedDesign:
-    """Host the passive side of `spec`'s design on its transport.
+def host_design(spec: WorkloadSpec, recorder: TraceRecorder | None = None) -> HostedDesign:
+    """Host the passive side of `spec`'s design on its transport's row.
 
-    A server design gets a LockServer on its frontend's cost: in process,
-    the server itself; over TCP, its framed-socket port.  The
-    client-centric design gets a LockTable on an InprocFabric or a
-    TcpAgent.  Over TCP the target is the (host, port) address clients
-    connect to.
+    A server design gets a LockServer on its frontend's cost, which the row
+    serves; the client-centric design gets a LockTable on the row's verb
+    host.
     """
+    row = TRANSPORT_ROWS[spec.transport]
     frontend, _ = DESIGN_FRONTENDS[spec.design]
-    inproc = spec.transport == TRANSPORT_INPROC
     if frontend is not None:
         server = LockServer(
             ServerConfig(spec.n_items, frontend, spec.effective_message_cost(), spec.worker_limit),
             recorder,
         )
-        target = server if inproc else server.serve_tcp(host, port)
-        return HostedDesign(target, 0, None, server.shutdown)
-    if inproc:
-        fabric = InprocFabric()
-        target, stop = fabric, fabric.close
-    else:
-        fabric = TcpAgent(host, port)
-        target, stop = fabric.start(), fabric.stop
+        return HostedDesign(row.host_server(server), 0, None, server.shutdown)
+    fabric = row.new_fabric()
+    target, teardown = row.host_fabric(fabric)
     table = LockTable.allocate(fabric, spec.n_items)
-    return HostedDesign(target, table.region_id, table.words, stop)
+    return HostedDesign(target, table.region_id, table.words, teardown)
 
 
 def connect_client(spec: WorkloadSpec, client_index: int, target, region_id: int, recorder):
     """Client `client_index` of `spec`'s design, connected to a
-    `host_design` target on `spec.transport`."""
-    inproc = spec.transport == TRANSPORT_INPROC
+    `host_design` target through its transport's row."""
+    row = TRANSPORT_ROWS[spec.transport]
     if spec.design != DESIGN_CLIENT_CENTRIC:
-        conn = InprocChannel() if inproc else SocketConn(*target)
-        if inproc:
-            target.attach_channel(conn)
-        return ServerLockClient(conn, client_index, recorder)
-    qp = (target if inproc else TcpFabric(*target)).connect(client_index)
+        return ServerLockClient(row.connect_server(target), client_index, recorder)
     return ClientSession(
-        qp,
+        row.verb_fabric(target).connect(client_index),
         TableHandle(region_id, spec.n_items),
         client_index,
         backoff=spec.backoff,
@@ -240,17 +276,10 @@ def connect_client(spec: WorkloadSpec, client_index: int, target, region_id: int
 
 
 # ---------------------------------------------------------------------------
-# Clients: one worker each, a thread in process or a process over TCP.
+# Clients: one worker each, of the kind the transport's row chooses.
 
 # How long a client that has ended may take to deliver a report in flight.
 _REPORT_GRACE_S = 1.0
-
-
-@functools.cache
-def _mp_context():
-    ctx = multiprocessing.get_context("forkserver")
-    ctx.set_forkserver_preload(["lockbench.bench"])
-    return ctx
 
 
 def _client_worker(spec, i, target, region_id, barrier, results, recorder=None):
@@ -281,14 +310,8 @@ def _run_clients(spec: WorkloadSpec, hosted: HostedDesign, recorder: TraceRecord
     `recorder`.  Raises RuntimeError naming every client's error once all
     have reported, or naming exit codes once a client has ended without a
     report.  No client process outlives it."""
-    inproc = spec.transport == TRANSPORT_INPROC
-    if inproc:
-        barrier, results = threading.Barrier(spec.n_clients), queue.SimpleQueue()
-        make, extra = threading.Thread, (recorder,)
-    else:
-        ctx = _mp_context()
-        barrier, results = ctx.Barrier(spec.n_clients), ctx.Queue()
-        make, extra = ctx.Process, ()
+    row = TRANSPORT_ROWS[spec.transport]
+    barrier, results, make, extra = row.workers(spec.n_clients, recorder)
     args = (hosted.target, hosted.region_id, barrier, results, *extra)
     workers = {
         i: make(target=_client_worker, args=(spec, i, *args), name=f"bench-client-{i}", daemon=True)
@@ -318,8 +341,7 @@ def _run_clients(spec: WorkloadSpec, hosted: HostedDesign, recorder: TraceRecord
     finally:
         for worker in workers.values():
             if worker.is_alive():
-                if not inproc:
-                    worker.terminate()
+                row.stop_worker(worker)
                 worker.join()
 
 

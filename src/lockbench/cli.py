@@ -1,48 +1,24 @@
-"""Command-line interface: host a server, run workloads, check traces."""
+"""Command-line interface: run workloads, check traces."""
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from .bench import (
     TRANSPORT_INPROC,
-    TRANSPORT_TCP,
     TRANSPORTS,
     WorkloadSpec,
-    host_design,
     result_row,
     run_workload,
     sweep_clients,
     sweep_contention,
     write_csv,
 )
-from .checker import DESIGN_SERVER_TCP, DESIGNS, check_all
+from .checker import DESIGNS, check_all
 from .errors import ConfigurationError, RunCheckError
 from .server_lm import DEFAULT_SR_MESSAGE_COST, DEFAULT_TCP_MESSAGE_COST
 from .trace import TraceParseError, read_trace, write_trace
-
-
-def _add_cost_args(parser) -> None:
-    parser.add_argument(
-        "--per-message-cost-us",
-        type=float,
-        default=None,
-        metavar="US",
-        help="simulated CPU cost per server message in microseconds (default: "
-        f"{DEFAULT_TCP_MESSAGE_COST * 1e6:g} for the TCP frontend, "
-        f"{DEFAULT_SR_MESSAGE_COST * 1e6:g} for SEND/RECV)",
-    )
-    parser.add_argument(
-        "--worker-limit",
-        type=int,
-        default=4,
-        metavar="N",
-        help="max concurrent per-message charges in process (default 4); "
-        "they spin under the GIL, so they share one core whatever N is; over "
-        "TCP one server thread runs every charge, one at a time",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,19 +28,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "over an emulated RDMA verb layer.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    server_p = sub.add_parser(
-        "server",
-        help="host the chosen design over TCP until interrupted",
-        description="Runs a lock server (server designs) or a passive lock-table "
-        "host (client-centric) on a TCP port.  The bench subcommand self-hosts; "
-        "this exists for manual experiments against a long-lived instance.",
-    )
-    server_p.add_argument("--design", choices=DESIGNS, default=DESIGN_SERVER_TCP)
-    server_p.add_argument("--items", type=int, default=4, metavar="N")
-    server_p.add_argument("--host", default="127.0.0.1")
-    server_p.add_argument("--port", type=int, default=0)
-    _add_cost_args(server_p)
 
     bench_p = sub.add_parser(
         "bench",
@@ -91,7 +54,24 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N,N,...",
         help="run once per item count (contention sweep) instead of a single run",
     )
-    _add_cost_args(bench_p)
+    bench_p.add_argument(
+        "--per-message-cost-us",
+        type=float,
+        default=None,
+        metavar="US",
+        help="simulated CPU cost per server message in microseconds (default: "
+        f"{DEFAULT_TCP_MESSAGE_COST * 1e6:g} for the TCP frontend, "
+        f"{DEFAULT_SR_MESSAGE_COST * 1e6:g} for SEND/RECV)",
+    )
+    bench_p.add_argument(
+        "--worker-limit",
+        type=int,
+        default=4,
+        metavar="N",
+        help="max concurrent per-message charges in process (default 4); "
+        "they spin under the GIL, so they share one core whatever N is; over "
+        "TCP one server thread runs every charge, one at a time",
+    )
 
     check_p = sub.add_parser(
         "check",
@@ -106,39 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "safety and conservation are checked",
     )
     return parser
-
-
-def _cmd_server(args) -> int:
-    cost = args.per_message_cost_us
-    spec = WorkloadSpec(
-        design=args.design,
-        n_items=args.items,
-        transport=TRANSPORT_TCP,
-        per_message_cost=None if cost is None else cost / 1e6,
-        worker_limit=args.worker_limit,
-    )
-    spec.validate()
-    try:
-        hosted = host_design(spec, host=args.host, port=args.port)
-    except OSError as exc:  # the address is taken, or not an IPv4 one
-        print(f"cannot listen on {args.host}:{args.port}: {exc}", file=sys.stderr)
-        return 1
-    host, port = hosted.target
-    if hosted.words is None:
-        print(f"{args.design} listening on {host}:{port} with {args.items} items", flush=True)
-    else:
-        print(
-            f"lock-table host on {host}:{port}, region {hosted.region_id}, "
-            f"{args.items} items",
-            flush=True,
-        )
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        return 0
-    finally:
-        hosted.teardown()
 
 
 def _spec_from_args(args) -> WorkloadSpec:
@@ -236,8 +183,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "server":
-            return _cmd_server(args)
         if args.command == "bench":
             return _cmd_bench(args, parser)
     except ConfigurationError as exc:

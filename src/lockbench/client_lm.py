@@ -36,11 +36,10 @@ the checker can confirm the count returned to balance.
 
 from __future__ import annotations
 
-import math
 import time
 
 from . import trace
-from .errors import AcquisitionTimeout, ProtocolError, ReleaseError
+from .errors import MAX_DURATION_S, AcquisitionTimeout, ProtocolError, ReleaseError
 from .locktable import HALF_SIZE, U32_MASK, WORD_SIZE, encode
 from .trace import (
     MODE_EXCLUSIVE,
@@ -86,8 +85,8 @@ class ClientSession:
             raise ValueError("client_id must be >= 1")
         if max_retries is not None and max_retries < 0:
             raise ValueError("max_retries must be >= 0 or None")
-        if not 0 <= backoff < math.inf:  # false for nan too
-            raise ValueError("backoff must be finite and >= 0")
+        if not 0 <= backoff <= MAX_DURATION_S:  # false for nan too
+            raise ValueError(f"backoff must be in [0, {MAX_DURATION_S:g}] s")
         self.qp = qp
         self._region_id = table.region_id
         self._item_count = table.item_count

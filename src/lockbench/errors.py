@@ -1,4 +1,8 @@
-"""Exception types shared across the lock managers and the bench harness."""
+"""Exception types and limits shared across the lock managers and the bench harness."""
+
+# The longest per-message cost or backoff, in seconds, a configuration may
+# name: larger values overflow `time.sleep` or the cost model's nanoseconds.
+MAX_DURATION_S = 3600.0
 
 
 class ProtocolError(Exception):

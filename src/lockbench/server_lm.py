@@ -24,7 +24,6 @@ and `serve_sr_listener` serve only lockperf's per-layer timings.)
 from __future__ import annotations
 
 import itertools
-import math
 import queue
 import selectors
 import socket
@@ -36,7 +35,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 
 from . import framing, trace
-from .errors import ProtocolError
+from .errors import MAX_DURATION_S, ProtocolError
 from .framing import _LEN, recv_frame, send_frame
 from .trace import (
     MODE_EXCLUSIVE,
@@ -234,8 +233,8 @@ class ServerConfig:
     def __post_init__(self):
         if self.frontend not in (FRONTEND_TCP, FRONTEND_SEND_RECV):
             raise ValueError(f"unknown frontend {self.frontend!r}")
-        if not 0 <= self.per_message_cost < math.inf:  # false for nan too
-            raise ValueError("per_message_cost must be finite and >= 0")
+        if not 0 <= self.per_message_cost <= MAX_DURATION_S:  # false for nan too
+            raise ValueError(f"per_message_cost must be in [0, {MAX_DURATION_S:g}] s")
         if self.worker_limit < 1:
             raise ValueError("worker_limit must be >= 1")
 
@@ -428,8 +427,9 @@ class LockServer:
 
     # -- frontend attachment -------------------------------------------
 
-    def attach_channel(self, channel: InprocChannel) -> None:
+    def attach_channel(self, channel: InprocChannel) -> InprocChannel:
         channel._server = self
+        return channel
 
     def serve_sr_listener(self, listener: SrListener) -> None:
         self._listeners.append(listener)

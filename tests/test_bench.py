@@ -32,6 +32,7 @@ from lockbench.checker import (
     DESIGN_SERVER_TCP,
     DESIGNS,
 )
+from lockbench.cli import main
 from lockbench.errors import ConfigurationError, RunCheckError
 from lockbench.server_lm import (
     DEFAULT_SR_MESSAGE_COST,
@@ -88,9 +89,11 @@ def test_op_stream_respects_item_range_and_mix():
     ("backoff", -1.0),
     ("backoff", float("nan")),
     ("backoff", float("inf")),
+    ("backoff", 1e10),
     ("per_message_cost", -1e-6),
     ("per_message_cost", float("nan")),
     ("per_message_cost", float("inf")),
+    ("per_message_cost", 1e308),
     ("max_retries", -1),
     ("worker_limit", 0),
 ])
@@ -109,12 +112,12 @@ def test_effective_message_cost_defaults():
     ).effective_message_cost() == 5e-6
 
 
-# One run per design x transport build; the in-process runs keep their
-# design-only ids.
+# One run per design on each row of the transport table; the in-process
+# runs keep their design-only ids.
 each_design_and_transport = pytest.mark.parametrize(
     "design,transport",
-    [(d, TRANSPORT_INPROC) for d in DESIGNS] + [(d, TRANSPORT_TCP) for d in DESIGNS],
-    ids=[*DESIGNS, *(f"{d}-tcp" for d in DESIGNS)],
+    [(d, t) for t in bench.TRANSPORTS for d in DESIGNS],
+    ids=[d if t == TRANSPORT_INPROC else f"{d}-{t}" for t in bench.TRANSPORTS for d in DESIGNS],
 )
 
 
@@ -138,6 +141,35 @@ def test_lock_count_and_span_come_from_the_checked_trace(design, transport):
     grants = sum(e.op == "ACQ" and e.outcome == "GRANT" for e in events)
     assert result.total_locks_granted == spec.n_clients * spec.ops_per_client == grants
     assert result.elapsed == max(events[-1].timestamp_ns - events[0].timestamp_ns, 1) / 1e9
+
+
+def test_a_new_transport_is_one_more_row(monkeypatch, capsys):
+    # A third row, built from the in-process row's parts, each counted:
+    # every design runs checker-clean through it, from the CLI too, with
+    # no edit to host_design, connect_client or _run_clients.
+    used = Counter()
+
+    def counted(name, part):
+        def call(*args):
+            used[name] += 1
+            return part(*args)
+
+        return call
+
+    inproc = bench.TRANSPORT_ROWS[TRANSPORT_INPROC]
+    row = bench.Transport(*(counted(name, part) for name, part in zip(bench.Transport._fields, inproc)))
+    monkeypatch.setitem(bench.TRANSPORT_ROWS, "loopback", row)
+    assert "loopback" in bench.TRANSPORTS
+    for design in DESIGNS:
+        spec = WorkloadSpec(design=design, transport="loopback", **FAST)
+        result, _ = run_workload(spec)
+        assert result.total_locks_granted == spec.n_clients * spec.ops_per_client
+    # stop_worker runs only for a worker still alive at cleanup.
+    assert set(bench.Transport._fields) - {"stop_worker"} <= set(used)
+    assert used["workers"] == len(DESIGNS)
+    argv = ["bench", "--design", DESIGN_CLIENT_CENTRIC, "--transport", "loopback", "--ops", "5"]
+    assert main(argv) == 0
+    assert "client-centric on loopback" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("design", [DESIGN_SERVER_TCP, DESIGN_SERVER_SR])

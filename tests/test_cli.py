@@ -1,11 +1,10 @@
 """CLI surface: bench runs, trace checking, exit codes."""
 
 import csv
-import threading
 
 import pytest
 
-from lockbench import bench, cli, framing
+from lockbench import bench, cli
 from lockbench.cli import main
 from lockbench.server_lm import DEFAULT_SR_MESSAGE_COST, DEFAULT_TCP_MESSAGE_COST
 from lockbench.trace import TraceEvent, write_trace
@@ -134,19 +133,19 @@ def test_check_rejects_a_trace_without_seqs(tmp_path, capsys):
         BENCH_FAST + ["--max-retries", "-1"],
         BENCH_FAST + ["--clients", "0"],
         BENCH_FAST + ["--sweep-clients", "0,2"],
-        ["server", "--worker-limit", "0"],
-        # Non-finite costs and backoffs.  The backoff cases run one client,
-        # which never retries, so a build that let them through would not
-        # sleep them either.
+        # Non-finite and overflowing costs and backoffs.  The backoff cases
+        # run one client, which never retries, so a build that let them
+        # through would not sleep them either.
         BENCH_FAST + ["--design", "server-sr", "--per-message-cost-us", "nan"],
         BENCH_FAST + ["--design", "server-sr", "--per-message-cost-us", "inf"],
+        BENCH_FAST + ["--design", "server-sr", "--per-message-cost-us", "1e308"],
         BENCH_FAST + ["--clients", "1", "--backoff-us", "nan"],
         BENCH_FAST + ["--clients", "1", "--backoff-us", "inf"],
-        ["server", "--per-message-cost-us", "nan"],
+        BENCH_FAST + ["--clients", "1", "--backoff-us", "1e16"],
     ],
     ids=[
-        "worker-limit", "max-retries", "clients", "sweep-count", "server-worker-limit",
-        "cost-nan", "cost-inf", "backoff-nan", "backoff-inf", "server-cost-nan",
+        "worker-limit", "max-retries", "clients", "sweep-count",
+        "cost-nan", "cost-inf", "cost-huge", "backoff-nan", "backoff-inf", "backoff-huge",
     ],
 )
 def test_bad_settings_are_usage_errors(argv, capsys):
@@ -170,10 +169,6 @@ def test_unknown_design_is_an_argparse_error():
         main(["bench", "--design", "wishful"])
 
 
-class _ServerBuilt(Exception):
-    pass
-
-
 @pytest.mark.parametrize(
     "argv,cost",
     [
@@ -182,38 +177,17 @@ class _ServerBuilt(Exception):
         (["--design", "server-sr", "--per-message-cost-us", "7"], 7e-6),
     ],
 )
-def test_server_message_cost_defaults_per_frontend(monkeypatch, argv, cost):
-    # Both server designs listen on the server's own framed socket.
+def test_bench_message_cost_is_given_in_microseconds(monkeypatch, argv, cost):
+    # The flag is in microseconds, the server's config in seconds; without
+    # the flag each server design gets its frontend's default.
     configs = []
+    real_server = bench.LockServer
 
-    class FakeServer:
-        def __init__(self, config, recorder=None):
-            configs.append(config)
+    def recording_server(config, recorder=None):
+        configs.append(config)
+        return real_server(config, recorder)
 
-        def serve_tcp(self, host, port):
-            raise _ServerBuilt  # stop before anything binds a port
-
-    monkeypatch.setattr(bench, "LockServer", FakeServer)
-    with pytest.raises(_ServerBuilt):
-        main(["server"] + argv)
+    monkeypatch.setattr(bench, "LockServer", recording_server)
+    assert main(BENCH_FAST + argv) == 0
     assert len(configs) == 1
     assert configs[0].per_message_cost == pytest.approx(cost)
-
-
-@pytest.mark.parametrize(
-    "design,host",
-    [("server-tcp", None), ("client-centric", None), ("server-tcp", "::1")],
-    ids=["server-port-taken", "client-centric-port-taken", "server-ipv6-host"],
-)
-def test_server_that_cannot_listen_exits_1(design, host, capsys):
-    # framing.listen holds the port, or the host is not an IPv4 address.
-    held = framing.listen("127.0.0.1", 0)
-    taken_host, port = held.getsockname()
-    host = host or taken_host
-    before = set(threading.enumerate())
-    try:
-        assert main(["server", "--design", design, "--host", host, "--port", str(port)]) == 1
-    finally:
-        held.close()
-    assert set(threading.enumerate()) <= before
-    assert capsys.readouterr().err.startswith(f"cannot listen on {host}:{port}: ")

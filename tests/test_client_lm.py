@@ -361,6 +361,6 @@ def test_session_validates_construction(fabric, table):
         ClientSession(fabric.connect(1), table, 0)
     with pytest.raises(ValueError):
         ClientSession(fabric.connect(1), table, 1, max_retries=-1)
-    for backoff in (-1.0, float("nan"), float("inf")):
+    for backoff in (-1.0, float("nan"), float("inf"), 1e10):
         with pytest.raises(ValueError):
             ClientSession(fabric.connect(1), table, 1, backoff=backoff)

@@ -173,8 +173,8 @@ def test_an_uncontended_cycle_posts_its_verbs_and_stamps_four_events(shared, mak
 
 
 def test_untraced_actors_stamp_into_a_sink_that_keeps_nothing():
-    # A long-lived untraced client or server (`lockbench server`) must not
-    # grow with the locks it takes.
+    # A long-lived untraced client or server (the model checker's, or
+    # lockperf's micro timings') must not grow with the locks it takes.
     fabric = InprocFabric()
     table = LockTable.allocate(fabric, 4)
     session = ClientSession(fabric.connect(1), table, 1)

@@ -225,7 +225,7 @@ def test_cost_model_worker_limit_serializes():
 def test_server_config_validation():
     with pytest.raises(ValueError):
         ServerConfig(1, frontend="carrier-pigeon")
-    for cost in (-1.0, float("nan"), float("inf")):
+    for cost in (-1.0, float("nan"), float("inf"), 1e308):
         with pytest.raises(ValueError):
             ServerConfig(1, per_message_cost=cost)
     with pytest.raises(ValueError):
