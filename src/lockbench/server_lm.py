@@ -1,14 +1,20 @@
 """Server-centric lock manager.
 
 A central server keeps one FIFO queue per item, each guarded by its own
-mutex.  Lock and release messages are 25-byte records; the server grants
-the queue head when compatible, batching consecutive SHARED requests.
-Admission is strict FIFO: a SHARED request arriving behind a queued
-EXCLUSIVE request waits even while other SHARED holders are active, which
-keeps writers from starving.  Each item's requests, grants and releases
-take the next value of the item's counter under its mutex; GRANT and ACK
-replies carry that value, and the client stamps it as the event's `seq`.
-Untraced, the core and the client stamp into `trace.DISCARD`.
+mutex, and grants the queue head when compatible, batching consecutive
+SHARED requests.  Admission is strict FIFO: a SHARED request arriving
+behind a queued EXCLUSIVE request waits even while other SHARED holders
+are active, which keeps writers from starving.  Each item's requests,
+grants and releases take the next value of the item's counter under its
+mutex; GRANT and ACK replies carry that value, and the client stamps it as
+the event's `seq`.  Untraced, the core and the client stamp into
+`trace.DISCARD`.
+
+A message is five fields: op, client, item, request and seq.  In process
+it is those fields, passed as a tuple.  Only the byte transports, framed
+sockets and SEND/RECV queue pairs, pack it as a 25-byte `MESSAGE` record;
+their connections raise `ProtocolError` for a reply of any other length,
+and their servers end a connection that sends one.
 
 Two frontends carry the same protocol: a socket-style frontend and a
 SEND/RECV verb frontend.  Each charges a configurable amount of busy CPU
@@ -69,14 +75,6 @@ FRONTEND_SEND_RECV = "send-recv"
 # frontend offloads kernel work to the emulated NIC, so it charges 10x less.
 DEFAULT_TCP_MESSAGE_COST = 20e-6
 DEFAULT_SR_MESSAGE_COST = 2e-6
-
-
-def pack_message(op: int, client_id: int, item_id: int, request_id: int, seq: int = 0) -> bytes:
-    return MESSAGE.pack(op, client_id, item_id, request_id, seq)
-
-
-def unpack_message(data: bytes) -> tuple[int, int, int, int, int]:
-    return MESSAGE.unpack(data)
 
 
 @dataclass(slots=True)
@@ -151,11 +149,10 @@ class LockServerCore:
         mode = MODE_SHARED if shared else MODE_EXCLUSIVE
         item = self._items[item_id]
         with item.mutex:
-            if client_id in item.granted or any(
-                r.client_id == client_id for r in item.pending
-            ):
+            pending = item.pending
+            if client_id in item.granted or (pending and any(r.client_id == client_id for r in pending)):
                 return f"client {client_id} already acquired item {item_id}", []
-            item.pending.append(LockRequest(request_id, client_id, item_id, mode))
+            pending.append(LockRequest(request_id, client_id, item_id, mode))
             self._stamp(_new_tuple(
                 TraceEvent, (trace._clock(), client_id, item_id, OP_ACQ, mode, OUT_REQ, next(item.seqs))))
             return None, _grant(item)
@@ -170,7 +167,7 @@ class LockServerCore:
                 return f"client {client_id} does not hold item {item_id}", [], 0
             del item.granted[client_id]
             seq = next(item.seqs)
-            return None, _grant(item), seq
+            return None, _grant(item) if item.pending else [], seq
 
     def drop_client(self, client_id: int) -> list[LockRequest]:
         """Drop a departed client's grants and queued requests; returns
@@ -268,9 +265,11 @@ class MessageCostModel:
 
 
 # ---------------------------------------------------------------------------
-# Connection plumbing.  Every endpoint speaks MESSAGE_SIZE-byte messages; the
-# server binds client_id -> endpoint on first contact until the endpoint closes,
-# so grants reach waiting clients from whichever thread frees them.
+# Connection plumbing.  A connection's `rpc(op, client_id, item_id, request_id)`
+# returns the reply's five fields, and an endpoint's `send_reply` takes them;
+# only the byte transports pack them.  The server binds client_id -> endpoint
+# on first contact until the endpoint closes, so grants reach waiting clients
+# from whichever thread frees them.
 
 
 class InprocChannel:
@@ -283,11 +282,12 @@ class InprocChannel:
         self._to_client: queue.SimpleQueue = queue.SimpleQueue()
 
     # client side
-    def rpc(self, message: bytes) -> bytes:
+    def rpc(self, op: int, client_id: int, item_id: int, request_id: int) -> tuple:
         server = self._server
-        if server is None or server._closing or not server._dispatch(self, message):
+        if server is None or server._closing:
             self.close()
             raise ConnectionError("channel closed")
+        server._dispatch(self, op, client_id, item_id, request_id)
         reply = self._to_client.get()
         if reply is None:
             raise ConnectionError("server closed the channel")
@@ -300,7 +300,7 @@ class InprocChannel:
         self._to_client.put(None)
 
     # server side
-    def send_reply(self, message: bytes) -> None:
+    def send_reply(self, *message: int) -> None:
         self._to_client.put(message)
 
 
@@ -311,12 +311,14 @@ class SocketConn:
     def __init__(self, host: str, port: int):
         self._sock = framing.connect(host, port)
 
-    def rpc(self, message: bytes) -> bytes:
-        send_frame(self._sock, message)
+    def rpc(self, op: int, client_id: int, item_id: int, request_id: int) -> tuple:
+        send_frame(self._sock, MESSAGE.pack(op, client_id, item_id, request_id, 0))
         reply = recv_frame(self._sock, MESSAGE_SIZE)
         if reply is None:
             raise ConnectionError("server closed the connection or sent an oversize frame")
-        return reply
+        if len(reply) != MESSAGE_SIZE:
+            raise ProtocolError(f"reply of {len(reply)} bytes for item {item_id}")
+        return MESSAGE.unpack(reply)
 
     def close(self) -> None:
         framing.close(self._sock)
@@ -330,13 +332,14 @@ class _SocketEndpoint:
         self._send_lock = threading.Lock()
         self.inbox = bytearray()
 
-    def send_reply(self, message: bytes) -> None:
+    def send_reply(self, *message: int) -> None:
         # One non-blocking send, locked because a grant may be pushed from
         # an in-process client's thread.  A client that does not drain its
         # replies is shut down, which the loop reads as EOF.
+        frame = _PREFIX + MESSAGE.pack(*message)
         with self._send_lock, suppress(OSError):
             with suppress(BlockingIOError):
-                if self._sock.send(_PREFIX + message) == _FRAME_SIZE:
+                if self._sock.send(frame) == _FRAME_SIZE:
                     return
             self._sock.shutdown(socket.SHUT_RDWR)
 
@@ -358,8 +361,9 @@ class QpConn:
         self._qp = qp
         self._timeout = timeout
 
-    def rpc(self, message: bytes) -> bytes:
+    def rpc(self, op: int, client_id: int, item_id: int, request_id: int) -> tuple:
         self._qp.post_recv(MESSAGE_SIZE)
+        message = MESSAGE.pack(op, client_id, item_id, request_id, 0)
         deadline = time.monotonic() + self._timeout
         while True:
             completion = self._qp.post_send(message)
@@ -375,7 +379,9 @@ class QpConn:
         reply = self._qp.poll_recv(self._timeout)
         if reply is None or reply.status != _OK:
             raise ConnectionError("no reply from server")
-        return reply.payload
+        if len(reply.payload) != MESSAGE_SIZE:
+            raise ProtocolError(f"reply of {len(reply.payload)} bytes for item {item_id}")
+        return MESSAGE.unpack(reply.payload)
 
     def close(self) -> None:
         self._qp.close()
@@ -400,12 +406,12 @@ class _QpEndpoint:
             return None
         return completion.payload
 
-    def send_reply(self, message: bytes) -> None:
+    def send_reply(self, *message: int) -> None:
         # Every awaited reply has a pre-posted receive (clients post before
         # sending), so a failed send means the client is gone — not that it
         # is still waiting.  Dropping it keeps this handler alive to push
         # follow-on grants to other clients.
-        self._qp.post_send(message)
+        self._qp.post_send(MESSAGE.pack(*message))
 
     def close(self) -> None:
         self._qp.close()
@@ -443,8 +449,8 @@ class LockServer:
 
         self._spawn(accept_loop, "sr-accept")
 
-    def serve_tcp(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
-        listener = self._listener = framing.listen(host, port)
+    def serve_tcp(self) -> tuple[str, int]:
+        listener = self._listener = framing.listen("127.0.0.1", 0)
         self._loop = self._spawn(self._tcp_loop, "tcp-loop", listener)
         return listener.getsockname()
 
@@ -474,7 +480,7 @@ class LockServer:
     def _serve_frames(self, endpoint: _SocketEndpoint) -> bool:
         """One recv, then dispatch every whole frame in order; False once
         the connection must end: EOF, a reset, a length prefix other than
-        MESSAGE_SIZE, a rejected frame or a closing server."""
+        MESSAGE_SIZE or a closing server."""
         try:
             data = endpoint._sock.recv(65536)
         except OSError as exc:
@@ -482,10 +488,11 @@ class LockServer:
         inbox = endpoint.inbox
         inbox += data
         while len(inbox) >= _FRAME_SIZE and inbox.startswith(_PREFIX):
-            frame = bytes(inbox[len(_PREFIX) : _FRAME_SIZE])
-            del inbox[:_FRAME_SIZE]
-            if self._closing or not self._dispatch(endpoint, frame):
+            if self._closing:
                 return False
+            op, client_id, item_id, request_id, _ = MESSAGE.unpack_from(inbox, len(_PREFIX))
+            del inbox[:_FRAME_SIZE]
+            self._dispatch(endpoint, op, client_id, item_id, request_id)
         return bool(data) and _PREFIX.startswith(inbox[: len(_PREFIX)])
 
     # -- request handling ------------------------------------------------
@@ -519,40 +526,38 @@ class LockServer:
     def _push_grant(self, g: LockRequest) -> None:
         endpoint = self._endpoints.get(g.client_id)
         if endpoint is not None:
-            endpoint.send_reply(pack_message(MSG_GRANT, g.client_id, g.item_id, g.request_id, g.seq))
+            endpoint.send_reply(MSG_GRANT, g.client_id, g.item_id, g.request_id, g.seq)
         # Else the client's connection closed, and its purge drops the lock.
 
-    def _dispatch(self, endpoint, data: bytes) -> bool:
-        """Serve one request from `endpoint`; False for a malformed frame."""
+    def _dispatch(self, endpoint, op: int, client_id: int, item_id: int, request_id: int) -> None:
+        """Serve one decoded request from `endpoint`."""
         self.cost.charge()
-        try:
-            op, client_id, item_id, request_id, _ = unpack_message(data)
-        except struct.error:
-            return False
         if self._endpoints.get(client_id) is not endpoint and not self._bind(client_id, endpoint):
-            endpoint.send_reply(pack_message(MSG_ERROR, client_id, item_id, request_id))
-            return True
+            endpoint.send_reply(MSG_ERROR, client_id, item_id, request_id, 0)
+            return
         if op in (MSG_ACQ_SHARED, MSG_ACQ_EXCL):
             error, grants = self.core.acquire(client_id, item_id, op == MSG_ACQ_SHARED, request_id)
         elif op == MSG_RELEASE:
             error, grants, seq = self.core.release(client_id, item_id)
             if error is None:
-                endpoint.send_reply(pack_message(MSG_ACK, client_id, item_id, request_id, seq))
+                endpoint.send_reply(MSG_ACK, client_id, item_id, request_id, seq)
         else:
             error, grants = "unknown op", []
         if error is not None:
-            endpoint.send_reply(pack_message(MSG_ERROR, client_id, item_id, request_id))
+            endpoint.send_reply(MSG_ERROR, client_id, item_id, request_id, 0)
         for g in grants:
             self._push_grant(g)
-        return True
 
-    def _handle(self, endpoint) -> None:
-        """Serve one connection until it closes, the server shuts down or a
-        malformed frame arrives; then close the connection."""
+    def _handle(self, endpoint: _QpEndpoint) -> None:
+        """Serve one queue-pair connection until it closes, the server shuts
+        down or a SEND that is not MESSAGE_SIZE bytes arrives; then close
+        the connection."""
         while True:
             data = endpoint.recv_request()
-            if data is None or self._closing or not self._dispatch(endpoint, data):
+            if data is None or self._closing or len(data) != MESSAGE_SIZE:
                 break
+            op, client_id, item_id, request_id, _ = MESSAGE.unpack(data)
+            self._dispatch(endpoint, op, client_id, item_id, request_id)
         self._unbind(endpoint)
         endpoint.close()
 
@@ -589,12 +594,9 @@ class ServerLockClient:
 
     def _call(self, op: int, item_id: int, want: int, what: str) -> int:
         """Send one request; the `seq` of its `want` reply.  ProtocolError for
-        an ERROR, a reply to another request, or one not MESSAGE_SIZE bytes."""
+        an ERROR or a reply to another request."""
         request_id = next(self._request_ids)
-        reply = self.conn.rpc(pack_message(op, self.client_id, item_id, request_id))
-        if len(reply) != MESSAGE_SIZE:
-            raise ProtocolError(f"{what} reply of {len(reply)} bytes for item {item_id}")
-        rop, _, ritem, rrid, seq = unpack_message(reply)
+        rop, _, ritem, rrid, seq = self.conn.rpc(op, self.client_id, item_id, request_id)
         if rop == MSG_ERROR:
             raise ProtocolError(f"{what} rejected for item {item_id}")
         if rop != want or ritem != item_id or rrid != request_id:

@@ -108,16 +108,14 @@ class TcpAgent(InprocFabric):
     and with it the peer, exactly as a client's close does in process.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self):
         super().__init__()
-        self._host = host
-        self._port = port
         self._conns: set[socket.socket] = set()
         self._listen_sock: socket.socket | None = None
         self._closing = False
 
     def start(self) -> tuple[str, int]:
-        sock = self._listen_sock = framing.listen(self._host, self._port)
+        sock = self._listen_sock = framing.listen("127.0.0.1", 0)
         threading.Thread(target=self._accept_loop, name="tcpagent-accept", daemon=True).start()
         return sock.getsockname()
 

@@ -1,13 +1,15 @@
-"""The client-centric hot path: one-sided verbs on both transports, the
-region atomics' aligned fast path, the live region registry, and the layer
-boundaries of one lock cycle (`ClientSession.acquire`/`release`,
-`QueuePair.post_*` and the stamps appended through `TraceRecorder.stamper`,
-or into `trace.DISCARD` when untraced)."""
+"""The hot paths: one-sided verbs on both transports, the region atomics'
+aligned fast path, the live region registry, and the layer boundaries of
+one lock cycle (`ClientSession.acquire`/`release`, `QueuePair.post_*` and
+the stamps appended through `TraceRecorder.stamper`, or into
+`trace.DISCARD` when untraced), and an in-process server cycle, which
+packs no message."""
 
 import pytest
 
 from lockbench.client_lm import ClientSession
 from lockbench.locktable import LockTable
+from lockbench import server_lm
 from lockbench.server_lm import FRONTEND_TCP, InprocChannel, LockServer, ServerConfig, ServerLockClient
 from lockbench.tcp_transport import TcpAgent, TcpFabric
 from lockbench.trace import DISCARD, TraceRecorder
@@ -170,6 +172,29 @@ def test_an_uncontended_cycle_posts_its_verbs_and_stamps_four_events(shared, mak
     assert {kind: n for kind, n in qp.counts.items() if n} == CYCLE_VERBS[shared]
     assert table.words() == [0, 0, 0, 0]
     fabric.close()
+
+
+class NoCodec:
+    """Stands in for `server_lm.MESSAGE`: any pack or unpack fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"MESSAGE.{name} called in process")
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["exclusive", "shared"])
+def test_an_uncontended_server_cycle_packs_no_message_and_stamps_four_events(shared, monkeypatch):
+    monkeypatch.setattr(server_lm, "MESSAGE", NoCodec())
+    server_recorder, client_recorder = CountingRecorder(), CountingRecorder()
+    server = LockServer(ServerConfig(4, FRONTEND_TCP), server_recorder)
+    client = ServerLockClient(server.attach_channel(InprocChannel()), 1, client_recorder)
+    client.acquire(2, shared)
+    client.release(2)
+    # The server stamps the acquire's request; the client stamps its grant
+    # and the release's request and ACK.
+    assert server_recorder.stamps == 1 and client_recorder.stamps == 3
+    assert server.core.granted_count() == 0 and server.core.pending_count() == 0
+    client.close()
+    server.shutdown()
 
 
 def test_untraced_actors_stamp_into_a_sink_that_keeps_nothing():

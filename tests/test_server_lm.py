@@ -15,10 +15,12 @@ from lockbench.server_lm import (
     DEFAULT_TCP_MESSAGE_COST,
     FRONTEND_SEND_RECV,
     FRONTEND_TCP,
+    MESSAGE,
     MESSAGE_SIZE,
     MSG_ACQ_EXCL,
     MSG_ACQ_SHARED,
     MSG_ACK,
+    MSG_ERROR,
     MSG_GRANT,
     MSG_RELEASE,
     InprocChannel,
@@ -32,13 +34,11 @@ from lockbench.server_lm import (
     ServerLockClient,
     SocketConn,
     grant_scan,
-    pack_message,
-    unpack_message,
 )
 from lockbench.server_lm import upper_bound_throughput
 from lockbench.tcp_transport import TcpAgent, TcpFabric
 from lockbench.trace import MODE_EXCLUSIVE, MODE_SHARED, TraceRecorder
-from lockbench.verbs import InprocFabric
+from lockbench.verbs import CompletionStatus, InprocFabric
 
 from conftest import start_call
 
@@ -186,10 +186,9 @@ def test_upper_bound_rejects_nonpositive_inputs():
 
 
 def test_message_pack_unpack_round_trip():
-    data = pack_message(2, 7, 3, 123456789, 42)
+    data = MESSAGE.pack(2, 7, 3, 123456789, 42)
     assert len(data) == MESSAGE_SIZE
-    assert unpack_message(data) == (2, 7, 3, 123456789, 42)
-    assert unpack_message(pack_message(1, 7, 3, 5)) == (1, 7, 3, 5, 0)  # requests carry no seq
+    assert MESSAGE.unpack(data) == (2, 7, 3, 123456789, 42)
 
 
 # -- cost model -------------------------------------------------------------
@@ -405,7 +404,7 @@ def tcp_server():
 
 
 def _frame(op, client_id, item_id, request_id):
-    return struct.pack("<I", MESSAGE_SIZE) + pack_message(op, client_id, item_id, request_id)
+    return struct.pack("<I", MESSAGE_SIZE) + MESSAGE.pack(op, client_id, item_id, request_id, 0)
 
 
 def test_one_thread_serves_every_socket_connection():
@@ -448,6 +447,21 @@ def test_a_malformed_reply_to_a_socket_client_raises_at_once(stub_peer, reply, e
         client.close()
 
 
+def _answer_short(server_qp):
+    assert server_qp.poll_recv(5).status == CompletionStatus.OK
+    server_qp.post_send(b"\x04\x00\x00")
+
+
+def test_a_reply_of_the_wrong_length_to_a_queue_pair_client_raises_at_once(sr_hosts):
+    for host in sr_hosts:
+        client, server_qp = host.couple()
+        server_qp.post_recv(MESSAGE_SIZE)
+        answered = start_call(_answer_short, server_qp)
+        lock_client = ServerLockClient(QpConn(client, timeout=5), client.client_id)
+        assert isinstance(start_call(lock_client.acquire, 0, False)(5), ProtocolError), host.name
+        assert answered(5) is None and lock_client._held == {}
+
+
 def test_a_frame_sent_byte_by_byte_does_not_hold_up_other_clients(tcp_server):
     _, address = tcp_server
     frame = _frame(MSG_ACQ_EXCL, 1, 0, 1)
@@ -468,7 +482,7 @@ def test_a_frame_sent_byte_by_byte_does_not_hold_up_other_clients(tcp_server):
         t.join(timeout=5)
         assert not t.is_alive()  # all 50 cycles done while the frame is partial
         slow.sendall(frame[-1:])
-        assert unpack_message(recv_frame(slow)) == (MSG_GRANT, 1, 0, 1, 2)
+        assert MESSAGE.unpack(recv_frame(slow)) == (MSG_GRANT, 1, 0, 1, 2)
         fast.close()
 
 
@@ -476,8 +490,8 @@ def test_two_frames_in_one_send_get_two_replies_in_order(tcp_server):
     _, address = tcp_server
     with socket.create_connection(address, timeout=5) as sock:
         sock.sendall(_frame(MSG_ACQ_EXCL, 1, 0, 1) + _frame(MSG_RELEASE, 1, 0, 2))
-        assert unpack_message(recv_frame(sock)) == (MSG_GRANT, 1, 0, 1, 2)
-        assert unpack_message(recv_frame(sock)) == (MSG_ACK, 1, 0, 2, 3)
+        assert MESSAGE.unpack(recv_frame(sock)) == (MSG_GRANT, 1, 0, 1, 2)
+        assert MESSAGE.unpack(recv_frame(sock)) == (MSG_ACK, 1, 0, 2, 3)
 
 
 class _ShortSendSocket:
@@ -564,31 +578,59 @@ def test_malformed_frame_closes_socket_connection():
         server.shutdown()
 
 
-def test_malformed_message_ends_inproc_channel(tcp_style_server):
-    channel = InprocChannel()
-    tcp_style_server.attach_channel(channel)
-    with pytest.raises(ConnectionError):
-        channel.rpc(b"bad")
-    with pytest.raises(ConnectionError):  # ended: a valid request is not served
-        channel.rpc(pack_message(MSG_ACQ_EXCL, 1, 0, 1))
-    assert tcp_style_server.core.granted_count() == 0
-
-
 def test_malformed_send_closes_queue_pair_connection():
     agent = TcpAgent()
     host, port = agent.start()
     server = LockServer(ServerConfig(2, FRONTEND_SEND_RECV, per_message_cost=0.0))
     server.serve_sr_listener(agent.sr_listen())
-    conn = QpConn(TcpFabric(host, port).connect(1), timeout=5)
+    qp = TcpFabric(host, port).connect(1)
     try:
         start = time.monotonic()
-        with pytest.raises(ConnectionError):
-            conn.rpc(b"bad")
+        qp.post_recv(MESSAGE_SIZE)
+        # Receiver-not-ready until the server's handler has posted its receives.
+        while qp.post_send(b"bad").status == CompletionStatus.RECEIVER_NOT_READY:
+            assert time.monotonic() - start < 4
+            time.sleep(0.001)
+        assert qp.poll_recv(5) is None  # the server ended the connection, sending no reply
         assert time.monotonic() - start < 4
     finally:
-        conn.close()
+        qp.close()
         server.shutdown()
         agent.stop()
+
+
+# -- an unknown op is refused, and its connection serves on --------------------
+
+
+@pytest.fixture(params=["inproc", "socket", "queue-pair"])
+def served_conn(request):
+    """A server and one connection to it of each endpoint kind: an
+    InprocChannel, a SocketConn, or a QpConn over an in-process fabric."""
+    server = LockServer(ServerConfig(2, FRONTEND_TCP, per_message_cost=0.0))
+    fabric = InprocFabric()
+    if request.param == "inproc":
+        conn = server.attach_channel(InprocChannel())
+    elif request.param == "socket":
+        conn = SocketConn(*server.serve_tcp())
+    else:
+        server.serve_sr_listener(fabric.sr_listen())
+        conn = QpConn(fabric.connect(1), timeout=5)
+    yield server, conn
+    conn.close()
+    server.shutdown()
+    fabric.close()
+
+
+def test_an_unknown_op_gets_an_error_and_the_connection_serves_on(served_conn):
+    server, conn = served_conn
+    assert conn.rpc(99, 1, 0, 1) == (MSG_ERROR, 1, 0, 1, 0)
+    client = ServerLockClient(conn, 1)
+    with pytest.raises(ProtocolError):
+        client._call(99, 0, MSG_GRANT, "acquire")
+    client.acquire(0, shared=False)
+    assert server.core.granted_count() == 1
+    client.release(0)
+    assert server.core.granted_count() == 0 and server.core.pending_count() == 0
 
 
 def test_qp_conn_fails_at_once_after_the_server_closes(sr_hosts):
@@ -600,7 +642,7 @@ def test_qp_conn_fails_at_once_after_the_server_closes(sr_hosts):
         conn = QpConn(client, timeout=5)
         start = time.monotonic()
         with pytest.raises(ConnectionError):
-            conn.rpc(pack_message(MSG_ACQ_EXCL, client.client_id, 0, 1))
+            conn.rpc(MSG_ACQ_EXCL, client.client_id, 0, 1)
         assert time.monotonic() - start < 1, host.name
 
 
@@ -746,8 +788,8 @@ def test_racing_first_contacts_bind_an_id_to_one_connection():
             def claim(channel):
                 server.attach_channel(channel)
                 barrier.wait(timeout=5)
-                reply = channel.rpc(pack_message(MSG_ACQ_SHARED, 1, 0, 1))
-                if unpack_message(reply)[0] == MSG_GRANT:
+                reply = channel.rpc(MSG_ACQ_SHARED, 1, 0, 1)
+                if reply[0] == MSG_GRANT:
                     granted.append(channel)
 
             # Daemons: a grant routed to the wrong channel leaves its
@@ -784,7 +826,7 @@ def test_close_during_first_contacts_unbinds_cleanly():
         client_id = 300_000
         while not stop.is_set():
             client_id += 1
-            contact.rpc(pack_message(MSG_RELEASE, client_id, 0, 1))  # binds, then errors
+            contact.rpc(MSG_RELEASE, client_id, 0, 1)  # binds, then errors
 
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -794,7 +836,7 @@ def test_close_during_first_contacts_unbinds_cleanly():
         for k in range(5):
             channel = InprocChannel()
             server.attach_channel(channel)
-            channel.rpc(pack_message(MSG_RELEASE, 250_000 + k, 0, 1))
+            channel.rpc(MSG_RELEASE, 250_000 + k, 0, 1)
             channel.close()
             assert 250_000 + k not in server._endpoints
             assert channel._to_client.get_nowait() is None  # the close ended the channel
