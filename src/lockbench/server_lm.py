@@ -13,8 +13,9 @@ the event's `seq`.  Untraced, the core and the client stamp into
 A message is five fields: op, client, item, request and seq.  In process
 it is those fields, passed as a tuple.  Only the byte transports, framed
 sockets and SEND/RECV queue pairs, pack it as a 25-byte `MESSAGE` record;
-their connections raise `ProtocolError` for a reply of any other length,
-and their servers end a connection that sends one.
+their connections raise `ProtocolError` for a reply of any other length
+or a request field the record cannot hold, and their servers end a
+connection that sends a message of another length.
 
 Two frontends carry the same protocol: a socket-style frontend and a
 SEND/RECV verb frontend.  Each charges a configurable amount of busy CPU
@@ -22,8 +23,9 @@ per inbound message on a bounded worker pool, emulating the kernel
 messaging overhead that dominates a socket-based server; the verb
 frontend's default charge is one tenth of the socket frontend's.  Both
 run one path per transport: in process, an `InprocChannel` that dispatches
-on the client's thread; over TCP, framed sockets served by one loop thread,
-so `worker_limit` bounds concurrent charges only in process.  (`QpConn`
+on the client's thread and waits for its reply, or a deferred grant, on a
+`verbs.Inbox`; over TCP, framed sockets served by one loop thread, so
+`worker_limit` bounds concurrent charges only in process.  (`QpConn`
 and `serve_sr_listener` serve only lockperf's per-layer timings.)
 """
 
@@ -54,7 +56,7 @@ from .trace import (
     TraceEvent,
     _new_tuple,
 )
-from .verbs import _OK, _RNR, QueuePair, SrListener
+from .verbs import _CLOSED, _OK, _RNR, Inbox, QueuePair
 
 MESSAGE = struct.Struct("<BIIQQ")  # op, client_id, item_id, request_id, seq
 MESSAGE_SIZE = MESSAGE.size
@@ -275,11 +277,12 @@ class MessageCostModel:
 class InprocChannel:
     """In-process connection: `rpc` dispatches on the caller's thread and
     takes the reply, or a grant a releasing thread pushes later, from the
-    channel's queue.  Closing either side ends it, as with a socket."""
+    channel's inbox.  Closing either side closes the inbox and ends the
+    channel, as with a socket."""
 
     def __init__(self):
         self._server: LockServer | None = None
-        self._to_client: queue.SimpleQueue = queue.SimpleQueue()
+        self._replies = Inbox()
 
     # client side
     def rpc(self, op: int, client_id: int, item_id: int, request_id: int) -> tuple:
@@ -288,8 +291,8 @@ class InprocChannel:
             self.close()
             raise ConnectionError("channel closed")
         server._dispatch(self, op, client_id, item_id, request_id)
-        reply = self._to_client.get()
-        if reply is None:
+        reply = self._replies.get()  # C-level, not `take`: no rpc waits after the close
+        if reply is _CLOSED:
             raise ConnectionError("server closed the channel")
         return reply
 
@@ -297,11 +300,11 @@ class InprocChannel:
         server, self._server = self._server, None
         if server is not None:
             server._unbind(self)
-        self._to_client.put(None)
+        self._replies.close()
 
     # server side
     def send_reply(self, *message: int) -> None:
-        self._to_client.put(message)
+        self._replies.put(message)
 
 
 class SocketConn:
@@ -312,7 +315,11 @@ class SocketConn:
         self._sock = framing.connect(host, port)
 
     def rpc(self, op: int, client_id: int, item_id: int, request_id: int) -> tuple:
-        send_frame(self._sock, MESSAGE.pack(op, client_id, item_id, request_id, 0))
+        try:
+            request = MESSAGE.pack(op, client_id, item_id, request_id, 0)
+        except struct.error:  # in process, the server rejects such a request
+            raise ProtocolError(f"request for item {item_id} does not fit a message") from None
+        send_frame(self._sock, request)
         reply = recv_frame(self._sock, MESSAGE_SIZE)
         if reply is None:
             raise ConnectionError("server closed the connection or sent an oversize frame")
@@ -362,8 +369,11 @@ class QpConn:
         self._timeout = timeout
 
     def rpc(self, op: int, client_id: int, item_id: int, request_id: int) -> tuple:
+        try:
+            message = MESSAGE.pack(op, client_id, item_id, request_id, 0)
+        except struct.error:
+            raise ProtocolError(f"request for item {item_id} does not fit a message") from None
         self._qp.post_recv(MESSAGE_SIZE)
-        message = MESSAGE.pack(op, client_id, item_id, request_id, 0)
         deadline = time.monotonic() + self._timeout
         while True:
             completion = self._qp.post_send(message)
@@ -399,11 +409,9 @@ class _QpEndpoint:
 
     def recv_request(self) -> bytes | None:
         completion = self._qp.poll_recv()
-        if completion is None:
-            return None
+        if completion is None or completion.status != _OK:
+            return None  # closed or truncated: the handler ends the connection
         self._qp.post_recv(MESSAGE_SIZE)
-        if completion.status != _OK:
-            return None
         return completion.payload
 
     def send_reply(self, *message: int) -> None:
@@ -437,7 +445,7 @@ class LockServer:
         channel._server = self
         return channel
 
-    def serve_sr_listener(self, listener: SrListener) -> None:
+    def serve_sr_listener(self, listener: Inbox) -> None:
         self._listeners.append(listener)
 
         def accept_loop():
@@ -586,6 +594,8 @@ class ServerLockClient:
     """
 
     def __init__(self, conn, client_id: int, recorder: trace.TraceRecorder | None = None):
+        if not 0 < client_id < 1 << 32:  # source 0 is the server's
+            raise ValueError("client_id must be in [1, 2**32 - 1]")
         self.conn = conn
         self.client_id = client_id
         self._stamp = trace.DISCARD if recorder is None else recorder.stamper(client_id)

@@ -8,6 +8,10 @@ and creates queue pairs; in-process clients call those directly, and
 frame on the queue pair of its connection, so both transports share this
 code.
 
+Every in-process receive waits on an `Inbox`, one closeable C-level
+queue: a queue pair's RECV completions, a listener's accepted queue
+pairs and, in `server_lm`, an in-process channel's replies.
+
 A region stores one Python int per 8-byte little-endian word, so CAS and
 FA are plain integer operations, and a READ or WRITE is a shift and a
 mask.  Every one-sided verb touches one word, the unit of NIC atomics, and
@@ -178,69 +182,44 @@ _new_tuple = tuple.__new__
 _ACCESS_ERRORS = {kind: Completion(kind, CompletionStatus.LOCAL_ACCESS_ERROR) for kind in VerbKind}
 _TRUNCATED_RECV = Completion(VerbKind.RECV, CompletionStatus.TRUNCATED)
 
-# The sentinel `close` queues; a poll that reaches it puts it back.
-_CLOSED = object()
+_CLOSED = object()  # what `Inbox.close` queues
 
 
-class Mailbox:
-    """Receive side of a two-sided endpoint: posted-receive capacities and
-    an inbox of completions.
+class Inbox(queue.SimpleQueue):
+    """A closeable C-level queue: every in-process receive waits on one.
 
-    `deque.append`/`popleft` are atomic, so posting a receive and matching
-    a SEND against it take no lock, even with several senders; the inbox is
-    a C-level `queue.SimpleQueue`.  `close` queues a sentinel behind every
-    item delivered so far: those are still polled, and the poll that reaches
-    the sentinel puts it back and returns None, as does every later one.
+    `put` is the C-level put.  `close` queues a sentinel behind every item
+    put so far: those are still taken, and the take that reaches the
+    sentinel puts it back (waking any other taker) and returns None, as
+    does every later take, even of an item put after the close.
     """
 
-    def __init__(self):
-        self._recv_buffers: deque[int] = deque()
-        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
-        self.closed = False
+    closed = False
+    _ended = False
 
-    def post_recv(self, capacity: int) -> None:
-        """Post a receive buffer; must happen before the matching SEND."""
-        self._recv_buffers.append(capacity)
-
-    def _match(self, payload: bytes) -> Completion | None:
-        """Consume the oldest posted receive for an arriving SEND: its OK or
-        TRUNCATED RECV completion, or None when the receiver is not ready."""
-        if self.closed:
+    def take(self, timeout: float | None = None):
+        """The next item; None on timeout or close."""
+        if self._ended:
             return None
         try:
-            capacity = self._recv_buffers.popleft()
-        except IndexError:
-            return None
-        if capacity < len(payload):
-            return _TRUNCATED_RECV
-        return _new_tuple(Completion, (_RECV, _OK, payload, None))
-
-    def _deliver(self, payload: bytes) -> CompletionStatus:
-        """Match an arriving SEND and make its completion visible."""
-        completion = self._match(payload)
-        if completion is None:
-            return _RNR
-        self._inbox.put(completion)
-        return completion.status
-
-    def poll_recv(self, timeout: float | None = None):
-        """Pop the next receive completion; None on timeout or close."""
-        try:
-            item = self._inbox.get(timeout=timeout)
+            item = self.get(True, timeout)
         except queue.Empty:
             return None
         if item is _CLOSED:
-            self._inbox.put(_CLOSED)
+            self._ended = True
+            self.put(_CLOSED)
             return None
         return item
+
+    accept = take  # a listener's items are the server sides of connects
 
     def close(self) -> None:
         if not self.closed:
             self.closed = True
-            self._inbox.put(_CLOSED)
+            self.put(_CLOSED)
 
 
-class QueuePair(Mailbox):
+class QueuePair:
     """A fabric's queue pair, called by an in-process client or by a TCP
     agent's connection for its client.
 
@@ -248,14 +227,21 @@ class QueuePair(Mailbox):
     (the passive side runs no code, mirroring RNIC DMA).  Two-sided SEND
     targets the peer queue pair and requires a pre-posted RECEIVE there.
     A queue pair is owned by one actor: callers post at most one verb at a
-    time, and only the owner polls receives.
+    time, and only the owner polls receives.  Posted receives sit in a
+    deque, whose `append`/`popleft` are atomic, so posting and matching
+    take no lock, even with several senders.
     """
 
     def __init__(self, fabric: "InprocFabric", client_id: int):
-        super().__init__()
         self._regions = fabric._regions
         self.client_id = client_id
         self.peer: QueuePair | None = None
+        self._recv_buffers: deque[int] = deque()
+        self._inbox = Inbox()
+
+    @property
+    def closed(self) -> bool:
+        return self._inbox.closed
 
     # -- one-sided -----------------------------------------------------
     # An unknown region (KeyError from the registry's live dict) or a
@@ -292,27 +278,34 @@ class QueuePair(Mailbox):
     # -- two-sided -----------------------------------------------------
 
     def post_send(self, payload: bytes) -> Completion:
+        """Complete the peer's oldest posted receive on its inbox (TRUNCATED
+        if too small); receiver-not-ready without one or once it closed."""
         peer = self.peer
-        if peer is None:
+        if peer is None or peer._inbox.closed:
             return Completion(_SEND, _RNR)
-        return Completion(_SEND, peer._deliver(payload))
+        try:
+            capacity = peer._recv_buffers.popleft()
+        except IndexError:
+            return Completion(_SEND, _RNR)
+        completion = _TRUNCATED_RECV if capacity < len(payload) else _new_tuple(
+            Completion, (_RECV, _OK, payload, None))
+        peer._inbox.put(completion)
+        return Completion(_SEND, completion.status)
+
+    def post_recv(self, capacity: int) -> None:
+        """Post a receive buffer; must happen before the matching SEND."""
+        self._recv_buffers.append(capacity)
+
+    def poll_recv(self, timeout: float | None = None) -> Completion | None:
+        """Pop the next receive completion; None on timeout or close."""
+        return self._inbox.take(timeout)
 
     def close(self) -> None:
-        super().close()
+        self._inbox.close()
         peer = self.peer
         if peer is not None and not peer.closed:
             self.peer = None
             peer.close()
-
-
-class SrListener(Mailbox):
-    """Accept queue for server-side queue pairs created by client connects:
-    a mailbox without receive credits, whose items are queue pairs."""
-
-    accept = Mailbox.poll_recv
-
-    def _offer(self, qp: Mailbox) -> None:
-        self._inbox.put(qp)
 
 
 class InprocFabric:
@@ -328,7 +321,7 @@ class InprocFabric:
         self._region_ids = itertools.count(1)
         self._lock = threading.Lock()
         self._client_ids = itertools.count(1)
-        self._listener: SrListener | None = None
+        self._listener: Inbox | None = None
 
     def register_region(self, length: int) -> MemoryRegion:
         with self._lock:
@@ -336,10 +329,10 @@ class InprocFabric:
             self._regions[region.region_id] = region
             return region
 
-    def sr_listen(self) -> SrListener:
+    def sr_listen(self) -> Inbox:
         with self._lock:
             if self._listener is None:
-                self._listener = SrListener()
+                self._listener = Inbox()
             return self._listener
 
     def connect(self, client_id: int | None = None) -> QueuePair:
@@ -351,17 +344,13 @@ class InprocFabric:
             if client_id < 1:
                 raise ValueError("client IDs start at 1")
             qp = QueuePair(self, client_id)
-            listener = self._listener
-            if listener is not None:
-                server_qp = QueuePair(self, client_id)
-                qp.peer = server_qp
+            if self._listener is not None:
+                qp.peer = server_qp = QueuePair(self, client_id)
                 server_qp.peer = qp
-        if listener is not None:
-            listener._offer(qp.peer)
-        return qp
+                self._listener.put(server_qp)
+            return qp
 
     def close(self) -> None:
-        with self._lock:
-            listener = self._listener
-        if listener is not None:
-            listener.close()
+        """Close the listener, if any; queue pairs stay open."""
+        if self._listener is not None:  # set once, never unset
+            self._listener.close()

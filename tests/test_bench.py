@@ -46,7 +46,7 @@ from lockbench.framing import recv_frame, send_frame
 from lockbench.tcp_transport import CLOSE_WAIT_S, HELLO
 from lockbench.trace import TraceRecorder
 
-from conftest import start_call
+from helpers import start_call
 
 FAST = dict(n_clients=3, n_items=2, ops_per_client=30, per_message_cost=0.0)
 

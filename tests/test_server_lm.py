@@ -40,7 +40,7 @@ from lockbench.tcp_transport import TcpAgent, TcpFabric
 from lockbench.trace import MODE_EXCLUSIVE, MODE_SHARED, TraceRecorder
 from lockbench.verbs import CompletionStatus, InprocFabric
 
-from conftest import start_call
+from helpers import start_call
 
 
 def _req(client_id, mode, item=0, request_id=None):
@@ -310,6 +310,18 @@ def test_shutdown_wakes_a_client_waiting_for_a_deferred_grant(tcp_style_server):
     tcp_style_server.shutdown()
     t.join(timeout=5)
     assert not t.is_alive() and len(errors) == 1
+
+
+def test_after_shutdown_every_inproc_rpc_fails_at_once(tcp_style_server):
+    bound = _channel_client(tcp_style_server, 1)
+    bound.acquire(0, shared=False)
+    unused = tcp_style_server.attach_channel(InprocChannel())
+    tcp_style_server.shutdown()
+    start = time.monotonic()
+    for conn in (bound.conn, unused) * 3:
+        with pytest.raises(ConnectionError):
+            conn.rpc(MSG_RELEASE, 1, 0, 2)
+    assert time.monotonic() - start < 1
 
 
 def test_shared_holders_coexist_exclusive_waits(tcp_style_server):
@@ -633,6 +645,24 @@ def test_an_unknown_op_gets_an_error_and_the_connection_serves_on(served_conn):
     assert server.core.granted_count() == 0 and server.core.pending_count() == 0
 
 
+def test_ids_and_items_outside_a_message_fail_alike_on_every_connection(served_conn):
+    # In process nothing is packed, so the client checks its ID and the
+    # byte transports turn a field that does not fit into ProtocolError,
+    # the error the server gives for an unknown item.
+    server, conn = served_conn
+    for client_id in (0, -1, 1 << 32):
+        with pytest.raises(ValueError):
+            ServerLockClient(conn, client_id)
+    client = ServerLockClient(conn, (1 << 32) - 1)
+    for item_id in (-1, 1 << 40):
+        with pytest.raises(ProtocolError):
+            client.acquire(item_id, shared=False)
+    client.acquire(0, shared=False)
+    assert server.core.granted_count() == 1
+    client.release(0)
+    assert server.core.granted_count() == 0 and server.core.pending_count() == 0
+
+
 def test_qp_conn_fails_at_once_after_the_server_closes(sr_hosts):
     # Sends to a closed peer complete receiver-not-ready; the client must
     # not retry them for its whole timeout.
@@ -839,7 +869,7 @@ def test_close_during_first_contacts_unbinds_cleanly():
             channel.rpc(MSG_RELEASE, 250_000 + k, 0, 1)
             channel.close()
             assert 250_000 + k not in server._endpoints
-            assert channel._to_client.get_nowait() is None  # the close ended the channel
+            assert channel._replies.closed and channel._replies.take(0) is None  # the close ended it
     finally:
         stop.set()
         t.join(timeout=10)

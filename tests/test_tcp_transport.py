@@ -23,7 +23,7 @@ from lockbench.tcp_transport import (
 )
 from lockbench.verbs import CompletionStatus
 
-from conftest import start_call
+from helpers import start_call
 
 U64 = 1 << 64
 

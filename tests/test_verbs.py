@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from lockbench.verbs import (
     Completion,
     CompletionStatus,
+    Inbox,
     InprocFabric,
     MemoryRegion,
     RegionAccessError,
@@ -252,7 +253,7 @@ def test_close_unblocks_peer_poll(sr_hosts):
 
 
 def test_send_after_peer_close_is_rnr(sr_hosts):
-    # Whether or not the sender has seen the close yet (its own mailbox
+    # Whether or not the sender has seen the close yet (its own inbox
     # closes with the peer), the SEND completes RNR.
     for host in sr_hosts:
         for sender_end, seen in itertools.product((0, 1), (False, True)):
@@ -286,6 +287,29 @@ def test_listener_close_unblocks_accept(sr_hosts):
         listener.close()
         t.join(timeout=5)
         assert got == [None], host.name
+
+
+def test_a_closed_listener_never_yields_a_queue_pair_connected_after_its_close(sr_hosts):
+    for host in sr_hosts:
+        listener = host.host.sr_listen()
+        host.host.close()
+        host.clients.append(host._connect())  # its server side lands behind the close
+        start = time.monotonic()
+        assert [listener.accept(timeout=5) for _ in range(3)] == [None] * 3, host.name
+        assert time.monotonic() - start < 4, host.name  # closed, not timed out
+
+
+def test_inbox_takes_what_came_before_its_close_and_nothing_after():
+    inbox = Inbox()
+    assert inbox.take(timeout=0.01) is None and not inbox.closed  # a timeout
+    inbox.put("a")
+    inbox.put("b")
+    inbox.close()
+    inbox.close()  # a second close changes nothing
+    inbox.put("late")
+    assert inbox.closed
+    assert [inbox.take(timeout=5) for _ in range(5)] == ["a", "b", None, None, None]
+    assert inbox.accept(timeout=5) is None
 
 
 def test_concurrent_sends_match_exactly_the_posted_receives(sr_hosts):
