@@ -5,7 +5,8 @@ uniformly random items with zero think time, so throughput reflects
 saturation.  Per-client operation streams are derived from
 `random.Random(f"{seed}:{client_index}")`, which is stable across both
 threads and processes, making request sequences reproducible for any
-transport.
+transport.  Items are drawn with `getrandbits` exactly as
+`randrange(n_items)` draws them, at under half its cost.
 
 Every run's trace is validated by the checker before metrics are
 reported; a violating trace raises RunCheckError instead of returning
@@ -56,7 +57,7 @@ from .checker import (
 )
 from .client_lm import ClientSession
 from .errors import MAX_DURATION_S, ConfigurationError, RunCheckError
-from .locktable import LockTable, TableHandle, check_client_capacity
+from .locktable import MAX_CLIENTS, LockTable, TableHandle, check_client_capacity
 from .server_lm import (
     DEFAULT_SR_MESSAGE_COST,
     DEFAULT_TCP_MESSAGE_COST,
@@ -143,8 +144,8 @@ class WorkloadSpec:
             raise ConfigurationError(f"per_message_cost must be in [0, {MAX_DURATION_S:g}] s")
         if self.max_retries is not None and self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0 or None")
-        if self.worker_limit < 1:
-            raise ConfigurationError("worker_limit must be >= 1")
+        if not 1 <= self.worker_limit <= MAX_CLIENTS:
+            raise ConfigurationError(f"worker_limit must be in [1, {MAX_CLIENTS}]")
         try:
             check_client_capacity(self.n_clients)
         except ValueError as exc:
@@ -165,12 +166,22 @@ class RunResult:
 
 
 def client_op_stream(spec: WorkloadSpec, client_index: int) -> list[tuple[int, bool]]:
-    """The deterministic (item, shared?) sequence for one client."""
+    """The deterministic (item, shared?) sequence for one client.
+
+    Each item is drawn as `randrange(n_items)` draws it, value for value:
+    k-bit draws, redrawn while out of range, without its per-call checks.
+    """
     rng = random.Random(f"{spec.rng_seed}:{client_index}")
-    return [
-        (rng.randrange(spec.n_items), rng.random() < spec.shared_fraction)
-        for _ in range(spec.ops_per_client)
-    ]
+    getrandbits, draw = rng.getrandbits, rng.random
+    n_items, shared_fraction = spec.n_items, spec.shared_fraction
+    k = n_items.bit_length()
+    ops = []
+    for _ in range(spec.ops_per_client):
+        item = getrandbits(k)
+        while item >= n_items:
+            item = getrandbits(k)
+        ops.append((item, draw() < shared_fraction))
+    return ops
 
 
 def _drive(client, ops) -> None:

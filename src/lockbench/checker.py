@@ -118,7 +118,11 @@ def _replay(events: list, fifo: bool) -> tuple[list, list, list]:
                                 f"overlaps client {other[1]} ({other[4]})"
                             )
                             safety.append(Violation(kind, message, (other, event)))
-                    if fifo:
+                    if fifo and not holders and pending and pending[0][0] == client:
+                        # The common case: _admits would say yes and the scan
+                        # below would remove the head.
+                        pending.popleft()
+                    elif fifo:
                         if not _admits(pending, holders, client):  # noted, replay goes on
                             message = f"item {item}: grant to client {client} jumps the queue"
                             cited = (pending[0][2], event) if pending else (event,)

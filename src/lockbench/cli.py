@@ -17,6 +17,7 @@ from .bench import (
 )
 from .checker import DESIGNS, check_all
 from .errors import ConfigurationError, RunCheckError
+from .locktable import MAX_CLIENTS
 from .server_lm import DEFAULT_SR_MESSAGE_COST, DEFAULT_TCP_MESSAGE_COST
 from .trace import TraceParseError, read_trace, write_trace
 
@@ -68,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         metavar="N",
-        help="max concurrent per-message charges in process (default 4); "
+        help="max concurrent per-message charges in process, 1 to "
+        f"{MAX_CLIENTS} (default 4); "
         "they spin under the GIL, so they share one core whatever N is; over "
         "TCP one server thread runs every charge, one at a time",
     )

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from . import framing, trace
 from .errors import MAX_DURATION_S, ProtocolError
 from .framing import _LEN, recv_frame, send_frame
+from .locktable import MAX_CLIENTS
 from .trace import (
     MODE_EXCLUSIVE,
     MODE_SHARED,
@@ -234,8 +235,10 @@ class ServerConfig:
             raise ValueError(f"unknown frontend {self.frontend!r}")
         if not 0 <= self.per_message_cost <= MAX_DURATION_S:  # false for nan too
             raise ValueError(f"per_message_cost must be in [0, {MAX_DURATION_S:g}] s")
-        if self.worker_limit < 1:
-            raise ValueError("worker_limit must be >= 1")
+        # No more charges run at once than clients are in flight, and the
+        # cost model puts one token per unit of the limit before any lock.
+        if not 1 <= self.worker_limit <= MAX_CLIENTS:
+            raise ValueError(f"worker_limit must be in [1, {MAX_CLIENTS}]")
 
 
 class MessageCostModel:

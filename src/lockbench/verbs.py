@@ -337,7 +337,8 @@ class InprocFabric:
 
     def connect(self, client_id: int | None = None) -> QueuePair:
         """Create a client-side queue pair; dense client IDs are assigned
-        starting at 1 when the caller does not supply one."""
+        starting at 1 when the caller does not supply one.  Once the
+        listener is closed, the pair comes back already closed."""
         with self._lock:
             if client_id is None:
                 client_id = next(self._client_ids)
@@ -347,7 +348,10 @@ class InprocFabric:
             if self._listener is not None:
                 qp.peer = server_qp = QueuePair(self, client_id)
                 server_qp.peer = qp
-                self._listener.put(server_qp)
+                if self._listener.closed:
+                    server_qp.close()  # no accept would ever take it
+                else:
+                    self._listener.put(server_qp)
             return qp
 
     def close(self) -> None:

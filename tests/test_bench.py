@@ -3,6 +3,7 @@
 import csv
 import multiprocessing
 import os
+import random
 import signal
 import threading
 import time
@@ -64,6 +65,26 @@ def test_op_stream_is_deterministic_per_client_and_seed():
     again = client_op_stream(spec, 1)
     assert client_op_stream(spec, 1) == again
     assert client_op_stream(spec, 2) != again
+
+
+@pytest.mark.parametrize("n_items", [1, 2, 3, 63, 64, 65, 1000, (1 << 20) + 1])
+@pytest.mark.parametrize("shared_fraction", [0.0, 0.3, 0.5, 1.0])
+def test_op_stream_draws_as_randrange_would(n_items, shared_fraction):
+    # A seed replays the runs recorded while items came from `randrange`:
+    # every item is the value it returns from the same generator state.
+    for seed, client_index in ((1, 0), (1, 1), (7, 3), (2325, 1)):
+        spec = WorkloadSpec(
+            design=DESIGN_CLIENT_CENTRIC,
+            n_items=n_items,
+            ops_per_client=400,
+            shared_fraction=shared_fraction,
+            rng_seed=seed,
+        )
+        rng = random.Random(f"{seed}:{client_index}")
+        expected = [
+            (rng.randrange(n_items), rng.random() < shared_fraction) for _ in range(400)
+        ]
+        assert client_op_stream(spec, client_index) == expected
 
 
 def test_op_stream_respects_item_range_and_mix():

@@ -264,6 +264,16 @@ def test_fifo_rejects_exclusive_head_granted_over_active_shared():
     assert kinds(check_fifo(events, DESIGN_SERVER_TCP)) == [FIFO_VIOLATION]
 
 
+def test_fifo_rejects_exclusive_head_granted_over_active_exclusive():
+    events = [
+        ev(10, 1, "ACQ", E, "REQ"),
+        ev(11, 1, "ACQ", E, "GRANT"),
+        ev(12, 2, "ACQ", E, "REQ"),
+        ev(13, 2, "ACQ", E, "GRANT"),  # holder 1 never released
+    ]
+    assert kinds(check_fifo(events, DESIGN_SERVER_TCP)) == [FIFO_VIOLATION]
+
+
 def test_fifo_not_applicable_to_client_centric():
     with pytest.raises(NotApplicableError):
         check_fifo([], DESIGN_CLIENT_CENTRIC)

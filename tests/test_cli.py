@@ -6,6 +6,7 @@ import pytest
 
 from lockbench import bench, cli
 from lockbench.cli import main
+from lockbench.locktable import MAX_CLIENTS
 from lockbench.server_lm import DEFAULT_SR_MESSAGE_COST, DEFAULT_TCP_MESSAGE_COST
 from lockbench.trace import TraceEvent, write_trace
 
@@ -130,6 +131,8 @@ def test_check_rejects_a_trace_without_seqs(tmp_path, capsys):
     "argv",
     [
         BENCH_FAST + ["--worker-limit", "0"],
+        # Above the client cap: the cost model would queue a token per unit.
+        BENCH_FAST + ["--worker-limit", str(MAX_CLIENTS + 1)],
         BENCH_FAST + ["--max-retries", "-1"],
         BENCH_FAST + ["--clients", "0"],
         BENCH_FAST + ["--sweep-clients", "0,2"],
@@ -144,7 +147,7 @@ def test_check_rejects_a_trace_without_seqs(tmp_path, capsys):
         BENCH_FAST + ["--clients", "1", "--backoff-us", "1e16"],
     ],
     ids=[
-        "worker-limit", "max-retries", "clients", "sweep-count",
+        "worker-limit", "worker-limit-huge", "max-retries", "clients", "sweep-count",
         "cost-nan", "cost-inf", "cost-huge", "backoff-nan", "backoff-inf", "backoff-huge",
     ],
 )

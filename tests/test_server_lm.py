@@ -10,6 +10,7 @@ import pytest
 
 from lockbench.errors import ProtocolError
 from lockbench.framing import recv_frame, send_frame
+from lockbench.locktable import MAX_CLIENTS
 from lockbench.server_lm import (
     DEFAULT_SR_MESSAGE_COST,
     DEFAULT_TCP_MESSAGE_COST,
@@ -227,8 +228,10 @@ def test_server_config_validation():
     for cost in (-1.0, float("nan"), float("inf"), 1e308):
         with pytest.raises(ValueError):
             ServerConfig(1, per_message_cost=cost)
-    with pytest.raises(ValueError):
-        ServerConfig(1, worker_limit=0)
+    for limit in (0, MAX_CLIENTS + 1):
+        with pytest.raises(ValueError):
+            ServerConfig(1, worker_limit=limit)
+    assert ServerConfig(1, worker_limit=MAX_CLIENTS).worker_limit == MAX_CLIENTS
     assert DEFAULT_SR_MESSAGE_COST == pytest.approx(DEFAULT_TCP_MESSAGE_COST / 10)
 
 
@@ -674,6 +677,24 @@ def test_qp_conn_fails_at_once_after_the_server_closes(sr_hosts):
         with pytest.raises(ConnectionError):
             conn.rpc(MSG_ACQ_EXCL, client.client_id, 0, 1)
         assert time.monotonic() - start < 1, host.name
+
+
+def test_qp_conn_fails_at_once_when_connected_after_the_fabric_closes():
+    # The listener is closed, so no accept will take the server side: the
+    # client's queue pair must come back closed, not wait out its timeout.
+    fabric = InprocFabric()
+    server = LockServer(ServerConfig(1, FRONTEND_SEND_RECV, per_message_cost=0.0))
+    server.serve_sr_listener(fabric.sr_listen())
+    try:
+        fabric.close()
+        qp = fabric.connect(1)
+        assert qp.closed
+        start = time.monotonic()
+        with pytest.raises(ConnectionError):
+            QpConn(qp, timeout=2).rpc(MSG_ACQ_EXCL, 1, 0, 1)
+        assert time.monotonic() - start < 0.5
+    finally:
+        server.shutdown()
 
 
 # -- client IDs: bound on first contact, until the connection ends ----------
