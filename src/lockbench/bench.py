@@ -18,7 +18,9 @@ client ends the run at once.
 `TRANSPORT_ROWS` holds one row per transport.  A row hosts each design's
 passive side, connects each client and picks the clients' worker kind;
 `host_design`, `connect_client` and `_run_clients` read the row and test no
-transport.
+transport.  A hosted design hands its clients one target: the server's
+address, or the verb host's address paired with the lock table's handle.
+A client process ships its trace into its own source's buffer.
 
 * inproc — a server design is the LockServer itself, behind one
   InprocChannel per client that dispatches on the client's thread; the
@@ -162,7 +164,6 @@ class RunResult:
     total_locks_granted: int
     elapsed: float
     throughput: float
-    contention_rate: float
 
 
 def client_op_stream(spec: WorkloadSpec, client_index: int) -> list[tuple[int, bool]]:
@@ -209,10 +210,9 @@ def _process_workers(n_clients, _recorder):
 
 class Transport(NamedTuple):
     host_server: Callable  # LockServer -> the target its clients connect to
-    new_fabric: Callable  # () -> a verb host for the lock table
-    host_fabric: Callable  # that verb host -> (the target its clients connect to, teardown)
+    host_fabric: Callable  # () -> (a verb host for the lock table, the target its clients connect to, teardown)
     connect_server: Callable  # target -> a server client's connection
-    verb_fabric: Callable  # target -> the fabric a verb client connects on
+    connect_verbs: Callable  # (target, client ID) -> a verb client's queue pair
     workers: Callable  # (n_clients, recorder) -> (barrier, results, worker class, extra args)
     stop_worker: Callable  # stops a worker still alive at cleanup, before it is joined
 
@@ -222,19 +222,17 @@ class Transport(NamedTuple):
 TRANSPORT_ROWS = {
     TRANSPORT_INPROC: Transport(
         host_server=lambda server: server,
-        new_fabric=lambda: InprocFabric(),
-        host_fabric=lambda fabric: (fabric, fabric.close),
+        host_fabric=lambda: ((fabric := InprocFabric()), fabric, fabric.close),
         connect_server=lambda server: server.attach_channel(InprocChannel()),
-        verb_fabric=lambda fabric: fabric,
+        connect_verbs=lambda fabric, i: fabric.connect(i),
         workers=lambda n, recorder: (threading.Barrier(n), queue.SimpleQueue(), threading.Thread, (recorder,)),
         stop_worker=lambda thread: None,  # a thread cannot be stopped, only joined
     ),
     TRANSPORT_TCP: Transport(
         host_server=lambda server: server.serve_tcp(),
-        new_fabric=lambda: TcpAgent(),
-        host_fabric=lambda agent: (agent.start(), agent.stop),
+        host_fabric=lambda: ((agent := TcpAgent()), agent.start(), agent.stop),
         connect_server=lambda address: SocketConn(*address),
-        verb_fabric=lambda address: TcpFabric(*address),
+        connect_verbs=lambda address, i: TcpFabric(*address).connect(i),
         workers=_process_workers,
         stop_worker=lambda process: process.terminate(),
     ),
@@ -243,8 +241,7 @@ TRANSPORTS = TRANSPORT_ROWS.keys()
 
 
 class HostedDesign(NamedTuple):
-    target: object  # what connect_client connects to
-    region_id: int  # the lock table's region (client-centric), else 0
+    target: object  # what connect_client connects to; (fabric target, TableHandle) for client-centric
     words: Callable[[], list[int]] | None  # lock words for the quiescence check
     teardown: Callable[[], None]
 
@@ -254,7 +251,7 @@ def host_design(spec: WorkloadSpec, recorder: TraceRecorder | None = None) -> Ho
 
     A server design gets a LockServer on its frontend's cost, which the row
     serves; the client-centric design gets a LockTable on the row's verb
-    host.
+    host, and its target carries the table's handle.
     """
     row = TRANSPORT_ROWS[spec.transport]
     frontend, _ = DESIGN_FRONTENDS[spec.design]
@@ -263,22 +260,22 @@ def host_design(spec: WorkloadSpec, recorder: TraceRecorder | None = None) -> Ho
             ServerConfig(spec.n_items, frontend, spec.effective_message_cost(), spec.worker_limit),
             recorder,
         )
-        return HostedDesign(row.host_server(server), 0, None, server.shutdown)
-    fabric = row.new_fabric()
-    target, teardown = row.host_fabric(fabric)
+        return HostedDesign(row.host_server(server), None, server.shutdown)
+    fabric, target, teardown = row.host_fabric()
     table = LockTable.allocate(fabric, spec.n_items)
-    return HostedDesign(target, table.region_id, table.words, teardown)
+    return HostedDesign((target, TableHandle(table.region_id, spec.n_items)), table.words, teardown)
 
 
-def connect_client(spec: WorkloadSpec, client_index: int, target, region_id: int, recorder):
+def connect_client(spec: WorkloadSpec, client_index: int, target, recorder):
     """Client `client_index` of `spec`'s design, connected to a
     `host_design` target through its transport's row."""
     row = TRANSPORT_ROWS[spec.transport]
     if spec.design != DESIGN_CLIENT_CENTRIC:
         return ServerLockClient(row.connect_server(target), client_index, recorder)
+    fabric_target, handle = target
     return ClientSession(
-        row.verb_fabric(target).connect(client_index),
-        TableHandle(region_id, spec.n_items),
+        row.connect_verbs(fabric_target, client_index),
+        handle,
         client_index,
         backoff=spec.backoff,
         max_retries=spec.max_retries,
@@ -293,7 +290,7 @@ def connect_client(spec: WorkloadSpec, client_index: int, target, region_id: int
 _REPORT_GRACE_S = 1.0
 
 
-def _client_worker(spec, i, target, region_id, barrier, results, recorder=None):
+def _client_worker(spec, i, target, barrier, results, recorder=None):
     """Run client `i` from connect to close, then put `(i, events, error)` on
     `results`.  A client process (no `recorder`) records and ships its own
     trace, as plain tuples, which pickle faster.  A failure breaks the
@@ -301,7 +298,7 @@ def _client_worker(spec, i, target, region_id, barrier, results, recorder=None):
     own_trace = recorder is None
     recorder = TraceRecorder() if own_trace else recorder
     try:
-        client = connect_client(spec, i, target, region_id, recorder)
+        client = connect_client(spec, i, target, recorder)
         try:
             ops = client_op_stream(spec, i)
             barrier.wait()
@@ -317,13 +314,13 @@ def _client_worker(spec, i, target, region_id, barrier, results, recorder=None):
 
 
 def _run_clients(spec: WorkloadSpec, hosted: HostedDesign, recorder: TraceRecorder) -> None:
-    """Run every client to its end; client processes' events go into
-    `recorder`.  Raises RuntimeError naming every client's error once all
-    have reported, or naming exit codes once a client has ended without a
-    report.  No client process outlives it."""
+    """Run every client to its end; client process i's events go into
+    `recorder` under source i.  Raises RuntimeError naming every client's
+    error once all have reported, or naming exit codes once a client has
+    ended without a report.  No client process outlives it."""
     row = TRANSPORT_ROWS[spec.transport]
     barrier, results, make, extra = row.workers(spec.n_clients, recorder)
-    args = (hosted.target, hosted.region_id, barrier, results, *extra)
+    args = (hosted.target, barrier, results, *extra)
     workers = {
         i: make(target=_client_worker, args=(spec, i, *args), name=f"bench-client-{i}", daemon=True)
         for i in range(1, spec.n_clients + 1)
@@ -346,7 +343,7 @@ def _run_clients(spec: WorkloadSpec, hosted: HostedDesign, recorder: TraceRecord
             pending.discard(i)
             if error is not None:
                 errors[i] = error
-            recorder.extend([tuple.__new__(TraceEvent, t) for t in events])  # a failed client ships none
+            recorder.extend(i, [tuple.__new__(TraceEvent, t) for t in events])  # a failed client ships none
         if errors:
             raise RuntimeError("; ".join(f"client {i}: {errors[i]}" for i in sorted(errors)))
     finally:
@@ -375,8 +372,7 @@ def _finish(spec, events, words):
     if violations:
         raise RunCheckError(violations)
     elapsed = max(events[-1].timestamp_ns - events[0].timestamp_ns, 1) / 1e9
-    rate = contention_rate(spec.n_items, spec.n_clients)
-    return RunResult(total, elapsed, total / elapsed, rate), events
+    return RunResult(total, elapsed, total / elapsed), events
 
 
 def run_workload(spec: WorkloadSpec) -> tuple[RunResult, list[TraceEvent]]:

@@ -9,6 +9,7 @@ from .bench import (
     TRANSPORT_INPROC,
     TRANSPORTS,
     WorkloadSpec,
+    contention_rate,
     result_row,
     run_workload,
     sweep_clients,
@@ -155,7 +156,8 @@ def _cmd_bench(args, parser) -> int:
     print(
         f"{spec.design} on {spec.transport}: {result.total_locks_granted} locks in "
         f"{result.elapsed:.3f}s = {result.throughput:.1f} locks/s "
-        f"(clients={spec.n_clients}, items={spec.n_items}, cr={result.contention_rate:.3f})"
+        f"(clients={spec.n_clients}, items={spec.n_items}, "
+        f"cr={contention_rate(spec.n_items, spec.n_clients):.3f})"
     )
     if args.csv:
         write_csv(args.csv, [result_row(spec, result)])

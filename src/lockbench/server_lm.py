@@ -91,7 +91,6 @@ class LockRequest:
 
 @dataclass(slots=True)
 class ItemQueue:
-    item_id: int
     mutex: threading.Lock = field(default_factory=threading.Lock)
     pending: deque = field(default_factory=deque)
     granted: dict = field(default_factory=dict)  # client_id -> mode
@@ -140,7 +139,7 @@ class LockServerCore:
         if n_items < 1:
             raise ValueError("need at least one item")
         self.n_items = n_items
-        self._items = [ItemQueue(i) for i in range(n_items)]
+        self._items = [ItemQueue() for _ in range(n_items)]
         self._stamp = trace.DISCARD if recorder is None else recorder.stamper(0)
 
     def acquire(
@@ -432,7 +431,6 @@ class LockServer:
     """Wires the frontends to LockServerCore."""
 
     def __init__(self, config: ServerConfig, recorder: trace.TraceRecorder | None = None):
-        self.config = config
         self.core = LockServerCore(config.n_items, recorder)
         self.cost = MessageCostModel(config.per_message_cost, config.worker_limit)
         self._endpoints: dict[int, object] = {}

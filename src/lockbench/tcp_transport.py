@@ -28,17 +28,7 @@ from contextlib import suppress
 from . import framing
 from .errors import ProtocolError
 from .framing import recv_frame, send_frame
-from .verbs import (
-    _CAS,
-    _FA,
-    _READ,
-    _WRITE,
-    Completion,
-    CompletionStatus,
-    InprocFabric,
-    QueuePair,
-    VerbKind,
-)
+from .verbs import _ACCESS_ERROR, Completion, CompletionStatus, InprocFabric, QueuePair, VerbKind
 
 # Verb request: kind, region_id, offset, length, operand_a, operand_b
 # (+ payload bytes for WRITE and SEND).  RECV posts a receive of `length`
@@ -63,12 +53,14 @@ _POLL_SLICE = 0.05
 # polls before every recv on a socket that has one.
 CLOSE_WAIT_S = 3.0
 
+# The wire kinds, read as globals: enum attribute access costs more.
+_READ, _WRITE, _CAS, _FA = VerbKind.READ, VerbKind.WRITE, VerbKind.CAS, VerbKind.FA
 _SEND, _RECV = VerbKind.SEND, VerbKind.RECV
 _RECEIVED = (CompletionStatus.OK, CompletionStatus.TRUNCATED)
 _STATUSES = frozenset(CompletionStatus)
-_RECV_POSTED = Completion(_RECV, CompletionStatus.OK)
-_EMPTY_POLL = Completion(_RECV, CompletionStatus.RECEIVER_NOT_READY)
-_BAD_REQUEST = Completion(_RECV, CompletionStatus.BAD_REQUEST)
+_RECV_POSTED = Completion(CompletionStatus.OK)
+_EMPTY_POLL = Completion(CompletionStatus.RECEIVER_NOT_READY)
+_BAD_REQUEST = Completion(CompletionStatus.BAD_REQUEST)
 
 
 def _execute(qp: QueuePair, frame: bytes) -> bytes:
@@ -189,7 +181,7 @@ class TcpQueuePair:
         try:
             frame = VERB_HEADER.pack(kind, region_id, offset, length, op_a, op_b) + payload
         except struct.error:  # e.g. a negative offset: outside every region, as in process
-            return Completion(kind, CompletionStatus.LOCAL_ACCESS_ERROR)
+            return _ACCESS_ERROR
         with self._lock:
             try:
                 send_frame(self._sock, frame)
@@ -206,7 +198,7 @@ class TcpQueuePair:
             self.closed = True
             status ^= _QP_CLOSED
         serial = serial_plus1 - 1 if serial_plus1 else None
-        return Completion(kind, CompletionStatus(status), reply[REPLY_HEADER.size :], serial)
+        return Completion(CompletionStatus(status), reply[REPLY_HEADER.size :], serial)
 
     def post_read(self, region_id: int, offset: int, length: int) -> Completion:
         return self._rpc(_READ, region_id, offset, length)
@@ -237,7 +229,7 @@ class TcpQueuePair:
             except ConnectionError:
                 return None
             if completion.status in _RECEIVED:
-                return completion._replace(op_kind=_RECV)
+                return completion
             if self.closed or left < _POLL_SLICE:
                 return None
 
@@ -267,9 +259,9 @@ class TcpFabric:
 
     def connect(self, client_id: int | None = None) -> TcpQueuePair:
         """Open one socket and say hello; the agent confirms `client_id`
-        or assigns one."""
-        if client_id is not None and client_id < 1:
-            raise ValueError("client IDs start at 1")
+        (in 1..2**32 - 1) or assigns one."""
+        if client_id is not None and not 0 < client_id < 1 << 32:  # what HELLO holds
+            raise ValueError("client IDs must be in [1, 2**32 - 1]")
         hello = HELLO.pack(client_id or 0)
         sock = framing.connect(self.host, self.port)
         try:

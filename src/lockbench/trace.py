@@ -9,7 +9,8 @@ the verb on the item's lock word (client-centric) or the item queue's
 counter under its mutex (server designs).  One client's events may share a
 `seq`; they keep program order.  Timestamps come from the shared monotonic
 clock and feed only latencies.  They never decrease within a client's
-buffer, so a stable sort by stamp keeps each client's program order.
+buffer, stamped in place or shipped from the client's process, so a
+stable sort by stamp keeps each client's program order.
 """
 
 from __future__ import annotations
@@ -131,17 +132,18 @@ DISCARD = deque(maxlen=0).append
 
 class TraceRecorder:
     """Append-only event buffers, one per recording source (client ID, or 0
-    for the server).  An actor appends `tuple.__new__(TraceEvent,
-    (trace._clock(), ..., seq))` to its source's `stamper` inline, taking no
-    lock (list.append is atomic under the GIL), or to `DISCARD` if built
-    without a recorder.  `sorted_events` merges the buffers by stamp.  The
-    in-process server's buffer is appended to from several client threads,
-    so its append order need not be its stamp order; per item it is, since
-    each item's stamps are taken under the item's mutex."""
+    for the server), and no other store.  An actor appends
+    `tuple.__new__(TraceEvent, (trace._clock(), ..., seq))` to its source's
+    `stamper` inline, taking no lock (list.append is atomic under the GIL),
+    or to `DISCARD` if built without a recorder; a client that recorded
+    elsewhere ships its events to its source's buffer with `extend`.
+    `sorted_events` merges the buffers by stamp.  The in-process server's
+    buffer is appended to from several client threads, so its append order
+    need not be its stamp order; per item it is, since each item's stamps
+    are taken under the item's mutex."""
 
     def __init__(self):
         self._buffers: defaultdict[int, list[TraceEvent]] = defaultdict(list)
-        self._extended: list[TraceEvent] = []
 
     def stamper(self, source: int):
         """The bound `append` of `source`'s buffer."""
@@ -152,8 +154,9 @@ class TraceRecorder:
         event = (_clock(), client_id, item_id, op, mode, outcome, 0)
         self._buffers[source].append(_new_tuple(TraceEvent, event))
 
-    def extend(self, events: Iterable[TraceEvent]) -> None:
-        self._extended.extend(events)
+    def extend(self, source: int, events: Iterable[TraceEvent]) -> None:
+        """Append `source`'s events, recorded elsewhere, to its buffer."""
+        self._buffers[source].extend(events)
 
     def sorted_events(self) -> list[TraceEvent]:
-        return sort_events(chain(self._extended, *self._buffers.values()))
+        return sort_events(chain(*self._buffers.values()))

@@ -2,11 +2,12 @@
 
 Provides registered memory regions, queue pairs and completions, with
 one-sided READ/WRITE/CAS/FA executed against region memory and two-sided
-SEND/RECV between paired endpoints.  An `InprocFabric` registers regions
-and creates queue pairs; in-process clients call those directly, and
-`tcp_transport.TcpAgent` is an `InprocFabric` that runs each arriving
-frame on the queue pair of its connection, so both transports share this
-code.
+SEND/RECV between paired endpoints.  A completion is `(status, payload,
+serial)`: each call returns its own, so none names its verb.  An
+`InprocFabric` registers regions and creates queue pairs; in-process
+clients call those directly, and `tcp_transport.TcpAgent` is an
+`InprocFabric` that runs each arriving frame on the queue pair of its
+connection, so both transports share this code.
 
 Every in-process receive waits on an `Inbox`, one closeable C-level
 queue: a queue pair's RECV completions, a listener's accepted queue
@@ -53,8 +54,6 @@ class CompletionStatus(IntEnum):
 
 # Enum members read as module globals: class attribute access on an enum
 # costs several times a global lookup, and these sit on every verb.
-_READ, _WRITE, _CAS, _FA = VerbKind.READ, VerbKind.WRITE, VerbKind.CAS, VerbKind.FA
-_SEND, _RECV = VerbKind.SEND, VerbKind.RECV
 _OK, _RNR = CompletionStatus.OK, CompletionStatus.RECEIVER_NOT_READY
 
 
@@ -68,7 +67,6 @@ class Completion(NamedTuple):
     serial order reproduces the word's history.
     """
 
-    op_kind: VerbKind
     status: CompletionStatus
     payload: bytes = b""
     serial: int | None = None
@@ -179,8 +177,8 @@ class MemoryRegion:
 # Builds an OK completion without the NamedTuple constructor's Python frame.
 _new_tuple = tuple.__new__
 
-_ACCESS_ERRORS = {kind: Completion(kind, CompletionStatus.LOCAL_ACCESS_ERROR) for kind in VerbKind}
-_TRUNCATED_RECV = Completion(VerbKind.RECV, CompletionStatus.TRUNCATED)
+_ACCESS_ERROR = Completion(CompletionStatus.LOCAL_ACCESS_ERROR)
+_TRUNCATED = Completion(CompletionStatus.TRUNCATED)
 
 _CLOSED = object()  # what `Inbox.close` queues
 
@@ -251,29 +249,29 @@ class QueuePair:
         try:
             data, serial = self._regions[region_id].read(offset, length)
         except (KeyError, RegionAccessError):
-            return _ACCESS_ERRORS[_READ]
-        return _new_tuple(Completion, (_READ, _OK, data, serial))
+            return _ACCESS_ERROR
+        return _new_tuple(Completion, (_OK, data, serial))
 
     def post_write(self, region_id: int, offset: int, payload: bytes) -> Completion:
         try:
             serial = self._regions[region_id].write(offset, payload)
         except (KeyError, RegionAccessError):
-            return _ACCESS_ERRORS[_WRITE]
-        return _new_tuple(Completion, (_WRITE, _OK, b"", serial))
+            return _ACCESS_ERROR
+        return _new_tuple(Completion, (_OK, b"", serial))
 
     def post_cas(self, region_id: int, offset: int, expected: int, swap: int) -> Completion:
         try:
             old, serial = self._regions[region_id].compare_and_swap(offset, expected, swap)
         except (KeyError, RegionAccessError):
-            return _ACCESS_ERRORS[_CAS]
-        return _new_tuple(Completion, (_CAS, _OK, old.to_bytes(8, "little"), serial))
+            return _ACCESS_ERROR
+        return _new_tuple(Completion, (_OK, old.to_bytes(8, "little"), serial))
 
     def post_fa(self, region_id: int, offset: int, addend: int) -> Completion:
         try:
             old, serial = self._regions[region_id].fetch_and_add(offset, addend)
         except (KeyError, RegionAccessError):
-            return _ACCESS_ERRORS[_FA]
-        return _new_tuple(Completion, (_FA, _OK, old.to_bytes(8, "little"), serial))
+            return _ACCESS_ERROR
+        return _new_tuple(Completion, (_OK, old.to_bytes(8, "little"), serial))
 
     # -- two-sided -----------------------------------------------------
 
@@ -282,15 +280,14 @@ class QueuePair:
         if too small); receiver-not-ready without one or once it closed."""
         peer = self.peer
         if peer is None or peer._inbox.closed:
-            return Completion(_SEND, _RNR)
+            return Completion(_RNR)
         try:
             capacity = peer._recv_buffers.popleft()
         except IndexError:
-            return Completion(_SEND, _RNR)
-        completion = _TRUNCATED_RECV if capacity < len(payload) else _new_tuple(
-            Completion, (_RECV, _OK, payload, None))
+            return Completion(_RNR)
+        completion = _TRUNCATED if capacity < len(payload) else _new_tuple(Completion, (_OK, payload, None))
         peer._inbox.put(completion)
-        return Completion(_SEND, completion.status)
+        return Completion(completion.status)
 
     def post_recv(self, capacity: int) -> None:
         """Post a receive buffer; must happen before the matching SEND."""
@@ -337,13 +334,14 @@ class InprocFabric:
 
     def connect(self, client_id: int | None = None) -> QueuePair:
         """Create a client-side queue pair; dense client IDs are assigned
-        starting at 1 when the caller does not supply one.  Once the
-        listener is closed, the pair comes back already closed."""
+        starting at 1 when the caller does not supply one, and a supplied
+        one must lie in 1..2**32 - 1.  Once the listener is closed, the
+        pair comes back already closed."""
         with self._lock:
             if client_id is None:
                 client_id = next(self._client_ids)
-            if client_id < 1:
-                raise ValueError("client IDs start at 1")
+            if not 0 < client_id < 1 << 32:  # a hello and a lock word's owner half hold 32 bits
+                raise ValueError("client IDs must be in [1, 2**32 - 1]")
             qp = QueuePair(self, client_id)
             if self._listener is not None:
                 qp.peer = server_qp = QueuePair(self, client_id)

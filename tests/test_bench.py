@@ -3,6 +3,7 @@
 import csv
 import multiprocessing
 import os
+import pickle
 import random
 import signal
 import threading
@@ -44,6 +45,7 @@ from lockbench.server_lm import (
     SocketConn,
 )
 from lockbench.framing import recv_frame, send_frame
+from lockbench.locktable import TableHandle
 from lockbench.tcp_transport import CLOSE_WAIT_S, HELLO
 from lockbench.trace import TraceRecorder
 
@@ -149,7 +151,6 @@ def test_small_run_produces_consistent_metrics(design, transport):
     expected = spec.n_clients * spec.ops_per_client
     assert result.total_locks_granted == expected
     assert result.throughput == pytest.approx(expected / result.elapsed)
-    assert result.contention_rate == contention_rate(spec.n_items, spec.n_clients)
     # Every client completed its whole stream: one GRANT per op each.
     grants = Counter(e.client_id for e in events if e.op == "ACQ" and e.outcome == "GRANT")
     assert grants == {i: spec.ops_per_client for i in range(1, spec.n_clients + 1)}
@@ -193,6 +194,47 @@ def test_a_new_transport_is_one_more_row(monkeypatch, capsys):
     assert "client-centric on loopback" in capsys.readouterr().out
 
 
+def test_a_row_has_six_parts_and_a_hosted_design_three():
+    assert bench.Transport._fields == (
+        "host_server", "host_fabric", "connect_server", "connect_verbs", "workers", "stop_worker"
+    )
+    assert bench.HostedDesign._fields == ("target", "words", "teardown")
+
+
+def test_a_tcp_client_centric_target_pickles_and_carries_the_table_handle():
+    spec = WorkloadSpec(design=DESIGN_CLIENT_CENTRIC, transport=TRANSPORT_TCP, n_items=3)
+    hosted = host_design(spec)
+    try:
+        target = pickle.loads(pickle.dumps(hosted.target))
+        (host, port), handle = target
+        assert target == hosted.target and isinstance(host, str) and isinstance(port, int)
+        assert isinstance(handle, TableHandle) and handle.item_count == 3
+        client = connect_client(spec, 1, target, None)
+        try:
+            client.acquire(2, shared=False)
+            assert hosted.words()[2] != 0  # the handle addresses the hosted table
+            client.release(2)
+        finally:
+            client.close()
+        assert hosted.words() == [0, 0, 0]
+    finally:
+        hosted.teardown()
+
+
+def test_client_process_events_go_under_their_own_source():
+    spec = WorkloadSpec(design=DESIGN_CLIENT_CENTRIC, transport=TRANSPORT_TCP, **FAST)
+    recorder = TraceRecorder()
+    hosted = host_design(spec, recorder)
+    try:
+        bench._run_clients(spec, hosted, recorder)
+    finally:
+        hosted.teardown()
+    assert sorted(recorder._buffers) == [1, 2, 3]
+    for source, events in recorder._buffers.items():
+        assert {e.client_id for e in events} == {source}
+        assert len(events) == 4 * spec.ops_per_client
+
+
 @pytest.mark.parametrize("design", [DESIGN_SERVER_TCP, DESIGN_SERVER_SR])
 def test_inproc_server_designs_start_no_thread(design):
     # In process, both server designs dispatch on the client's own thread.
@@ -200,7 +242,7 @@ def test_inproc_server_designs_start_no_thread(design):
     before = threading.active_count()
     hosted = host_design(spec)
     try:
-        clients = [connect_client(spec, i, hosted.target, 0, None) for i in (1, 2, 3)]
+        clients = [connect_client(spec, i, hosted.target, None) for i in (1, 2, 3)]
         for client in clients:
             client.acquire(0, shared=True)
             client.release(0)
@@ -237,7 +279,7 @@ def test_tcp_server_designs_share_the_socket_path(monkeypatch, design, frontend,
     try:
         host, port = hosted.target
         assert isinstance(host, str) and isinstance(port, int)
-        client = connect_client(spec, 1, hosted.target, hosted.region_id, None)
+        client = connect_client(spec, 1, hosted.target, None)
         assert isinstance(client, ServerLockClient) and isinstance(client.conn, SocketConn)
         client.acquire(1, shared=False)
         client.release(1)
@@ -355,7 +397,7 @@ def test_tcp_client_whose_handshake_fails_ends_the_run():
 
     threading.Thread(target=stub, daemon=True).start()
     spec = WorkloadSpec(design=DESIGN_CLIENT_CENTRIC, transport=TRANSPORT_TCP, n_clients=2)
-    hosted = bench.HostedDesign(listener.getsockname(), 0, None, listener.close)
+    hosted = bench.HostedDesign((listener.getsockname(), TableHandle(1, spec.n_items)), None, listener.close)
     try:
         exc = start_call(bench._run_clients, spec, hosted, TraceRecorder())(10)
     finally:
@@ -382,7 +424,7 @@ def test_tcp_client_whose_agent_never_closes_ends_the_run():
 
     threading.Thread(target=stub, daemon=True).start()
     spec = WorkloadSpec(design=DESIGN_CLIENT_CENTRIC, transport=TRANSPORT_TCP, n_clients=2)
-    hosted = bench.HostedDesign(listener.getsockname(), 0, None, listener.close)
+    hosted = bench.HostedDesign((listener.getsockname(), TableHandle(1, spec.n_items)), None, listener.close)
     try:
         exc = start_call(bench._run_clients, spec, hosted, TraceRecorder())(CLOSE_WAIT_S + 5)
     finally:

@@ -54,7 +54,7 @@ class FailOnceQp(CountingQp):
     def _fail(self, kind):
         if kind is self.fail_next:
             self.fail_next = None
-            return Completion(kind, CompletionStatus.LOCAL_ACCESS_ERROR)
+            return Completion(CompletionStatus.LOCAL_ACCESS_ERROR)
         return None
 
     def post_write(self, *a):

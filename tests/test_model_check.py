@@ -10,7 +10,7 @@ from lockbench import checker
 from lockbench.checker import explore
 from lockbench.client_lm import U64_MINUS_ONE
 from lockbench.trace import MODE_EXCLUSIVE, MODE_SHARED
-from lockbench.verbs import Completion, CompletionStatus, VerbKind
+from lockbench.verbs import Completion, CompletionStatus
 
 E, S = MODE_EXCLUSIVE, MODE_SHARED
 
@@ -42,7 +42,7 @@ class _RollbackSpy(checker._ModelSession):
             if addend == U64_MINUS_ONE and not self._held:  # no lock held: the rollback
                 type(self).rollbacks += 1
                 if self.drop:
-                    return Completion(VerbKind.FA, CompletionStatus.OK, (1).to_bytes(8, "little"))
+                    return Completion(CompletionStatus.OK, (1).to_bytes(8, "little"))
             return post_fa(region_id, offset, addend)
 
         qp.post_fa = spy

@@ -49,7 +49,7 @@ def _req(client_id, mode, item=0, request_id=None):
 
 
 def _queue(*modes, granted=()):
-    q = ItemQueue(0)
+    q = ItemQueue()
     q.pending.extend(_req(i + 1, mode) for i, mode in enumerate(modes))
     q.granted.update({100 + i: mode for i, mode in enumerate(granted)})
     return q
@@ -90,7 +90,7 @@ def test_scan_admits_nothing_while_exclusive_active():
 
 
 def test_scan_empty_queue():
-    assert grant_scan(ItemQueue(0)) == []
+    assert grant_scan(ItemQueue()) == []
 
 
 # -- LockServerCore -------------------------------------------------------

@@ -21,7 +21,7 @@ from lockbench.tcp_transport import (
     TcpAgent,
     TcpFabric,
 )
-from lockbench.verbs import CompletionStatus
+from lockbench.verbs import CompletionStatus, InprocFabric
 
 from helpers import start_call
 
@@ -118,6 +118,25 @@ def test_client_ids_assigned_or_honored(agent, fabric):
         named.close()
     with pytest.raises(ValueError):
         fabric.connect(client_id=0)
+
+
+# A hello and a lock word's owner half each hold a 32-bit client ID.
+@pytest.mark.parametrize("client_id", [0, -1, 1 << 32])
+def test_both_fabrics_reject_a_client_id_outside_32_bits(fabric, client_id):
+    with pytest.raises(ValueError):
+        InprocFabric().connect(client_id)
+    with pytest.raises(ValueError):
+        fabric.connect(client_id)
+
+
+def test_both_fabrics_connect_the_largest_32_bit_client_id(fabric):
+    top = (1 << 32) - 1
+    assert InprocFabric().connect(top).client_id == top
+    qp = fabric.connect(top)
+    try:
+        assert qp.client_id == top and qp.post_fa(1, 0, 1).status == CompletionStatus.LOCAL_ACCESS_ERROR
+    finally:
+        qp.close()
 
 
 def test_send_reaches_listener_queue_pair(agent, fabric):

@@ -145,16 +145,31 @@ def test_recorder_sources_are_independent():
 def test_recorder_extend_merges_foreign_events():
     rec = TraceRecorder()
     rec.record(1, 1, 0, "ACQ", "SHARED", "REQ")
-    rec.extend([TraceEvent(1, 2, 0, "ACQ", "SHARED", "REQ")])
+    rec.extend(2, [TraceEvent(1, 2, 0, "ACQ", "SHARED", "REQ")])
     assert len(rec.sorted_events()) == 2
+
+
+def test_a_shipped_source_merges_with_the_hosts_stamps_in_stamp_order():
+    # A client process ships its events into its own source's buffer;
+    # the host's stamps (source 0) sit in theirs, and no other store exists.
+    rec = TraceRecorder()
+    host = rec.stamper(0)
+    for ts in (2, 5):
+        host(TraceEvent(ts, 1, 0, "ACQ", "SHARED", "REQ"))
+    shipped = [TraceEvent(ts, 1, 0, "ACQ", "SHARED", "GRANT") for ts in (1, 3, 6)]
+    rec.extend(1, shipped)
+    assert list(vars(rec)) == ["_buffers"] and rec._buffers[1] == shipped
+    assert [(e.timestamp_ns, e.outcome) for e in rec.sorted_events()] == [
+        (1, "GRANT"), (2, "REQ"), (3, "GRANT"), (5, "REQ"), (6, "GRANT")
+    ]
 
 
 def test_merge_is_one_stable_sort_by_stamp():
     rec = TraceRecorder()
+    rec.extend(9, [TraceEvent(5, 9, 0, "ACQ", "SHARED", "REQ")])  # the first source's buffer
     stamp = rec.stamper(0)
     for ts, client in ((7, 1), (5, 2), (5, 3), (6, 4)):  # appended out of stamp order
         stamp(TraceEvent(ts, client, client, "ACQ", "SHARED", "REQ"))
-    rec.extend([TraceEvent(5, 9, 0, "ACQ", "SHARED", "REQ")])  # foreign events first
     assert [(e.timestamp_ns, e.client_id) for e in rec.sorted_events()] == [
         (5, 9), (5, 2), (5, 3), (6, 4), (7, 1)
     ]

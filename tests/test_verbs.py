@@ -15,7 +15,6 @@ from lockbench.verbs import (
     InprocFabric,
     MemoryRegion,
     RegionAccessError,
-    VerbKind,
 )
 
 U64 = 1 << 64
@@ -371,20 +370,25 @@ def test_connect_rejects_nonpositive_client_id(fabric):
         fabric.connect(client_id=0)
 
 
+def test_a_completion_is_its_status_payload_and_serial():
+    # Each verb returns its completion to its poster: none names its verb.
+    assert Completion._fields == ("status", "payload", "serial")
+
+
 def test_completion_value_decodes_little_endian():
-    c = Completion(VerbKind.FA, CompletionStatus.OK, (258).to_bytes(8, "little"), 1)
+    c = Completion(CompletionStatus.OK, (258).to_bytes(8, "little"), 1)
     assert c.value == 258
     assert c.ok
 
 
 def test_completion_is_immutable_with_defaults(fabric, region):
-    c = Completion(VerbKind.CAS, CompletionStatus.LOCAL_ACCESS_ERROR)
+    c = Completion(CompletionStatus.LOCAL_ACCESS_ERROR)
     assert (c.payload, c.serial, c.value, c.ok) == (b"", None, 0, False)
     with pytest.raises(AttributeError):
         c.status = CompletionStatus.OK
     posted = fabric.connect().post_read(region.region_id, 0, 2)
     assert isinstance(posted, Completion)
-    assert (posted.op_kind, posted.status, posted.payload) == (VerbKind.READ, CompletionStatus.OK, b"\0\0")
+    assert (posted.status, posted.payload) == (CompletionStatus.OK, b"\0\0")
     with pytest.raises(AttributeError):
         posted.payload = b"x"
 
