@@ -22,7 +22,7 @@ from .errors import (
     ReleaseError,
     RunCheckError,
 )
-from .locktable import LockTable, decode, encode
+from .locktable import TableHandle, decode, encode
 from .server_lm import LockServer, ServerConfig, upper_bound_throughput
 from .trace import TraceEvent, TraceRecorder, read_trace, write_trace
 from .verbs import Completion, CompletionStatus, InprocFabric, MemoryRegion, QueuePair
@@ -40,7 +40,6 @@ __all__ = [
     "DESIGN_SERVER_TCP",
     "InprocFabric",
     "LockServer",
-    "LockTable",
     "MemoryRegion",
     "ProtocolError",
     "QueuePair",
@@ -48,6 +47,7 @@ __all__ = [
     "RunCheckError",
     "RunResult",
     "ServerConfig",
+    "TableHandle",
     "TraceEvent",
     "TraceRecorder",
     "Violation",

@@ -24,11 +24,11 @@ A client process ships its trace into its own source's buffer.
 
 * inproc — a server design is the LockServer itself, behind one
   InprocChannel per client that dispatches on the client's thread; the
-  lock table sits on an InprocFabric; each client is a thread that stamps
-  into the run's recorder.
+  lock table is a region on an InprocFabric; each client is a thread
+  that stamps into the run's recorder.
 * tcp — a server design is the LockServer's framed-socket port, every
-  connection served by its one loop thread; the lock table sits on a
-  TcpAgent, reached through a TcpFabric; each client is a forkserver
+  connection served by its one loop thread; the lock table is a region on
+  a TcpAgent, reached through a TcpFabric; each client is a forkserver
   process (so worker startup does not fork a thread-laden parent) that
   ships its own trace and is terminated on cleanup.
 
@@ -59,7 +59,7 @@ from .checker import (
 )
 from .client_lm import ClientSession
 from .errors import MAX_DURATION_S, ConfigurationError, RunCheckError
-from .locktable import MAX_CLIENTS, LockTable, TableHandle, check_client_capacity
+from .locktable import MAX_CLIENTS, TableHandle
 from .server_lm import (
     DEFAULT_SR_MESSAGE_COST,
     DEFAULT_TCP_MESSAGE_COST,
@@ -79,7 +79,7 @@ from .trace import (  # noqa: F401  (re-exported: the trace file format lives wi
     read_trace,
     write_trace,
 )
-from .verbs import InprocFabric
+from .verbs import WORD_SIZE, InprocFabric
 from .tcp_transport import TcpAgent, TcpFabric
 
 TRANSPORT_INPROC = "inproc"
@@ -93,17 +93,10 @@ DESIGN_FRONTENDS = {
     DESIGN_CLIENT_CENTRIC: (None, 0.0),
 }
 
+# The CSV's columns, in order; `result_row` lists its values in this order.
 CSV_COLUMNS = [
-    "design",
-    "transport",
-    "n_clients",
-    "n_items",
-    "contention_rate",
-    "shared_fraction",
-    "total_locks",
-    "elapsed_s",
-    "throughput_lps",
-    "seed",
+    "design", "transport", "n_clients", "n_items", "contention_rate", "shared_fraction",
+    "total_locks", "elapsed_s", "throughput_lps", "seed",
 ]
 
 
@@ -148,10 +141,8 @@ class WorkloadSpec:
             raise ConfigurationError("max_retries must be >= 0 or None")
         if not 1 <= self.worker_limit <= MAX_CLIENTS:
             raise ConfigurationError(f"worker_limit must be in [1, {MAX_CLIENTS}]")
-        try:
-            check_client_capacity(self.n_clients)
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from None
+        if self.n_clients > MAX_CLIENTS:  # the shared count must stay clear of the owner half
+            raise ConfigurationError(f"{self.n_clients} clients exceeds the supported maximum of {MAX_CLIENTS}")
 
     def effective_message_cost(self) -> float:
         if self.per_message_cost is not None:
@@ -250,8 +241,8 @@ def host_design(spec: WorkloadSpec, recorder: TraceRecorder | None = None) -> Ho
     """Host the passive side of `spec`'s design on its transport's row.
 
     A server design gets a LockServer on its frontend's cost, which the row
-    serves; the client-centric design gets a LockTable on the row's verb
-    host, and its target carries the table's handle.
+    serves; the client-centric design registers its lock table, one word
+    per item, on the row's verb host, and its target carries the handle.
     """
     row = TRANSPORT_ROWS[spec.transport]
     frontend, _ = DESIGN_FRONTENDS[spec.design]
@@ -262,8 +253,11 @@ def host_design(spec: WorkloadSpec, recorder: TraceRecorder | None = None) -> Ho
         )
         return HostedDesign(row.host_server(server), None, server.shutdown)
     fabric, target, teardown = row.host_fabric()
-    table = LockTable.allocate(fabric, spec.n_items)
-    return HostedDesign((target, TableHandle(table.region_id, spec.n_items)), table.words, teardown)
+    region = fabric.register_region(spec.n_items * WORD_SIZE)
+    handle = TableHandle(region.region_id, spec.n_items)
+    return HostedDesign(
+        (target, handle), lambda: [region.snapshot_word(i) for i in range(handle.item_count)], teardown
+    )
 
 
 def connect_client(spec: WorkloadSpec, client_index: int, target, recorder):
@@ -397,20 +391,15 @@ def run_workload(spec: WorkloadSpec) -> tuple[RunResult, list[TraceEvent]]:
 
 
 def result_row(spec: WorkloadSpec, result: RunResult | None) -> dict:
-    """One CSV row; a failed run (`result` None) leaves the metric columns empty."""
+    """One CSV row, keyed by CSV_COLUMNS; a failed run (`result` None)
+    leaves the metric columns empty."""
     rate = f"{contention_rate(spec.n_items, spec.n_clients):.6g}" if spec.n_clients > 0 else ""
-    return {
-        "design": spec.design,
-        "transport": spec.transport,
-        "n_clients": spec.n_clients,
-        "n_items": spec.n_items,
-        "contention_rate": rate,
-        "shared_fraction": f"{spec.shared_fraction:.6g}",
-        "total_locks": "" if result is None else result.total_locks_granted,
-        "elapsed_s": "" if result is None else f"{result.elapsed:.6f}",
-        "throughput_lps": "" if result is None else f"{result.throughput:.2f}",
-        "seed": spec.rng_seed,
-    }
+    metrics = ("", "", "") if result is None else (
+        result.total_locks_granted, f"{result.elapsed:.6f}", f"{result.throughput:.2f}"
+    )
+    values = (spec.design, spec.transport, spec.n_clients, spec.n_items, rate,
+              f"{spec.shared_fraction:.6g}", *metrics, spec.rng_seed)
+    return dict(zip(CSV_COLUMNS, values, strict=True))
 
 
 def _sweep(specs, errors_out: list | None) -> list[dict]:

@@ -26,9 +26,9 @@ arrival order from server-stamped REQ events, grants admissible only from
 the compatible head batch) instead of importing the server's own scanner,
 so a server bug cannot hide from its own checker.
 
-An exhaustive model checker backs the trace oracle: `explore` drives the
-real ClientSession, by replay, through every interleaving of its verbs on
-one lock word, timeout rollback included.
+An exhaustive model checker backs the trace oracle: `explore` registers a
+one-word lock table and drives the real ClientSession through its handle,
+by replay, through every interleaving of its verbs, rollback included.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from operator import itemgetter
 
 from .client_lm import ClientSession
 from .errors import AcquisitionTimeout, ProtocolError
-from .locktable import WORD_SIZE, LockTable
+from .locktable import TableHandle
 from .trace import (
     MODE_EXCLUSIVE,
     MODE_SHARED,
@@ -51,7 +51,7 @@ from .trace import (
     TraceEvent,
     sort_events,  # re-exported: the recorder's merge order
 )
-from .verbs import InprocFabric
+from .verbs import WORD_SIZE, InprocFabric
 
 DOUBLE_EXCLUSIVE = "DOUBLE_EXCLUSIVE"
 SHARED_EXCLUSIVE_OVERLAP = "SHARED_EXCLUSIVE_OVERLAP"
@@ -273,7 +273,7 @@ class _ReplayQp:
         return post
 
 
-def _resume(table: LockTable, client_id: int, mode: str, completions):
+def _resume(table: TableHandle, client_id: int, mode: str, completions):
     """Replay `completions` into a fresh session that acquires item 0 in
     `mode`, then releases it: (the mode it holds the item in or None, its
     next verb as (name, args)), or (None, None) once it has released,
@@ -304,7 +304,8 @@ def explore(modes) -> ModelResult:
         if mode not in (MODE_SHARED, MODE_EXCLUSIVE):
             raise ValueError(f"unknown mode {mode!r}")
     fabric = InprocFabric()
-    table = LockTable.allocate(fabric, 1)
+    region = fabric.register_region(WORD_SIZE)
+    table = TableHandle(region.region_id, 1)
     qp = fabric.connect()
     initial = (0, ((),) * len(modes))
     seen = {initial}
@@ -325,10 +326,10 @@ def explore(modes) -> ModelResult:
             if verb is None:
                 continue
             name, args = verb
-            table.region.write(0, word.to_bytes(WORD_SIZE, "little"))
+            region.write(0, word.to_bytes(WORD_SIZE, "little"))
             completion = getattr(qp, name)(*args)._replace(serial=None)
             history = histories[i] + (completion,)
-            following = (table.words()[0], histories[:i] + (history,) + histories[i + 1 :])
+            following = (region.snapshot_word(0), histories[:i] + (history,) + histories[i + 1 :])
             if following not in seen:
                 seen.add(following)
                 frontier.append(following)

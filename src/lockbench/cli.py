@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bench import (
@@ -118,6 +119,17 @@ def _parse_counts(text: str, parser, flag: str) -> list[int]:
     return counts
 
 
+def _check_writable(path, parser) -> None:
+    """Exit 2 with one line, before any run, unless `path` opens for writing."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        parser.exit(2, f"{parser.prog}: error: cannot write {path}: {exc.strerror or exc}\n")
+    if not existed:
+        os.remove(path)  # the probe's own empty file
+
+
 def _cmd_bench(args, parser) -> int:
     spec = _spec_from_args(args)
     spec.validate()
@@ -125,6 +137,9 @@ def _cmd_bench(args, parser) -> int:
         parser.error("--sweep-clients and --sweep-items are mutually exclusive")
     if args.trace and (args.sweep_clients or args.sweep_items):
         parser.error("--trace writes one run's trace; it cannot be used with a sweep")
+    for path in (args.csv, args.trace):
+        if path:
+            _check_writable(path, parser)
     if args.sweep_clients or args.sweep_items:
         errors: list = []
         if args.sweep_clients:

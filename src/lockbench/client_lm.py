@@ -40,7 +40,7 @@ import time
 
 from . import trace
 from .errors import MAX_DURATION_S, AcquisitionTimeout, ProtocolError, ReleaseError
-from .locktable import HALF_SIZE, U32_MASK, WORD_SIZE, encode
+from .locktable import HALF_SIZE, U32_MASK, TableHandle, encode
 from .trace import (
     MODE_EXCLUSIVE,
     MODE_SHARED,
@@ -53,9 +53,8 @@ from .trace import (
     TraceEvent,
     _new_tuple,
 )
-from .verbs import _OK
+from .verbs import _OK, U64_MASK, WORD_SIZE
 
-U64_MINUS_ONE = (1 << 64) - 1
 _ZERO_HALF = bytes(HALF_SIZE)
 
 
@@ -75,14 +74,14 @@ class ClientSession:
     def __init__(
         self,
         qp,
-        table,
+        table: TableHandle,
         client_id: int,
         backoff: float = 0.0,
         max_retries: int | None = None,
         recorder: trace.TraceRecorder | None = None,
     ):
-        if client_id < 1:
-            raise ValueError("client_id must be >= 1")
+        if not 0 < client_id < 1 << 32:  # a lock word's owner half holds 32 bits
+            raise ValueError("client IDs must be in [1, 2**32 - 1]")
         if max_retries is not None and max_retries < 0:
             raise ValueError("max_retries must be >= 0 or None")
         if not 0 <= backoff <= MAX_DURATION_S:  # false for nan too
@@ -133,7 +132,7 @@ class ClientSession:
                 if max_retries is not None and polls > max_retries:
                     stamp(_new_tuple(TraceEvent, (
                         trace._clock(), cid, item_id, OP_ACQ, mode, OUT_TIMEOUT, completion.serial)))
-                    completion = qp.post_fa(region_id, offset, U64_MINUS_ONE)  # the rollback
+                    completion = qp.post_fa(region_id, offset, U64_MASK)  # the rollback
                     if completion.status != _OK:
                         raise ProtocolError(f"shared release FA failed: {completion.status.name}")
                     if not int.from_bytes(completion.payload, "little") & U32_MASK:
@@ -186,7 +185,7 @@ class ClientSession:
         stamp, cid = self._stamp, self.client_id
         requested = trace._clock()
         if mode == MODE_SHARED:
-            completion = self.qp.post_fa(self._region_id, offset, U64_MINUS_ONE)
+            completion = self.qp.post_fa(self._region_id, offset, U64_MASK)
             if completion.status != _OK:
                 raise ReleaseError(f"shared release FA failed: {completion.status.name}")
             if not int.from_bytes(completion.payload, "little") & U32_MASK:

@@ -596,7 +596,7 @@ class ServerLockClient:
 
     def __init__(self, conn, client_id: int, recorder: trace.TraceRecorder | None = None):
         if not 0 < client_id < 1 << 32:  # source 0 is the server's
-            raise ValueError("client_id must be in [1, 2**32 - 1]")
+            raise ValueError("client IDs must be in [1, 2**32 - 1]")
         self.conn = conn
         self.client_id = client_id
         self._stamp = trace.DISCARD if recorder is None else recorder.stamper(client_id)

@@ -4,6 +4,20 @@ would shadow this directory's under the same import name."""
 
 import threading
 
+from lockbench.locktable import WORD_SIZE, TableHandle
+
+
+def lock_table(host, item_count):
+    """Register a zeroed lock table of `item_count` words on `host` (an
+    InprocFabric or a TcpAgent): (its region, its handle)."""
+    region = host.register_region(item_count * WORD_SIZE)
+    return region, TableHandle(region.region_id, item_count)
+
+
+def words(region):
+    """Every lock word of the table `region` holds."""
+    return [region.snapshot_word(i) for i in range(region.length // WORD_SIZE)]
+
 
 def start_call(fn, *args):
     """Run `fn(*args)` on a daemon thread.  No pytest-timeout is installed,

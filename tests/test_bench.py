@@ -45,7 +45,7 @@ from lockbench.server_lm import (
     SocketConn,
 )
 from lockbench.framing import recv_frame, send_frame
-from lockbench.locktable import TableHandle
+from lockbench.locktable import MAX_CLIENTS, TableHandle
 from lockbench.tcp_transport import CLOSE_WAIT_S, HELLO
 from lockbench.trace import TraceRecorder
 
@@ -106,6 +106,7 @@ def test_op_stream_respects_item_range_and_mix():
     ("design", "quorum"),
     ("transport", "pigeon"),
     ("n_clients", 0),
+    ("n_clients", MAX_CLIENTS + 1),  # the shared count would near the owner half
     ("n_items", 0),
     ("ops_per_client", 0),
     ("shared_fraction", 1.5),
@@ -125,6 +126,10 @@ def test_spec_validation_rejects_bad_fields(field, value):
     setattr(spec, field, value)
     with pytest.raises(ConfigurationError):
         spec.validate()
+
+
+def test_spec_validation_accepts_the_client_cap():
+    WorkloadSpec(design=DESIGN_CLIENT_CENTRIC, n_clients=MAX_CLIENTS).validate()
 
 
 def test_effective_message_cost_defaults():

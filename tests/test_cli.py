@@ -5,7 +5,9 @@ import csv
 import pytest
 
 from lockbench import bench, cli
+from lockbench.checker import CONSERVATION, Violation
 from lockbench.cli import main
+from lockbench.errors import RunCheckError
 from lockbench.locktable import MAX_CLIENTS
 from lockbench.server_lm import DEFAULT_SR_MESSAGE_COST, DEFAULT_TCP_MESSAGE_COST
 from lockbench.trace import TraceEvent, write_trace
@@ -63,6 +65,57 @@ def test_bench_sweep_prints_one_row_per_point(tmp_path, capsys):
     assert out.count("client-centric") == 2
     with open(csv_path, newline="") as fh:
         assert len(list(csv.DictReader(fh))) == 2
+
+
+def test_bench_sweep_items_runs_one_point_per_item_count(tmp_path, capsys):
+    csv_path = tmp_path / "sweep.csv"
+    assert main(BENCH_FAST + ["--sweep-items", "1,3", "--csv", str(csv_path)]) == 0
+    out = capsys.readouterr().out
+    assert "items=   1" in out and "items=   3" in out
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["n_items"], r["contention_rate"]) for r in rows] == [("1", "0.666667"), ("3", "0")]
+    assert [r["total_locks"] for r in rows] == ["75", "75"]
+
+
+def test_bench_single_run_that_fails_its_check_exits_1(tmp_path, monkeypatch, capsys):
+    violations = [Violation(CONSERVATION, "lock word 0 nonzero at shutdown: 0x1")]
+
+    def fail_check(spec):
+        raise RunCheckError(violations)
+
+    monkeypatch.setattr(cli, "run_workload", fail_check)
+    csv_path, trace_path = tmp_path / "run.csv", tmp_path / "run.trace"
+    assert main(BENCH_FAST + ["--csv", str(csv_path), "--trace", str(trace_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "CONSERVATION: lock word 0 nonzero at shutdown: 0x1\n"
+    assert captured.out == ""
+    assert not csv_path.exists() and not trace_path.exists()
+
+
+# Output flags whose path cannot be written; "{ok}" names a writable path.
+UNWRITABLE_OUTPUTS = {
+    "csv": ["--csv", "{missing}"],
+    "trace": ["--csv", "{ok}", "--trace", "{missing}"],
+    "trace-is-a-directory": ["--trace", "{dir}"],
+    "sweep-csv": ["--sweep-clients", "1,2", "--csv", "{missing}"],
+}
+
+
+@pytest.mark.parametrize("flags", UNWRITABLE_OUTPUTS.values(), ids=UNWRITABLE_OUTPUTS.keys())
+def test_an_unwritable_output_path_is_a_usage_error_before_any_run(tmp_path, monkeypatch, capsys, flags):
+    def no_run(spec):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_workload", no_run)
+    monkeypatch.setattr(bench, "run_workload", no_run)  # what the sweeps call
+    paths = {"missing": tmp_path / "missing" / "out", "ok": tmp_path / "ok.csv", "dir": tmp_path}
+    with pytest.raises(SystemExit) as exc:
+        main(BENCH_FAST + [flag.format(**paths) for flag in flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("lockbench: error: cannot write ")
+    assert sorted(tmp_path.iterdir()) == []  # the writable path's probe left no file
 
 
 def test_bench_sweep_flags_are_mutually_exclusive(capsys):

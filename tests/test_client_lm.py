@@ -7,7 +7,7 @@ import pytest
 from lockbench.checker import DESIGN_CLIENT_CENTRIC, check_all
 from lockbench.client_lm import ClientSession
 from lockbench.errors import AcquisitionTimeout, ProtocolError, ReleaseError
-from lockbench.locktable import HALF_SIZE, WORD_SIZE, LockTable, encode
+from lockbench.locktable import HALF_SIZE, WORD_SIZE, encode
 from lockbench.trace import (
     MODE_EXCLUSIVE,
     MODE_SHARED,
@@ -16,6 +16,8 @@ from lockbench.trace import (
     TraceRecorder,
 )
 from lockbench.verbs import Completion, CompletionStatus, InprocFabric, VerbKind
+
+from helpers import lock_table, words
 
 
 class CountingQp:
@@ -46,19 +48,30 @@ class CountingQp:
 
 
 class FailOnceQp(CountingQp):
-    """Fails the next WRITE or FA of kind `fail_next` with
-    LOCAL_ACCESS_ERROR, without executing it; later verbs go through."""
+    """Fails the next verb of kind `fail_next`, after letting `fail_after`
+    of that kind through, with LOCAL_ACCESS_ERROR and without executing
+    it; later verbs go through."""
 
     fail_next = None
+    fail_after = 0
 
     def _fail(self, kind):
         if kind is self.fail_next:
+            if self.fail_after:
+                self.fail_after -= 1
+                return None
             self.fail_next = None
             return Completion(CompletionStatus.LOCAL_ACCESS_ERROR)
         return None
 
+    def post_read(self, *a):
+        return self._fail(VerbKind.READ) or super().post_read(*a)
+
     def post_write(self, *a):
         return self._fail(VerbKind.WRITE) or super().post_write(*a)
+
+    def post_cas(self, *a):
+        return self._fail(VerbKind.CAS) or super().post_cas(*a)
 
     def post_fa(self, *a):
         return self._fail(VerbKind.FA) or super().post_fa(*a)
@@ -72,8 +85,18 @@ def fabric():
 
 
 @pytest.fixture
-def table(fabric):
-    return LockTable.allocate(fabric, 4)
+def region_and_table(fabric):
+    return lock_table(fabric, 4)
+
+
+@pytest.fixture
+def region(region_and_table):
+    return region_and_table[0]
+
+
+@pytest.fixture
+def table(region_and_table):
+    return region_and_table[1]
 
 
 def make_session(fabric, table, client_id, **kwargs):
@@ -81,28 +104,28 @@ def make_session(fabric, table, client_id, **kwargs):
     return ClientSession(qp, table, client_id, **kwargs)
 
 
-def set_word(table, item, word):
-    table.region.write(item * WORD_SIZE, word.to_bytes(8, "little"))
+def set_word(region, item, word):
+    region.write(item * WORD_SIZE, word.to_bytes(8, "little"))
 
 
 # -- exclusive acquire --------------------------------------------------------
 
 
-def test_exclusive_uncontended_first_cas_wins(fabric, table):
+def test_exclusive_uncontended_first_cas_wins(fabric, region, table):
     s = make_session(fabric, table, 3)
     s.acquire(0, shared=False)
     assert s.held_locks() == {0: MODE_EXCLUSIVE}
-    assert table.region.snapshot_word(0) == encode(3, 0)
+    assert region.snapshot_word(0) == encode(3, 0)
     assert s.qp.counts[VerbKind.CAS] == 1
 
 
-def test_exclusive_succeeds_after_owner_departs(fabric, table):
-    set_word(table, 0, encode(7, 0))
+def test_exclusive_succeeds_after_owner_departs(fabric, region, table):
+    set_word(region, 0, encode(7, 0))
     s = make_session(fabric, table, 3, backoff=0.001)
 
     def depart():
         # Owner 7 releases: zero its half, leaving the count alone.
-        table.region.write(HALF_SIZE, bytes(4))
+        region.write(HALF_SIZE, bytes(4))
 
     t = threading.Timer(0.02, depart)
     t.start()
@@ -110,23 +133,23 @@ def test_exclusive_succeeds_after_owner_departs(fabric, table):
         s.acquire(0, shared=False)
     finally:
         t.join()
-    assert table.region.snapshot_word(0) == encode(3, 0)
+    assert region.snapshot_word(0) == encode(3, 0)
     assert s.qp.counts[VerbKind.CAS] >= 2  # at least one failed attempt
 
 
-def test_exclusive_blocked_by_shared_count(fabric, table):
+def test_exclusive_blocked_by_shared_count(fabric, region, table):
     # Two pre-registered readers: CAS(expected=0) keeps failing and leaves
     # the word untouched each time.
-    set_word(table, 0, encode(0, 2))
+    set_word(region, 0, encode(0, 2))
     s = make_session(fabric, table, 3, max_retries=5)
     with pytest.raises(AcquisitionTimeout):
         s.acquire(0, shared=False)
-    assert table.region.snapshot_word(0) == encode(0, 2)
+    assert region.snapshot_word(0) == encode(0, 2)
     assert s.held_locks() == {}
 
 
-def test_exclusive_timeout_records_trace_marker(fabric, table):
-    set_word(table, 0, encode(9, 0))
+def test_exclusive_timeout_records_trace_marker(fabric, region, table):
+    set_word(region, 0, encode(9, 0))
     rec = TraceRecorder()
     s = ClientSession(fabric.connect(3), table, 3, max_retries=2, recorder=rec)
     with pytest.raises(AcquisitionTimeout):
@@ -136,8 +159,8 @@ def test_exclusive_timeout_records_trace_marker(fabric, table):
     assert ("ACQ", OUT_GRANT) not in outcomes
 
 
-def test_exclusive_retry_budget_counts_failures(fabric, table):
-    set_word(table, 0, encode(9, 0))
+def test_exclusive_retry_budget_counts_failures(fabric, region, table):
+    set_word(region, 0, encode(9, 0))
     s = make_session(fabric, table, 3, max_retries=4)
     with pytest.raises(AcquisitionTimeout):
         s.acquire(0, shared=False)
@@ -147,28 +170,28 @@ def test_exclusive_retry_budget_counts_failures(fabric, table):
 # -- shared acquire -----------------------------------------------------------
 
 
-def test_shared_uncontended_single_fa(fabric, table):
+def test_shared_uncontended_single_fa(fabric, region, table):
     s = make_session(fabric, table, 2)
     s.acquire(1, shared=True)
     assert s.held_locks() == {1: MODE_SHARED}
-    assert table.region.snapshot_word(1) == encode(0, 1)
+    assert region.snapshot_word(1) == encode(0, 1)
     assert s.qp.counts[VerbKind.FA] == 1
     assert s.qp.counts[VerbKind.READ] == 0
 
 
-def test_shared_coexists_with_other_readers(fabric, table):
-    set_word(table, 1, encode(0, 3))
+def test_shared_coexists_with_other_readers(fabric, region, table):
+    set_word(region, 1, encode(0, 3))
     s = make_session(fabric, table, 2)
     s.acquire(1, shared=True)
-    assert table.region.snapshot_word(1) == encode(0, 4)
+    assert region.snapshot_word(1) == encode(0, 4)
 
 
-def test_shared_polls_owner_half_never_second_fa(fabric, table):
-    set_word(table, 1, encode(9, 0))
+def test_shared_polls_owner_half_never_second_fa(fabric, region, table):
+    set_word(region, 1, encode(9, 0))
     s = make_session(fabric, table, 2, backoff=0.001)
 
     def owner_releases():
-        table.region.write(WORD_SIZE + HALF_SIZE, bytes(4))
+        region.write(WORD_SIZE + HALF_SIZE, bytes(4))
 
     t = threading.Timer(0.02, owner_releases)
     t.start()
@@ -176,22 +199,50 @@ def test_shared_polls_owner_half_never_second_fa(fabric, table):
         s.acquire(1, shared=True)
     finally:
         t.join()
-    assert table.region.snapshot_word(1) == encode(0, 1)
+    assert region.snapshot_word(1) == encode(0, 1)
     assert s.qp.counts[VerbKind.FA] == 1  # pre-registration happens exactly once
     assert s.qp.counts[VerbKind.READ] >= 1
 
 
-def test_shared_timeout_rolls_back_the_increment(fabric, table):
-    set_word(table, 2, encode(6, 1))
+def test_shared_timeout_rolls_back_the_increment(fabric, region, table):
+    set_word(region, 2, encode(6, 1))
     rec = TraceRecorder()
     s = ClientSession(fabric.connect(4), table, 4, max_retries=3, recorder=rec)
     with pytest.raises(AcquisitionTimeout):
         s.acquire(2, shared=True)
     # encode(6,1) -> FA(+1) -> encode(6,2) -> rollback -> encode(6,1).
-    assert table.region.snapshot_word(2) == encode(6, 1)
+    assert region.snapshot_word(2) == encode(6, 1)
     outcomes = [(e.op, e.outcome) for e in rec.sorted_events()]
     assert ("ACQ", OUT_TIMEOUT) in outcomes
     assert ("REL", OUT_TIMEOUT) in outcomes  # the rollback marker
+
+
+# (shared?, owner on the word, max_retries, verb kind, verbs of that kind that go through, error)
+FAILED_ACQUIRE_VERBS = {
+    "shared-fa": (True, 0, None, VerbKind.FA, 0, "shared FA failed"),
+    "rollback-fa": (True, 9, 0, VerbKind.FA, 1, "shared release FA failed"),
+    "read-poll": (True, 9, None, VerbKind.READ, 0, "shared owner poll failed"),
+    "first-cas": (False, 0, None, VerbKind.CAS, 0, "exclusive CAS failed"),
+    "retried-cas": (False, 9, None, VerbKind.CAS, 1, "exclusive CAS failed"),
+}
+
+
+@pytest.mark.parametrize(
+    "shared, owner, max_retries, kind, fail_after, error",
+    FAILED_ACQUIRE_VERBS.values(),
+    ids=FAILED_ACQUIRE_VERBS.keys(),
+)
+def test_a_failed_acquire_verb_is_a_protocol_error(
+    fabric, region, table, shared, owner, max_retries, kind, fail_after, error
+):
+    set_word(region, 0, encode(owner, 0))
+    qp = FailOnceQp(fabric.connect(2))
+    qp.fail_next, qp.fail_after = kind, fail_after
+    s = ClientSession(qp, table, 2, max_retries=max_retries)
+    with pytest.raises(ProtocolError, match=f"^{error}: LOCAL_ACCESS_ERROR$"):
+        s.acquire(0, shared)
+    assert qp.fail_next is None  # the failure came from the verb named
+    assert s.held_locks() == {}
 
 
 @pytest.mark.parametrize("item", [-1, 4])
@@ -214,37 +265,37 @@ def test_duplicate_acquire_raises_before_any_verb(fabric, table):
 # -- release ------------------------------------------------------------------
 
 
-def test_exclusive_release_zeroes_owner_half_only(fabric, table):
+def test_exclusive_release_zeroes_owner_half_only(fabric, region, table):
     s = make_session(fabric, table, 5)
     s.acquire(0, shared=False)
     # Five shared waiters pre-increment while the writer holds the lock.
     for _ in range(5):
-        table.region.fetch_and_add(0, 1)
+        region.fetch_and_add(0, 1)
     s.release(0)
-    assert table.region.snapshot_word(0) == encode(0, 5)
+    assert region.snapshot_word(0) == encode(0, 5)
 
 
-def test_exclusive_release_of_clean_word_leaves_zero(fabric, table):
+def test_exclusive_release_of_clean_word_leaves_zero(fabric, region, table):
     s = make_session(fabric, table, 5)
     s.acquire(3, shared=False)
     s.release(3)
-    assert table.region.snapshot_word(3) == 0
+    assert region.snapshot_word(3) == 0
     assert s.held_locks() == {}
 
 
-def test_shared_release_decrements_count(fabric, table):
-    set_word(table, 1, encode(0, 3))
+def test_shared_release_decrements_count(fabric, region, table):
+    set_word(region, 1, encode(0, 3))
     s = make_session(fabric, table, 2)
     s.acquire(1, shared=True)  # -> count 4
     s.release(1)
-    assert table.region.snapshot_word(1) == encode(0, 3)
+    assert region.snapshot_word(1) == encode(0, 3)
 
 
-def test_last_shared_release_returns_word_to_zero(fabric, table):
+def test_last_shared_release_returns_word_to_zero(fabric, region, table):
     s = make_session(fabric, table, 2)
     s.acquire(1, shared=True)
     s.release(1)
-    assert table.region.snapshot_word(1) == 0
+    assert region.snapshot_word(1) == 0
 
 
 def test_release_without_hold_raises_before_any_verb(fabric, table):
@@ -254,11 +305,11 @@ def test_release_without_hold_raises_before_any_verb(fabric, table):
     assert all(count == 0 for count in s.qp.counts.values())
 
 
-def test_shared_count_underflow_is_a_protocol_error(fabric, table):
+def test_shared_count_underflow_is_a_protocol_error(fabric, region, table):
     s = make_session(fabric, table, 2)
     s.acquire(1, shared=True)
     # Something else (a buggy peer) steals the count out from under us.
-    table.region.fetch_and_add(8, (1 << 64) - 1)
+    region.fetch_and_add(8, (1 << 64) - 1)
     with pytest.raises(ProtocolError):
         s.release(1)
 
@@ -266,22 +317,22 @@ def test_shared_count_underflow_is_a_protocol_error(fabric, table):
 @pytest.mark.parametrize(
     "shared, verb", [(False, VerbKind.WRITE), (True, VerbKind.FA)], ids=["exclusive", "shared"]
 )
-def test_failed_release_keeps_the_lock_for_a_retry(fabric, table, shared, verb):
+def test_failed_release_keeps_the_lock_for_a_retry(fabric, region, table, shared, verb):
     qp = FailOnceQp(fabric.connect(2))
     rec = TraceRecorder()
     s = ClientSession(qp, table, 2, recorder=rec)
     s.acquire(1, shared)
     held = s.held_locks()
-    word = table.region.snapshot_word(1)
+    word = region.snapshot_word(1)
     posted = qp.counts[verb]
     qp.fail_next = verb
     with pytest.raises(ReleaseError):
         s.release(1)
     assert s.held_locks() == held == {1: MODE_SHARED if shared else MODE_EXCLUSIVE}
-    assert table.region.snapshot_word(1) == word != 0
+    assert region.snapshot_word(1) == word != 0
     s.release(1)
     assert s.held_locks() == {}
-    assert table.region.snapshot_word(1) == 0
+    assert region.snapshot_word(1) == 0
     assert qp.counts[verb] == posted + 1  # the failed attempt never reached the region
     assert check_all(rec.sorted_events(), DESIGN_CLIENT_CENTRIC) == []  # one release in the trace
 
@@ -298,18 +349,18 @@ class SerialQp(CountingQp):
         return super()._posted(kind, completion)
 
 
-def test_each_event_carries_the_serial_of_its_verb(fabric, table):
+def test_each_event_carries_the_serial_of_its_verb(fabric, region, table):
     qp = SerialQp(fabric.connect(2))
     rec = TraceRecorder()
     s = ClientSession(qp, table, 2, backoff=0.001, max_retries=1, recorder=rec)
     s.acquire(0, shared=False)  # CAS wins
     s.release(0)  # WRITE
-    set_word(table, 1, encode(9, 0))
+    set_word(region, 1, encode(9, 0))
     with pytest.raises(AcquisitionTimeout):
         s.acquire(1, shared=True)  # FA, READ, then the rollback FA
     cas, write, fa, read, rollback = qp.serials
     s.max_retries = None
-    owner_leaves = threading.Timer(0.02, table.region.write, (WORD_SIZE + HALF_SIZE, bytes(4)))
+    owner_leaves = threading.Timer(0.02, region.write, (WORD_SIZE + HALF_SIZE, bytes(4)))
     owner_leaves.start()
     try:
         s.acquire(1, shared=True)  # FA, then READs until one sees no owner
@@ -328,7 +379,7 @@ def test_each_event_carries_the_serial_of_its_verb(fabric, table):
 # -- interleavings and accounting --------------------------------------------
 
 
-def test_writers_and_readers_quiesce_to_zero_words(fabric, table):
+def test_writers_and_readers_quiesce_to_zero_words(fabric, region, table):
     n_clients, per_client = 6, 40
     sessions = [make_session(fabric, table, i) for i in range(1, n_clients + 1)]
     barrier = threading.Barrier(n_clients)
@@ -353,12 +404,17 @@ def test_writers_and_readers_quiesce_to_zero_words(fabric, table):
     for t in threads:
         t.join()
     assert not failures
-    assert table.words() == [0, 0, 0, 0]
+    assert words(region) == [0, 0, 0, 0]
 
 
-def test_session_validates_construction(fabric, table):
-    with pytest.raises(ValueError):
-        ClientSession(fabric.connect(1), table, 0)
+def test_session_validates_construction(fabric, region, table):
+    # A lock word's owner half holds a 32-bit client ID, as a fabric's hello does.
+    for client_id in (0, -1, 1 << 32):
+        with pytest.raises(ValueError, match=r"client IDs must be in \[1, 2\*\*32 - 1\]"):
+            ClientSession(fabric.connect(1), table, client_id)
+    top = (1 << 32) - 1
+    ClientSession(fabric.connect(top), table, top).acquire(0, shared=False)
+    assert region.snapshot_word(0) == encode(top, 0)
     with pytest.raises(ValueError):
         ClientSession(fabric.connect(1), table, 1, max_retries=-1)
     for backoff in (-1.0, float("nan"), float("inf"), 1e10):

@@ -8,13 +8,13 @@ packs no message."""
 import pytest
 
 from lockbench.client_lm import ClientSession
-from lockbench.locktable import LockTable
 from lockbench import server_lm
 from lockbench.server_lm import FRONTEND_TCP, InprocChannel, LockServer, ServerConfig, ServerLockClient
 from lockbench.tcp_transport import TcpAgent, TcpFabric
 from lockbench.trace import DISCARD, TraceRecorder
 from lockbench.verbs import CompletionStatus, InprocFabric, RegionAccessError, VerbKind
 
+from helpers import lock_table, words
 from test_client_lm import CountingQp
 
 ACCESS_ERROR = CompletionStatus.LOCAL_ACCESS_ERROR
@@ -161,7 +161,7 @@ CYCLE_VERBS = {False: {VerbKind.CAS: 1, VerbKind.WRITE: 1}, True: {VerbKind.FA: 
 )
 def test_an_uncontended_cycle_posts_its_verbs_and_stamps_four_events(shared, make_recorder):
     fabric = InprocFabric()
-    table = LockTable.allocate(fabric, 4)
+    region, table = lock_table(fabric, 4)
     qp = CountingQp(fabric.connect(1))
     recorder = make_recorder and make_recorder()
     session = ClientSession(qp, table, 1, recorder=recorder)
@@ -170,7 +170,7 @@ def test_an_uncontended_cycle_posts_its_verbs_and_stamps_four_events(shared, mak
     if recorder is not None:
         assert recorder.stamps == 4 == len(recorder.sorted_events())
     assert {kind: n for kind, n in qp.counts.items() if n} == CYCLE_VERBS[shared]
-    assert table.words() == [0, 0, 0, 0]
+    assert words(region) == [0, 0, 0, 0]
     fabric.close()
 
 
@@ -201,7 +201,7 @@ def test_untraced_actors_stamp_into_a_sink_that_keeps_nothing():
     # A long-lived untraced client or server (the model checker's, or
     # lockperf's micro timings') must not grow with the locks it takes.
     fabric = InprocFabric()
-    table = LockTable.allocate(fabric, 4)
+    region, table = lock_table(fabric, 4)
     session = ClientSession(fabric.connect(1), table, 1)
     server = LockServer(ServerConfig(4, FRONTEND_TCP))
     channel = InprocChannel()
@@ -213,7 +213,7 @@ def test_untraced_actors_stamp_into_a_sink_that_keeps_nothing():
             actor.acquire(i % 4, i % 2 == 0)
             actor.release(i % 4)
     assert DISCARD.__self__.maxlen == 0 and len(DISCARD.__self__) == 0
-    assert table.words() == [0, 0, 0, 0] and server.core.granted_count() == 0
+    assert words(region) == [0, 0, 0, 0] and server.core.granted_count() == 0
     client.close()
     server.shutdown()
     fabric.close()

@@ -1,21 +1,14 @@
-"""Lock-word codec identities and table layout."""
+"""Lock-word codec identities, table layout, and the package's exports."""
 
 import pytest
 from hypothesis import given, strategies as st
 
+import lockbench
 from lockbench.client_lm import ClientSession
-from lockbench.locktable import (
-    HALF_SIZE,
-    MAX_CLIENTS,
-    U32_MASK,
-    WORD_SIZE,
-    LockTable,
-    TableHandle,
-    check_client_capacity,
-    decode,
-    encode,
-)
+from lockbench.locktable import HALF_SIZE, U32_MASK, WORD_SIZE, TableHandle, decode, encode
 from lockbench.verbs import InprocFabric
+
+from helpers import lock_table, words
 
 U64 = 1 << 64
 
@@ -59,12 +52,6 @@ def test_owner_occupies_high_bytes_little_endian():
     assert raw[HALF_SIZE:] == (0xABCD).to_bytes(HALF_SIZE, "little")
 
 
-def test_client_capacity_guard():
-    check_client_capacity(MAX_CLIENTS)
-    with pytest.raises(ValueError):
-        check_client_capacity(MAX_CLIENTS + 1)
-
-
 @pytest.fixture
 def fabric():
     f = InprocFabric()
@@ -73,39 +60,42 @@ def fabric():
 
 
 @pytest.fixture
-def table(fabric):
-    return LockTable.allocate(fabric, 6)
+def region_and_handle(fabric):
+    return lock_table(fabric, 6)
 
 
-def test_table_word_offsets(table):
+def test_table_word_offsets(region_and_handle):
     # Entry i is the word at byte offset 8*i.
+    region, _ = region_and_handle
     for i in range(6):
-        table.region.write(i * WORD_SIZE, encode(i, i).to_bytes(WORD_SIZE, "little"))
-    assert table.words() == [encode(i, i) for i in range(6)]
+        region.write(i * WORD_SIZE, encode(i, i).to_bytes(WORD_SIZE, "little"))
+    assert words(region) == [encode(i, i) for i in range(6)]
 
 
-def test_table_words_start_zeroed(table):
-    assert table.words() == [0] * 6
+def test_table_words_start_zeroed(region_and_handle):
+    region, handle = region_and_handle
+    assert region.length == handle.item_count * WORD_SIZE
+    assert words(region) == [0] * 6
 
 
-def test_table_requires_exact_region_size():
-    fabric = InprocFabric()
-    region = fabric.register_region(8)
-    with pytest.raises(ValueError):
-        LockTable(region, 2)
-
-
-def test_handle_mirrors_table_addressing(fabric, table):
-    # A session addresses the same words through a handle as through the table.
-    session = ClientSession(fabric.connect(7), TableHandle(table.region_id, 6), 7)
+def test_handle_mirrors_table_addressing(fabric, region_and_handle):
+    # A session addresses the region's words through the handle.
+    region, handle = region_and_handle
+    session = ClientSession(fabric.connect(7), handle, 7)
     session.acquire(5, shared=False)
-    assert table.words() == [0] * 5 + [encode(7, 0)]
+    assert words(region) == [0] * 5 + [encode(7, 0)]
     with pytest.raises(ValueError):
         session.acquire(6, shared=False)
 
 
-def test_handle_is_picklable(table):
+def test_handle_is_picklable(region_and_handle):
     import pickle
 
-    handle = TableHandle(table.region_id, table.item_count)
+    _, handle = region_and_handle
     assert pickle.loads(pickle.dumps(handle)) == handle
+
+
+def test_package_exports_are_sorted_and_resolve():
+    assert lockbench.__all__ == sorted(lockbench.__all__)
+    assert [name for name in lockbench.__all__ if not hasattr(lockbench, name)] == []
+    assert lockbench.TableHandle is TableHandle

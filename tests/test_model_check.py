@@ -8,9 +8,8 @@ import pytest
 
 from lockbench import checker
 from lockbench.checker import explore
-from lockbench.client_lm import U64_MINUS_ONE
 from lockbench.trace import MODE_EXCLUSIVE, MODE_SHARED
-from lockbench.verbs import Completion, CompletionStatus
+from lockbench.verbs import U64_MASK, Completion, CompletionStatus
 
 E, S = MODE_EXCLUSIVE, MODE_SHARED
 
@@ -39,7 +38,7 @@ class _RollbackSpy(checker._ModelSession):
         post_fa = qp.post_fa
 
         def spy(region_id, offset, addend):
-            if addend == U64_MINUS_ONE and not self._held:  # no lock held: the rollback
+            if addend == U64_MASK and not self._held:  # no lock held: the rollback
                 type(self).rollbacks += 1
                 if self.drop:
                     return Completion(CompletionStatus.OK, (1).to_bytes(8, "little"))

@@ -11,19 +11,21 @@ import pytest
 
 from lockbench import framing
 from lockbench.errors import ProtocolError
-from lockbench.locktable import WORD_SIZE, LockTable, encode
+from lockbench.locktable import WORD_SIZE, encode
 from lockbench.tcp_transport import (
     _POLL,
     _POLL_SLICE,
     HELLO,
+    MAX_REPLY,
     MAX_REQUEST,
     REPLY_HEADER,
+    VERB_HEADER,
     TcpAgent,
     TcpFabric,
 )
 from lockbench.verbs import CompletionStatus, InprocFabric
 
-from helpers import start_call
+from helpers import lock_table, start_call, words
 
 U64 = 1 << 64
 
@@ -234,12 +236,12 @@ def test_client_close_unblocks_poll(agent, fabric):
 
 
 def test_lock_table_allocation_on_agent(agent, fabric):
-    table = LockTable.allocate(agent, 3)
+    region, table = lock_table(agent, 3)
     qp = fabric.connect()
     try:
         c = qp.post_fa(table.region_id, 2 * WORD_SIZE, 1)
         assert c.ok
-        assert table.words() == [0, 0, 1]
+        assert words(region) == [0, 0, 1]
     finally:
         qp.close()
 
@@ -289,6 +291,23 @@ def test_connect_opens_one_socket_and_starts_no_client_thread(agent, fabric):
     try:
         assert client_threads() == before
         assert len(agent._conns) == 1
+    finally:
+        qp.close()
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [bytes(VERB_HEADER.size - 1), VERB_HEADER.pack(99, 1, 0, 8, 0, 0)],
+    ids=["shorter-than-a-header", "unknown-kind"],
+)
+def test_a_malformed_verb_frame_is_a_bad_request_and_the_connection_serves_on(agent, fabric, region, frame):
+    qp = fabric.connect()
+    try:
+        framing.send_frame(qp._sock, frame)
+        reply = framing.recv_frame(qp._sock, MAX_REPLY)
+        assert REPLY_HEADER.unpack(reply) == (CompletionStatus.BAD_REQUEST, 0)  # no payload, no serial
+        c = qp.post_fa(region.region_id, 8, 1)
+        assert c.ok and c.serial == 1 and region.snapshot_word(1) == 1
     finally:
         qp.close()
 
