@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .bench import (
     TRANSPORT_INPROC,
@@ -144,10 +145,13 @@ def _cmd_bench(args, parser) -> int:
         errors: list = []
         if args.sweep_clients:
             counts = _parse_counts(args.sweep_clients, parser, "--sweep-clients")
-            rows = sweep_clients(spec, counts, errors)
+            sweep, points = sweep_clients, [replace(spec, n_clients=n) for n in counts]
         else:
             counts = _parse_counts(args.sweep_items, parser, "--sweep-items")
-            rows = sweep_contention(spec, counts, errors)
+            sweep, points = sweep_contention, [replace(spec, n_items=n) for n in counts]
+        for point in points:  # a bad point is a usage error before any run
+            point.validate()
+        rows = sweep(spec, counts, errors)
         for row in rows:
             print(
                 f"{row['design']:>16} clients={row['n_clients']:>3} items={row['n_items']:>4} "

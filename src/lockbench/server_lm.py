@@ -2,9 +2,10 @@
 
 A central server keeps one FIFO queue per item, each guarded by its own
 mutex, and grants the queue head when compatible, batching consecutive
-SHARED requests.  Admission is strict FIFO: a SHARED request arriving
-behind a queued EXCLUSIVE request waits even while other SHARED holders
-are active, which keeps writers from starving.  Each item's requests,
+SHARED requests; a compatible request that finds the queue empty is
+granted without joining it.  Admission is strict FIFO: a SHARED request
+arriving behind a queued EXCLUSIVE request waits even while other SHARED
+holders are active, which keeps writers from starving.  Each item's requests,
 grants and releases take the next value of the item's counter under its
 mutex; GRANT and ACK replies carry that value, and the client stamps it as
 the event's `seq`.  Untraced, the core and the client stamp into
@@ -23,10 +24,11 @@ per inbound message on a bounded worker pool, emulating the kernel
 messaging overhead that dominates a socket-based server; the verb
 frontend's default charge is one tenth of the socket frontend's.  Both
 run one path per transport: in process, an `InprocChannel` that dispatches
-on the client's thread and waits for its reply, or a deferred grant, on a
-`verbs.Inbox`; over TCP, framed sockets served by one loop thread, so
-`worker_limit` bounds concurrent charges only in process.  (`QpConn`
-and `serve_sr_listener` serve only lockperf's per-layer timings.)
+on the client's thread and takes the reply that call returns, waiting on
+a `verbs.Inbox` only for a deferred grant or the close; over TCP, framed
+sockets served by one loop thread, so `worker_limit` bounds concurrent
+charges only in process.  (`QpConn` and `serve_sr_listener` serve only
+lockperf's per-layer timings.)
 """
 
 from __future__ import annotations
@@ -97,6 +99,11 @@ class ItemQueue:
     seqs: itertools.count = field(default_factory=lambda: itertools.count(1))
 
 
+def _admits(granted: dict, mode: str) -> bool:
+    """The admission rule: no holder, or SHARED beside SHARED holders only."""
+    return not granted or mode == MODE_SHARED and MODE_EXCLUSIVE not in granted.values()
+
+
 def grant_scan(item_queue: ItemQueue) -> list[LockRequest]:
     """Pop and grant every request admissible right now (mutex held).
 
@@ -105,21 +112,10 @@ def grant_scan(item_queue: ItemQueue) -> list[LockRequest]:
     requests behind it.  Anything behind an incompatible head waits.
     """
     newly: list[LockRequest] = []
-    pending = item_queue.pending
-    granted = item_queue.granted
-    if not pending:
-        return newly
-    if MODE_EXCLUSIVE in granted.values():
-        return newly
-    if pending[0].mode == MODE_EXCLUSIVE:
-        if not granted:
-            head = pending.popleft()
-            granted[head.client_id] = MODE_EXCLUSIVE
-            newly.append(head)
-        return newly
-    while pending and pending[0].mode == MODE_SHARED:
+    pending, granted = item_queue.pending, item_queue.granted
+    while pending and _admits(granted, pending[0].mode):
         req = pending.popleft()
-        granted[req.client_id] = MODE_SHARED
+        granted[req.client_id] = req.mode
         newly.append(req)
     return newly
 
@@ -144,20 +140,27 @@ class LockServerCore:
 
     def acquire(
         self, client_id: int, item_id: int, shared: bool, request_id: int
-    ) -> tuple[str | None, list[LockRequest]]:
-        """Enqueue an acquire; returns (error, newly granted requests)."""
+    ) -> tuple[str | None, list[LockRequest], int | None]:
+        """Returns (error, grants to push, the caller's grant `seq` or None).
+
+        On an empty queue a request `_admits` is granted at once, as
+        `grant_scan` would grant it; any other is queued and the scan
+        decides it."""
         if not 0 <= item_id < self.n_items:
-            return f"unknown item {item_id}", []
+            return f"unknown item {item_id}", [], None
         mode = MODE_SHARED if shared else MODE_EXCLUSIVE
         item = self._items[item_id]
         with item.mutex:
-            pending = item.pending
-            if client_id in item.granted or (pending and any(r.client_id == client_id for r in pending)):
-                return f"client {client_id} already acquired item {item_id}", []
-            pending.append(LockRequest(request_id, client_id, item_id, mode))
+            pending, granted = item.pending, item.granted
+            if client_id in granted or (pending and any(r.client_id == client_id for r in pending)):
+                return f"client {client_id} already acquired item {item_id}", [], None
             self._stamp(_new_tuple(
                 TraceEvent, (trace._clock(), client_id, item_id, OP_ACQ, mode, OUT_REQ, next(item.seqs))))
-            return None, _grant(item)
+            if not pending and _admits(granted, mode):
+                granted[client_id] = mode
+                return None, [], next(item.seqs)
+            pending.append(LockRequest(request_id, client_id, item_id, mode))
+            return None, _grant(item), None
 
     def release(self, client_id: int, item_id: int) -> tuple[str | None, list[LockRequest], int]:
         """Drop a grant; returns (error, follow-on grants, the release's seq)."""
@@ -278,9 +281,9 @@ class MessageCostModel:
 
 class InprocChannel:
     """In-process connection: `rpc` dispatches on the caller's thread and
-    takes the reply, or a grant a releasing thread pushes later, from the
-    channel's inbox.  Closing either side closes the inbox and ends the
-    channel, as with a socket."""
+    returns the reply the dispatch gives; only a grant a releasing thread
+    pushes later comes through the channel's inbox.  Closing either side
+    closes the inbox and ends the channel, as with a socket."""
 
     def __init__(self):
         self._server: LockServer | None = None
@@ -292,10 +295,13 @@ class InprocChannel:
         if server is None or server._closing:
             self.close()
             raise ConnectionError("channel closed")
-        server._dispatch(self, op, client_id, item_id, request_id)
-        reply = self._replies.get()  # C-level, not `take`: no rpc waits after the close
-        if reply is _CLOSED:
-            raise ConnectionError("server closed the channel")
+        reply, grants = server._dispatch(self, op, client_id, item_id, request_id)
+        for g in grants:
+            server._push_grant(g)
+        if reply is None:  # a deferred grant, pushed by a releasing thread
+            reply = self._replies.get()  # C-level, not `take`: no rpc waits after the close
+            if reply is _CLOSED:
+                raise ConnectionError("server closed the channel")
         return reply
 
     def close(self) -> None:
@@ -501,7 +507,7 @@ class LockServer:
                 return False
             op, client_id, item_id, request_id, _ = MESSAGE.unpack_from(inbox, len(_PREFIX))
             del inbox[:_FRAME_SIZE]
-            self._dispatch(endpoint, op, client_id, item_id, request_id)
+            self._serve(endpoint, op, client_id, item_id, request_id)
         return bool(data) and _PREFIX.startswith(inbox[: len(_PREFIX)])
 
     # -- request handling ------------------------------------------------
@@ -538,22 +544,27 @@ class LockServer:
             endpoint.send_reply(MSG_GRANT, g.client_id, g.item_id, g.request_id, g.seq)
         # Else the client's connection closed, and its purge drops the lock.
 
-    def _dispatch(self, endpoint, op: int, client_id: int, item_id: int, request_id: int) -> None:
-        """Serve one decoded request from `endpoint`."""
+    def _dispatch(self, endpoint, op: int, client_id: int, item_id: int, request_id: int) -> tuple:
+        """Serve one decoded request from `endpoint`: the reply owed now,
+        or None while its grant waits, and the grants to push after it."""
         self.cost.charge()
+        error, reply_op = "unknown op", MSG_GRANT
         if self._endpoints.get(client_id) is not endpoint and not self._bind(client_id, endpoint):
-            endpoint.send_reply(MSG_ERROR, client_id, item_id, request_id, 0)
-            return
-        if op in (MSG_ACQ_SHARED, MSG_ACQ_EXCL):
-            error, grants = self.core.acquire(client_id, item_id, op == MSG_ACQ_SHARED, request_id)
+            error = "client bound elsewhere"
+        elif op in (MSG_ACQ_SHARED, MSG_ACQ_EXCL):
+            error, grants, seq = self.core.acquire(client_id, item_id, op == MSG_ACQ_SHARED, request_id)
         elif op == MSG_RELEASE:
             error, grants, seq = self.core.release(client_id, item_id)
-            if error is None:
-                endpoint.send_reply(MSG_ACK, client_id, item_id, request_id, seq)
-        else:
-            error, grants = "unknown op", []
+            reply_op = MSG_ACK
         if error is not None:
-            endpoint.send_reply(MSG_ERROR, client_id, item_id, request_id, 0)
+            return (MSG_ERROR, client_id, item_id, request_id, 0), []
+        return None if seq is None else (reply_op, client_id, item_id, request_id, seq), grants
+
+    def _serve(self, endpoint, op: int, client_id: int, item_id: int, request_id: int) -> None:
+        """Dispatch for a byte transport: the reply leaves before any grant it frees."""
+        reply, grants = self._dispatch(endpoint, op, client_id, item_id, request_id)
+        if reply is not None:
+            endpoint.send_reply(*reply)
         for g in grants:
             self._push_grant(g)
 
@@ -565,8 +576,7 @@ class LockServer:
             data = endpoint.recv_request()
             if data is None or self._closing or len(data) != MESSAGE_SIZE:
                 break
-            op, client_id, item_id, request_id, _ = MESSAGE.unpack(data)
-            self._dispatch(endpoint, op, client_id, item_id, request_id)
+            self._serve(endpoint, *MESSAGE.unpack(data)[:4])
         self._unbind(endpoint)
         endpoint.close()
 

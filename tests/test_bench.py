@@ -6,6 +6,7 @@ import os
 import pickle
 import random
 import signal
+import sys
 import threading
 import time
 from collections import Counter
@@ -364,8 +365,14 @@ def test_a_server_that_breaks_fifo_fails_the_run(monkeypatch):
 
     monkeypatch.setattr(server_lm, "grant_scan", jumping_scan)
     spec = WorkloadSpec(design=DESIGN_SERVER_SR, n_clients=8, n_items=1, ops_per_client=500)
-    with pytest.raises(RunCheckError) as exc_info:
-        run_workload(spec)
+    # Switch threads often, so requests queue however fast a cycle runs.
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with pytest.raises(RunCheckError) as exc_info:
+            run_workload(spec)
+    finally:
+        sys.setswitchinterval(previous)
     assert FIFO_VIOLATION in {v.kind for v in exc_info.value.violations}
 
 

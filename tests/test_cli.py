@@ -118,6 +118,23 @@ def test_an_unwritable_output_path_is_a_usage_error_before_any_run(tmp_path, mon
     assert sorted(tmp_path.iterdir()) == []  # the writable path's probe left no file
 
 
+def test_a_sweep_point_the_spec_refuses_is_a_usage_error_before_any_run(monkeypatch, capsys):
+    def no_run(spec):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_workload", no_run)
+    monkeypatch.setattr(bench, "run_workload", no_run)  # what the sweeps call
+    argv = ["bench", "--design", "client-centric", "--ops", "1", "--sweep-clients", f"1,{MAX_CLIENTS + 1}"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("lockbench: error: ") == 1
+    assert captured.err.splitlines()[-1] == (
+        f"lockbench: error: {MAX_CLIENTS + 1} clients exceeds the supported maximum of {MAX_CLIENTS}"
+    )
+
+
 def test_bench_sweep_flags_are_mutually_exclusive(capsys):
     argv = BENCH_FAST + ["--sweep-clients", "1", "--sweep-items", "1"]
     with pytest.raises(SystemExit):

@@ -3,7 +3,7 @@ aligned fast path, the live region registry, and the layer boundaries of
 one lock cycle (`ClientSession.acquire`/`release`, `QueuePair.post_*` and
 the stamps appended through `TraceRecorder.stamper`, or into
 `trace.DISCARD` when untraced), and an in-process server cycle, which
-packs no message."""
+packs no message, queues no reply and runs no grant scan."""
 
 import pytest
 
@@ -184,11 +184,19 @@ class NoCodec:
 @pytest.mark.parametrize("shared", [False, True], ids=["exclusive", "shared"])
 def test_an_uncontended_server_cycle_packs_no_message_and_stamps_four_events(shared, monkeypatch):
     monkeypatch.setattr(server_lm, "MESSAGE", NoCodec())
+    scans, puts = [], []
+    real_scan = server_lm.grant_scan
+    monkeypatch.setattr(server_lm, "grant_scan", lambda item_queue: scans.append(1) or real_scan(item_queue))
     server_recorder, client_recorder = CountingRecorder(), CountingRecorder()
     server = LockServer(ServerConfig(4, FRONTEND_TCP), server_recorder)
-    client = ServerLockClient(server.attach_channel(InprocChannel()), 1, client_recorder)
+    channel = server.attach_channel(InprocChannel())
+    real_put = channel._replies.put
+    channel._replies.put = lambda item: puts.append(item) or real_put(item)
+    client = ServerLockClient(channel, 1, client_recorder)
     client.acquire(2, shared)
     client.release(2)
+    # Both replies come back from the dispatch call itself.
+    assert scans == [] and puts == []
     # The server stamps the acquire's request; the client stamps its grant
     # and the release's request and ACK.
     assert server_recorder.stamps == 1 and client_recorder.stamps == 3

@@ -1,5 +1,6 @@
 """Server-centric manager: admission rule, core state, frontends, cost model."""
 
+import random
 import socket
 import struct
 import sys
@@ -34,11 +35,12 @@ from lockbench.server_lm import (
     ServerConfig,
     ServerLockClient,
     SocketConn,
+    _grant,
     grant_scan,
 )
 from lockbench.server_lm import upper_bound_throughput
 from lockbench.tcp_transport import TcpAgent, TcpFabric
-from lockbench.trace import MODE_EXCLUSIVE, MODE_SHARED, TraceRecorder
+from lockbench.trace import MODE_EXCLUSIVE, MODE_SHARED, OP_ACQ, OUT_REQ, TraceEvent, TraceRecorder
 from lockbench.verbs import CompletionStatus, InprocFabric
 
 from helpers import start_call
@@ -98,16 +100,17 @@ def test_scan_empty_queue():
 
 def test_core_grants_uncontended_exclusive_immediately():
     core = LockServerCore(2)
-    error, grants = core.acquire(1, 0, shared=False, request_id=1)
+    error, grants, seq = core.acquire(1, 0, shared=False, request_id=1)
     assert error is None
-    assert [g.client_id for g in grants] == [1]
+    assert grants == [] and seq == 2  # granted in the reply: REQ 1, GRANT 2
+    assert core.granted_count() == 1 and core.pending_count() == 0
 
 
 def test_core_queues_conflicting_exclusive():
     core = LockServerCore(1)
     core.acquire(1, 0, shared=False, request_id=1)
-    error, grants = core.acquire(2, 0, shared=False, request_id=1)
-    assert error is None and grants == []
+    error, grants, seq = core.acquire(2, 0, shared=False, request_id=1)
+    assert error is None and grants == [] and seq is None
     assert core.pending_count() == 1
 
 
@@ -125,7 +128,7 @@ def test_core_release_triggers_follow_on_grants():
 def test_core_rejects_duplicate_acquire():
     core = LockServerCore(1)
     core.acquire(1, 0, shared=True, request_id=1)
-    error, _ = core.acquire(1, 0, shared=True, request_id=2)
+    error, _, _ = core.acquire(1, 0, shared=True, request_id=2)
     assert error is not None
 
 
@@ -153,18 +156,89 @@ def test_core_records_requests_in_arrival_order():
 def test_core_sequences_each_items_requests_grants_and_releases():
     rec = TraceRecorder()
     core = LockServerCore(2, rec)
-    _, grants = core.acquire(1, 0, shared=False, request_id=1)  # REQ 1, grant 2
-    assert [g.seq for g in grants] == [2]
+    _, grants, seq = core.acquire(1, 0, shared=False, request_id=1)  # REQ 1, grant 2
+    assert grants == [] and seq == 2
     core.acquire(2, 0, shared=True, request_id=1)  # REQ 3, queued
     core.acquire(3, 0, shared=True, request_id=1)  # REQ 4, queued
-    _, grants = core.acquire(1, 1, shared=True, request_id=2)  # item 1 counts apart
-    assert [g.seq for g in grants] == [2]
+    _, grants, seq = core.acquire(1, 1, shared=True, request_id=2)  # item 1 counts apart
+    assert grants == [] and seq == 2
     _, grants, seq = core.release(1, 0)
     assert seq == 5
     assert [(g.client_id, g.seq) for g in grants] == [(2, 6), (3, 7)]
     assert [(e.client_id, e.item_id, e.seq) for e in rec.sorted_events()] == [
         (1, 0, 1), (2, 0, 3), (3, 0, 4), (1, 1, 1)
     ]
+
+
+class _ListRecorder:
+    """Keeps the events stamped through it in stamping order."""
+
+    def __init__(self):
+        self.events = []
+
+    def stamper(self, source):
+        return self.events.append
+
+
+class _ScanEveryAcquire(LockServerCore):
+    """The core without the empty-queue grant: every acquire joins the
+    queue and `grant_scan` decides it."""
+
+    def acquire(self, client_id, item_id, shared, request_id):
+        mode = MODE_SHARED if shared else MODE_EXCLUSIVE
+        item = self._items[item_id]
+        with item.mutex:
+            if client_id in item.granted or any(r.client_id == client_id for r in item.pending):
+                return f"client {client_id} already acquired item {item_id}", [], None
+            request = LockRequest(request_id, client_id, item_id, mode)
+            item.pending.append(request)
+            self._stamp(TraceEvent(0, client_id, item_id, OP_ACQ, mode, OUT_REQ, next(item.seqs)))
+            grants = _grant(item)
+        return None, [g for g in grants if g is not request], request.seq or None
+
+
+def _state(core):
+    return [
+        ([(r.client_id, r.request_id, r.mode) for r in item.pending], dict(item.granted))
+        for item in core._items
+    ]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_empty_queue_grant_matches_a_scan_of_every_acquire(seed):
+    # Both cores serve one seeded stream of acquires, releases, duplicate
+    # acquires and departures; every reply, grant, seq and stamp must agree.
+    rng = random.Random(seed)
+    n_clients, n_items = rng.choice((3, 4)), rng.choice((1, 2))
+    recorders = [_ListRecorder(), _ListRecorder()]
+    cores = [LockServerCore(n_items, recorders[0]), _ScanEveryAcquire(n_items, recorders[1])]
+    at_once = queued = 0
+    for request_id in range(1, 401):
+        client, item = rng.randint(1, n_clients), rng.randrange(n_items)
+        roll = rng.random()
+        if roll < 0.05:
+            kind = "drop"
+        elif client in cores[0]._items[item].granted and roll < 0.8:
+            kind = "release"
+        else:  # a duplicate while the client holds or waits for the item
+            kind = "acquire"
+        outcomes = []
+        for core in cores:
+            if kind == "drop":
+                error, grants, seq = None, core.drop_client(client), None
+            elif kind == "release":
+                error, grants, seq = core.release(client, item)
+            else:
+                error, grants, seq = core.acquire(client, item, roll < 0.5, request_id)
+            outcomes.append((error, [(g.client_id, g.item_id, g.request_id, g.mode, g.seq) for g in grants], seq))
+        assert outcomes[0] == outcomes[1]
+        assert _state(cores[0]) == _state(cores[1])
+        if kind == "acquire" and outcomes[0][0] is None:
+            at_once += outcomes[0][2] is not None
+            queued += outcomes[0][2] is None
+    # REQ stamps match in order, seq and content; only the clock differs.
+    assert [e[1:] for e in recorders[0].events] == [e[1:] for e in recorders[1].events]
+    assert at_once and queued  # both paths ran
 
 
 # -- throughput upper bound --------------------------------------------------
@@ -507,6 +581,44 @@ def test_two_frames_in_one_send_get_two_replies_in_order(tcp_server):
         sock.sendall(_frame(MSG_ACQ_EXCL, 1, 0, 1) + _frame(MSG_RELEASE, 1, 0, 2))
         assert MESSAGE.unpack(recv_frame(sock)) == (MSG_GRANT, 1, 0, 1, 2)
         assert MESSAGE.unpack(recv_frame(sock)) == (MSG_ACK, 1, 0, 2, 3)
+
+
+def _raw_socket(server, fabric):
+    sock = socket.create_connection(server.serve_tcp(), timeout=5)
+    return (lambda *fields: sock.sendall(_frame(*fields))), lambda: MESSAGE.unpack(recv_frame(sock)), sock.close
+
+
+def _raw_queue_pair(server, fabric):
+    server.serve_sr_listener(fabric.sr_listen())
+    qp = fabric.connect(1)
+
+    def send(*fields):
+        qp.post_recv(MESSAGE_SIZE)  # for this request's reply or a later grant
+        deadline = time.monotonic() + 5
+        while qp.post_send(MESSAGE.pack(*fields, 0)).status == CompletionStatus.RECEIVER_NOT_READY:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+
+    return send, lambda: MESSAGE.unpack(qp.poll_recv(5).payload), qp.close
+
+
+@pytest.mark.parametrize("connect", [_raw_socket, _raw_queue_pair], ids=["socket", "queue-pair"])
+def test_a_release_is_acked_before_the_grant_it_frees(connect):
+    # Clients 1 and 2 share one byte connection, so the order the server
+    # sends the ACK and the GRANT in is the order they arrive in.
+    server = LockServer(ServerConfig(1, FRONTEND_TCP, per_message_cost=0.0))
+    fabric = InprocFabric()
+    send, recv, close = connect(server, fabric)
+    try:
+        send(MSG_ACQ_EXCL, 1, 0, 1)
+        assert recv() == (MSG_GRANT, 1, 0, 1, 2)
+        send(MSG_ACQ_EXCL, 2, 0, 1)  # queued behind client 1: no reply yet
+        send(MSG_RELEASE, 1, 0, 2)
+        assert [recv(), recv()] == [(MSG_ACK, 1, 0, 2, 4), (MSG_GRANT, 2, 0, 1, 5)]
+    finally:
+        close()
+        server.shutdown()
+        fabric.close()
 
 
 class _ShortSendSocket:
