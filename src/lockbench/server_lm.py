@@ -27,8 +27,10 @@ run one path per transport: in process, an `InprocChannel` that dispatches
 on the client's thread and takes the reply that call returns, waiting on
 a `verbs.Inbox` only for a deferred grant or the close; over TCP, framed
 sockets served by one loop thread, so `worker_limit` bounds concurrent
-charges only in process.  (`QpConn` and `serve_sr_listener` serve only
-lockperf's per-layer timings.)
+charges only in process.  On every transport the grants a message frees
+leave before its reply, so a freed waiter's GRANT precedes the releaser's
+ACK.  (`QpConn` and `serve_sr_listener` serve only lockperf's per-layer
+timings.)
 """
 
 from __future__ import annotations
@@ -281,9 +283,10 @@ class MessageCostModel:
 
 class InprocChannel:
     """In-process connection: `rpc` dispatches on the caller's thread and
-    returns the reply the dispatch gives; only a grant a releasing thread
-    pushes later comes through the channel's inbox.  Closing either side
-    closes the inbox and ends the channel, as with a socket."""
+    returns the reply the dispatch gives, after the grants it frees are
+    pushed; only a grant a releasing thread pushes comes through the
+    channel's inbox.  Closing either side closes the inbox and ends the
+    channel, as with a socket."""
 
     def __init__(self):
         self._server: LockServer | None = None
@@ -295,9 +298,7 @@ class InprocChannel:
         if server is None or server._closing:
             self.close()
             raise ConnectionError("channel closed")
-        reply, grants = server._dispatch(self, op, client_id, item_id, request_id)
-        for g in grants:
-            server._push_grant(g)
+        reply = server._dispatch(self, op, client_id, item_id, request_id)
         if reply is None:  # a deferred grant, pushed by a releasing thread
             reply = self._replies.get()  # C-level, not `take`: no rpc waits after the close
             if reply is _CLOSED:
@@ -507,7 +508,9 @@ class LockServer:
                 return False
             op, client_id, item_id, request_id, _ = MESSAGE.unpack_from(inbox, len(_PREFIX))
             del inbox[:_FRAME_SIZE]
-            self._serve(endpoint, op, client_id, item_id, request_id)
+            reply = self._dispatch(endpoint, op, client_id, item_id, request_id)
+            if reply is not None:
+                endpoint.send_reply(*reply)
         return bool(data) and _PREFIX.startswith(inbox[: len(_PREFIX)])
 
     # -- request handling ------------------------------------------------
@@ -544,9 +547,10 @@ class LockServer:
             endpoint.send_reply(MSG_GRANT, g.client_id, g.item_id, g.request_id, g.seq)
         # Else the client's connection closed, and its purge drops the lock.
 
-    def _dispatch(self, endpoint, op: int, client_id: int, item_id: int, request_id: int) -> tuple:
-        """Serve one decoded request from `endpoint`: the reply owed now,
-        or None while its grant waits, and the grants to push after it."""
+    def _dispatch(self, endpoint, op: int, client_id: int, item_id: int, request_id: int) -> tuple | None:
+        """Serve one decoded request from `endpoint`: push the grants it
+        frees, then return the reply the transport sends, or None while
+        the request's own grant waits."""
         self.cost.charge()
         error, reply_op = "unknown op", MSG_GRANT
         if self._endpoints.get(client_id) is not endpoint and not self._bind(client_id, endpoint):
@@ -557,16 +561,10 @@ class LockServer:
             error, grants, seq = self.core.release(client_id, item_id)
             reply_op = MSG_ACK
         if error is not None:
-            return (MSG_ERROR, client_id, item_id, request_id, 0), []
-        return None if seq is None else (reply_op, client_id, item_id, request_id, seq), grants
-
-    def _serve(self, endpoint, op: int, client_id: int, item_id: int, request_id: int) -> None:
-        """Dispatch for a byte transport: the reply leaves before any grant it frees."""
-        reply, grants = self._dispatch(endpoint, op, client_id, item_id, request_id)
-        if reply is not None:
-            endpoint.send_reply(*reply)
+            return (MSG_ERROR, client_id, item_id, request_id, 0)
         for g in grants:
             self._push_grant(g)
+        return None if seq is None else (reply_op, client_id, item_id, request_id, seq)
 
     def _handle(self, endpoint: _QpEndpoint) -> None:
         """Serve one queue-pair connection until it closes, the server shuts
@@ -576,7 +574,9 @@ class LockServer:
             data = endpoint.recv_request()
             if data is None or self._closing or len(data) != MESSAGE_SIZE:
                 break
-            self._serve(endpoint, *MESSAGE.unpack(data)[:4])
+            reply = self._dispatch(endpoint, *MESSAGE.unpack(data)[:4])
+            if reply is not None:
+                endpoint.send_reply(*reply)
         self._unbind(endpoint)
         endpoint.close()
 

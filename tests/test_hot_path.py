@@ -2,20 +2,29 @@
 aligned fast path, the live region registry, and the layer boundaries of
 one lock cycle (`ClientSession.acquire`/`release`, `QueuePair.post_*` and
 the stamps appended through `TraceRecorder.stamper`, or into
-`trace.DISCARD` when untraced), and an in-process server cycle, which
-packs no message, queues no reply and runs no grant scan."""
+`trace.DISCARD` when untraced), an in-process server cycle, which packs
+no message, queues no reply and runs no grant scan, and a contended
+in-process hand-off, which queues only the freed waiter's GRANT."""
 
 import pytest
 
 from lockbench.client_lm import ClientSession
 from lockbench import server_lm
-from lockbench.server_lm import FRONTEND_TCP, InprocChannel, LockServer, ServerConfig, ServerLockClient
+from lockbench.server_lm import (
+    FRONTEND_TCP,
+    MSG_GRANT,
+    InprocChannel,
+    LockServer,
+    ServerConfig,
+    ServerLockClient,
+)
 from lockbench.tcp_transport import TcpAgent, TcpFabric
 from lockbench.trace import DISCARD, TraceRecorder
 from lockbench.verbs import CompletionStatus, InprocFabric, RegionAccessError, VerbKind
 
-from helpers import lock_table, words
+from helpers import lock_table, start_call, words
 from test_client_lm import CountingQp
+from test_server_lm import _wait_queued
 
 ACCESS_ERROR = CompletionStatus.LOCAL_ACCESS_ERROR
 REGION_BYTES = 32
@@ -202,6 +211,35 @@ def test_an_uncontended_server_cycle_packs_no_message_and_stamps_four_events(sha
     assert server_recorder.stamps == 1 and client_recorder.stamps == 3
     assert server.core.granted_count() == 0 and server.core.pending_count() == 0
     client.close()
+    server.shutdown()
+
+
+def test_a_contended_server_hand_off_puts_only_the_grant_on_the_waiters_inbox():
+    server_recorder, client_recorder = CountingRecorder(), CountingRecorder()
+    server = LockServer(ServerConfig(4, FRONTEND_TCP), server_recorder)
+    puts = {1: [], 2: []}
+    clients = []
+    for client_id, log in puts.items():
+        channel = server.attach_channel(InprocChannel())
+        real_put = channel._replies.put
+        channel._replies.put = lambda item, log=log, put=real_put: log.append(item) or put(item)
+        clients.append(ServerLockClient(channel, client_id, client_recorder))
+    holder, waiter = clients
+    holder.acquire(2, shared=False)
+    waited = start_call(waiter.acquire, 2, False)
+    _wait_queued(server, 1)
+    holder.release(2)
+    assert waited(5) is None
+    # The holder's replies come back from its dispatch calls; the waiter's
+    # grant is the one message the hand-off queues.
+    assert puts == {1: [], 2: [(MSG_GRANT, 2, 2, 1, 5)]}
+    waiter.release(2)
+    # The server stamps both acquires' requests; the clients stamp two
+    # grants and two releases' requests and ACKs.
+    assert server_recorder.stamps == 2 and client_recorder.stamps == 6
+    assert server.core.granted_count() == 0 and server.core.pending_count() == 0
+    for client in clients:
+        client.close()
     server.shutdown()
 
 

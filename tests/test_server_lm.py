@@ -603,9 +603,9 @@ def _raw_queue_pair(server, fabric):
 
 
 @pytest.mark.parametrize("connect", [_raw_socket, _raw_queue_pair], ids=["socket", "queue-pair"])
-def test_a_release_is_acked_before_the_grant_it_frees(connect):
+def test_a_release_pushes_the_grant_it_frees_before_its_ack(connect):
     # Clients 1 and 2 share one byte connection, so the order the server
-    # sends the ACK and the GRANT in is the order they arrive in.
+    # sends the GRANT and the ACK in is the order they arrive in.
     server = LockServer(ServerConfig(1, FRONTEND_TCP, per_message_cost=0.0))
     fabric = InprocFabric()
     send, recv, close = connect(server, fabric)
@@ -614,11 +614,24 @@ def test_a_release_is_acked_before_the_grant_it_frees(connect):
         assert recv() == (MSG_GRANT, 1, 0, 1, 2)
         send(MSG_ACQ_EXCL, 2, 0, 1)  # queued behind client 1: no reply yet
         send(MSG_RELEASE, 1, 0, 2)
-        assert [recv(), recv()] == [(MSG_ACK, 1, 0, 2, 4), (MSG_GRANT, 2, 0, 1, 5)]
+        assert [recv(), recv()] == [(MSG_GRANT, 2, 0, 1, 5), (MSG_ACK, 1, 0, 2, 4)]
     finally:
         close()
         server.shutdown()
         fabric.close()
+
+
+def test_an_in_process_release_pushes_the_grant_it_frees_before_it_returns():
+    server = LockServer(ServerConfig(1, FRONTEND_TCP, per_message_cost=0.0))
+    holder, waiter = (server.attach_channel(InprocChannel()) for _ in range(2))
+    assert holder.rpc(MSG_ACQ_EXCL, 1, 0, 1) == (MSG_GRANT, 1, 0, 1, 2)
+    # Client 2's rpc without its wait, so nothing takes the grant early.
+    assert server._dispatch(waiter, MSG_ACQ_EXCL, 2, 0, 1) is None
+    assert holder.rpc(MSG_RELEASE, 1, 0, 2) == (MSG_ACK, 1, 0, 2, 4)
+    assert waiter._replies.get_nowait() == (MSG_GRANT, 2, 0, 1, 5)
+    holder.close()
+    waiter.close()
+    server.shutdown()
 
 
 class _ShortSendSocket:
@@ -660,6 +673,24 @@ def test_a_reply_the_socket_cannot_take_ends_its_connection(tcp_server):
     other.release(0)
     other.close()
     stuck.close()
+
+
+def test_a_grant_the_waiters_socket_cannot_take_ends_only_its_connection(tcp_server):
+    server, address = tcp_server
+    holder = ServerLockClient(SocketConn(*address), 1)
+    waiter = ServerLockClient(SocketConn(*address), 2)
+    holder.acquire(0, shared=False)
+    waited = start_call(waiter.acquire, 0, False)
+    _wait_queued(server, 1)
+    endpoint = server._endpoints[2]
+    endpoint._sock = _ShortSendSocket(endpoint._sock)
+    released = start_call(holder.release, 0)
+    assert released(5) is None  # the ACK follows the failed GRANT
+    assert isinstance(waited(5), ConnectionError)
+    _wait_unbound(server, 2)
+    assert server.core.granted_count() == 0  # the lock it was granted is purged
+    holder.close()
+    waiter.close()
 
 
 def test_shutdown_wakes_a_socket_client_waiting_for_a_deferred_grant():
