@@ -33,7 +33,7 @@ A client process ships its trace into its own source's buffer.
   ships its own trace and is terminated on cleanup.
 
 On either transport the two server designs take one path and differ only
-in the server's frontend cost.
+in the server's modeled per-message cost.
 """
 
 from __future__ import annotations
@@ -63,8 +63,6 @@ from .locktable import MAX_CLIENTS, TableHandle
 from .server_lm import (
     DEFAULT_SR_MESSAGE_COST,
     DEFAULT_TCP_MESSAGE_COST,
-    FRONTEND_SEND_RECV,
-    FRONTEND_TCP,
     InprocChannel,
     LockServer,
     ServerConfig,
@@ -85,12 +83,11 @@ from .tcp_transport import TcpAgent, TcpFabric
 TRANSPORT_INPROC = "inproc"
 TRANSPORT_TCP = "tcp"
 
-# Design -> (server frontend, default per-message cost).  The client-centric
-# design runs no server, so it has no frontend and no message cost.
-DESIGN_FRONTENDS = {
-    DESIGN_SERVER_TCP: (FRONTEND_TCP, DEFAULT_TCP_MESSAGE_COST),
-    DESIGN_SERVER_SR: (FRONTEND_SEND_RECV, DEFAULT_SR_MESSAGE_COST),
-    DESIGN_CLIENT_CENTRIC: (None, 0.0),
+# Server design -> default per-message cost, the one thing that tells the
+# two apart.  The client-centric design runs no server and has no entry.
+DEFAULT_MESSAGE_COSTS = {
+    DESIGN_SERVER_TCP: DEFAULT_TCP_MESSAGE_COST,
+    DESIGN_SERVER_SR: DEFAULT_SR_MESSAGE_COST,
 }
 
 # The CSV's columns, in order; `result_row` lists its values in this order.
@@ -118,7 +115,7 @@ class WorkloadSpec:
     rng_seed: int = 1
     transport: str = TRANSPORT_INPROC
     backoff: float = 0.0
-    per_message_cost: float | None = None  # None -> frontend default
+    per_message_cost: float | None = None  # None -> the design's default
     max_retries: int | None = None
     worker_limit: int = 4
 
@@ -147,7 +144,7 @@ class WorkloadSpec:
     def effective_message_cost(self) -> float:
         if self.per_message_cost is not None:
             return self.per_message_cost
-        return DESIGN_FRONTENDS[self.design][1]
+        return DEFAULT_MESSAGE_COSTS.get(self.design, 0.0)
 
 
 @dataclass
@@ -240,17 +237,16 @@ class HostedDesign(NamedTuple):
 def host_design(spec: WorkloadSpec, recorder: TraceRecorder | None = None) -> HostedDesign:
     """Host the passive side of `spec`'s design on its transport's row.
 
-    A server design gets a LockServer on its frontend's cost, which the row
+    A server design gets a LockServer on its design's cost, which the row
     serves; the client-centric design registers its lock table, one word
     per item, on the row's verb host, and its target carries the handle.
     """
     row = TRANSPORT_ROWS[spec.transport]
-    frontend, _ = DESIGN_FRONTENDS[spec.design]
-    if frontend is not None:
-        server = LockServer(
-            ServerConfig(spec.n_items, frontend, spec.effective_message_cost(), spec.worker_limit),
-            recorder,
+    if spec.design != DESIGN_CLIENT_CENTRIC:
+        config = ServerConfig(
+            spec.n_items, per_message_cost=spec.effective_message_cost(), worker_limit=spec.worker_limit
         )
+        server = LockServer(config, recorder)
         return HostedDesign(row.host_server(server), None, server.shutdown)
     fabric, target, teardown = row.host_fabric()
     region = fabric.register_region(spec.n_items * WORD_SIZE)

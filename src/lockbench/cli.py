@@ -8,6 +8,7 @@ import sys
 from dataclasses import replace
 
 from .bench import (
+    DEFAULT_MESSAGE_COSTS,
     TRANSPORT_INPROC,
     TRANSPORTS,
     WorkloadSpec,
@@ -21,7 +22,6 @@ from .bench import (
 from .checker import DESIGNS, check_all
 from .errors import ConfigurationError, RunCheckError
 from .locktable import MAX_CLIENTS
-from .server_lm import DEFAULT_SR_MESSAGE_COST, DEFAULT_TCP_MESSAGE_COST
 from .trace import TraceParseError, read_trace, write_trace
 
 
@@ -64,8 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="US",
         help="simulated CPU cost per server message in microseconds (default: "
-        f"{DEFAULT_TCP_MESSAGE_COST * 1e6:g} for the TCP frontend, "
-        f"{DEFAULT_SR_MESSAGE_COST * 1e6:g} for SEND/RECV)",
+        + ", ".join(f"{cost * 1e6:g} for {design}" for design, cost in DEFAULT_MESSAGE_COSTS.items())
+        + ")",
     )
     bench_p.add_argument(
         "--worker-limit",

@@ -1,9 +1,10 @@
 """Server-centric lock manager.
 
 A central server keeps one FIFO queue per item, each guarded by its own
-mutex, and grants the queue head when compatible, batching consecutive
-SHARED requests; a compatible request that finds the queue empty is
-granted without joining it.  Admission is strict FIFO: a SHARED request
+mutex.  An acquire is granted now, if it finds the queue empty and is
+compatible with the holders, or queued; it frees no one.  Only a release
+or a purge scans a queue, granting its head when compatible and batching
+consecutive SHARED requests.  Admission is strict FIFO: a SHARED request
 arriving behind a queued EXCLUSIVE request waits even while other SHARED
 holders are active, which keeps writers from starving.  Each item's requests,
 grants and releases take the next value of the item's counter under its
@@ -27,7 +28,7 @@ run one path per transport: in process, an `InprocChannel` that dispatches
 on the client's thread and takes the reply that call returns, waiting on
 a `verbs.Inbox` only for a deferred grant or the close; over TCP, framed
 sockets served by one loop thread, so `worker_limit` bounds concurrent
-charges only in process.  On every transport the grants a message frees
+charges only in process.  On every transport the grants a release frees
 leave before its reply, so a freed waiter's GRANT precedes the releaser's
 ACK.  (`QpConn` and `serve_sr_listener` serve only lockperf's per-layer
 timings.)
@@ -107,7 +108,8 @@ def _admits(granted: dict, mode: str) -> bool:
 
 
 def grant_scan(item_queue: ItemQueue) -> list[LockRequest]:
-    """Pop and grant every request admissible right now (mutex held).
+    """Pop and grant every request admissible right now, each given the
+    item's next `seq` (mutex held).
 
     The head EXCLUSIVE request is granted only on an empty grant set; a
     head SHARED request pulls in the maximal run of consecutive SHARED
@@ -118,15 +120,8 @@ def grant_scan(item_queue: ItemQueue) -> list[LockRequest]:
     while pending and _admits(granted, pending[0].mode):
         req = pending.popleft()
         granted[req.client_id] = req.mode
-        newly.append(req)
-    return newly
-
-
-def _grant(item_queue: ItemQueue) -> list[LockRequest]:
-    """`grant_scan`, each grant given the item's next `seq` (mutex held)."""
-    newly = grant_scan(item_queue)
-    for req in newly:
         req.seq = next(item_queue.seqs)
+        newly.append(req)
     return newly
 
 
@@ -142,27 +137,29 @@ class LockServerCore:
 
     def acquire(
         self, client_id: int, item_id: int, shared: bool, request_id: int
-    ) -> tuple[str | None, list[LockRequest], int | None]:
-        """Returns (error, grants to push, the caller's grant `seq` or None).
+    ) -> tuple[str | None, int | None]:
+        """Returns (error, the caller's grant `seq` or None while it waits).
 
-        On an empty queue a request `_admits` is granted at once, as
-        `grant_scan` would grant it; any other is queued and the scan
-        decides it."""
+        The request is granted now, if the queue is empty and `_admits`
+        it, or queued; it frees no one.  A scan here would grant nothing:
+        a release or a purge ends with `grant_scan`, and appending keeps
+        both the queue's head and the grant set, so a queued head is
+        never admissible between operations."""
         if not 0 <= item_id < self.n_items:
-            return f"unknown item {item_id}", [], None
+            return f"unknown item {item_id}", None
         mode = MODE_SHARED if shared else MODE_EXCLUSIVE
         item = self._items[item_id]
         with item.mutex:
             pending, granted = item.pending, item.granted
             if client_id in granted or (pending and any(r.client_id == client_id for r in pending)):
-                return f"client {client_id} already acquired item {item_id}", [], None
+                return f"client {client_id} already acquired item {item_id}", None
             self._stamp(_new_tuple(
                 TraceEvent, (trace._clock(), client_id, item_id, OP_ACQ, mode, OUT_REQ, next(item.seqs))))
             if not pending and _admits(granted, mode):
                 granted[client_id] = mode
-                return None, [], next(item.seqs)
+                return None, next(item.seqs)
             pending.append(LockRequest(request_id, client_id, item_id, mode))
-            return None, _grant(item), None
+            return None, None
 
     def release(self, client_id: int, item_id: int) -> tuple[str | None, list[LockRequest], int]:
         """Drop a grant; returns (error, follow-on grants, the release's seq)."""
@@ -174,7 +171,7 @@ class LockServerCore:
                 return f"client {client_id} does not hold item {item_id}", [], 0
             del item.granted[client_id]
             seq = next(item.seqs)
-            return None, _grant(item) if item.pending else [], seq
+            return None, grant_scan(item) if item.pending else [], seq
 
     def drop_client(self, client_id: int) -> list[LockRequest]:
         """Drop a departed client's grants and queued requests; returns
@@ -187,7 +184,7 @@ class LockServerCore:
                     if req.client_id == client_id:
                         item.pending.remove(req)
                         break
-                grants += _grant(item)
+                grants += grant_scan(item)
         return grants
 
     def pending_count(self) -> int:
@@ -548,22 +545,22 @@ class LockServer:
         # Else the client's connection closed, and its purge drops the lock.
 
     def _dispatch(self, endpoint, op: int, client_id: int, item_id: int, request_id: int) -> tuple | None:
-        """Serve one decoded request from `endpoint`: push the grants it
-        frees, then return the reply the transport sends, or None while
-        the request's own grant waits."""
+        """Serve one decoded request from `endpoint`: a release pushes the
+        grants it frees; then return the reply the transport sends, or None
+        while the request's own grant waits."""
         self.cost.charge()
         error, reply_op = "unknown op", MSG_GRANT
         if self._endpoints.get(client_id) is not endpoint and not self._bind(client_id, endpoint):
             error = "client bound elsewhere"
         elif op in (MSG_ACQ_SHARED, MSG_ACQ_EXCL):
-            error, grants, seq = self.core.acquire(client_id, item_id, op == MSG_ACQ_SHARED, request_id)
+            error, seq = self.core.acquire(client_id, item_id, op == MSG_ACQ_SHARED, request_id)
         elif op == MSG_RELEASE:
             error, grants, seq = self.core.release(client_id, item_id)
             reply_op = MSG_ACK
+            for g in grants:
+                self._push_grant(g)
         if error is not None:
             return (MSG_ERROR, client_id, item_id, request_id, 0)
-        for g in grants:
-            self._push_grant(g)
         return None if seq is None else (reply_op, client_id, item_id, request_id, seq)
 
     def _handle(self, endpoint: _QpEndpoint) -> None:

@@ -40,8 +40,6 @@ from lockbench.errors import ConfigurationError, RunCheckError
 from lockbench.server_lm import (
     DEFAULT_SR_MESSAGE_COST,
     DEFAULT_TCP_MESSAGE_COST,
-    FRONTEND_SEND_RECV,
-    FRONTEND_TCP,
     ServerLockClient,
     SocketConn,
 )
@@ -258,16 +256,13 @@ def test_inproc_server_designs_start_no_thread(design):
 
 
 @pytest.mark.parametrize(
-    "design,frontend,cost",
-    [
-        (DESIGN_SERVER_TCP, FRONTEND_TCP, DEFAULT_TCP_MESSAGE_COST),
-        (DESIGN_SERVER_SR, FRONTEND_SEND_RECV, DEFAULT_SR_MESSAGE_COST),
-    ],
+    "design,cost",
+    [(DESIGN_SERVER_TCP, DEFAULT_TCP_MESSAGE_COST), (DESIGN_SERVER_SR, DEFAULT_SR_MESSAGE_COST)],
     ids=[DESIGN_SERVER_TCP, DESIGN_SERVER_SR],
 )
-def test_tcp_server_designs_share_the_socket_path(monkeypatch, design, frontend, cost):
+def test_tcp_server_designs_share_the_socket_path(monkeypatch, design, cost):
     # Over TCP both server designs are the LockServer's framed socket;
-    # only the frontend's modeled cost tells them apart.
+    # only the design's modeled cost tells them apart.
     def no_agent(*args, **kwargs):
         raise AssertionError("a server design built a TcpAgent")
 
@@ -292,7 +287,7 @@ def test_tcp_server_designs_share_the_socket_path(monkeypatch, design, frontend,
         client.close()
     finally:
         hosted.teardown()
-    assert [(c.frontend, c.per_message_cost) for c in configs] == [(frontend, cost)]
+    assert [c.per_message_cost for c in configs] == [cost]
 
 
 def test_trace_is_sorted_and_complete():
@@ -345,7 +340,8 @@ def test_unbalanced_release_is_caught_at_quiescence(monkeypatch):
 def test_a_server_that_breaks_fifo_fails_the_run(monkeypatch):
     # A mutant admission rule: when the real one admits nothing and no
     # EXCLUSIVE is held, admit the first SHARED request queued behind an
-    # EXCLUSIVE one.  Safe, so only the FIFO replay can catch it.
+    # EXCLUSIVE one.  Safe, so only the FIFO replay can catch it.  An
+    # acquire never scans, so the mutant fires from release and purge scans.
     from lockbench import server_lm
     from lockbench.checker import FIFO_VIOLATION
     from lockbench.trace import MODE_EXCLUSIVE, MODE_SHARED
@@ -360,6 +356,7 @@ def test_a_server_that_breaks_fifo_fails_the_run(monkeypatch):
             if req.mode == MODE_SHARED:
                 item_queue.pending.remove(req)
                 item_queue.granted[req.client_id] = MODE_SHARED
+                req.seq = next(item_queue.seqs)
                 return [req]
         return []
 
@@ -373,7 +370,7 @@ def test_a_server_that_breaks_fifo_fails_the_run(monkeypatch):
             run_workload(spec)
     finally:
         sys.setswitchinterval(previous)
-    assert FIFO_VIOLATION in {v.kind for v in exc_info.value.violations}
+    assert {v.kind for v in exc_info.value.violations} == {FIFO_VIOLATION}
 
 
 def test_inproc_client_that_fails_to_connect_ends_the_run(monkeypatch):

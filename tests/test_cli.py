@@ -252,7 +252,7 @@ def test_unknown_design_is_an_argparse_error():
 )
 def test_bench_message_cost_is_given_in_microseconds(monkeypatch, argv, cost):
     # The flag is in microseconds, the server's config in seconds; without
-    # the flag each server design gets its frontend's default.
+    # the flag each server design gets its own default.
     configs = []
     real_server = bench.LockServer
 

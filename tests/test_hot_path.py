@@ -214,7 +214,10 @@ def test_an_uncontended_server_cycle_packs_no_message_and_stamps_four_events(sha
     server.shutdown()
 
 
-def test_a_contended_server_hand_off_puts_only_the_grant_on_the_waiters_inbox():
+def test_a_contended_server_hand_off_puts_only_the_grant_on_the_waiters_inbox(monkeypatch):
+    scans = []
+    real_scan = server_lm.grant_scan
+    monkeypatch.setattr(server_lm, "grant_scan", lambda item_queue: scans.append(1) or real_scan(item_queue))
     server_recorder, client_recorder = CountingRecorder(), CountingRecorder()
     server = LockServer(ServerConfig(4, FRONTEND_TCP), server_recorder)
     puts = {1: [], 2: []}
@@ -233,7 +236,10 @@ def test_a_contended_server_hand_off_puts_only_the_grant_on_the_waiters_inbox():
     # The holder's replies come back from its dispatch calls; the waiter's
     # grant is the one message the hand-off queues.
     assert puts == {1: [], 2: [(MSG_GRANT, 2, 2, 1, 5)]}
+    # The waiter's acquire is queued without a scan; the holder's release
+    # runs the one scan, and the waiter's release finds the queue empty.
     waiter.release(2)
+    assert scans == [1]
     # The server stamps both acquires' requests; the clients stamp two
     # grants and two releases' requests and ACKs.
     assert server_recorder.stamps == 2 and client_recorder.stamps == 6

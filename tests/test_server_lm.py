@@ -35,7 +35,6 @@ from lockbench.server_lm import (
     ServerConfig,
     ServerLockClient,
     SocketConn,
-    _grant,
     grant_scan,
 )
 from lockbench.server_lm import upper_bound_throughput
@@ -100,17 +99,17 @@ def test_scan_empty_queue():
 
 def test_core_grants_uncontended_exclusive_immediately():
     core = LockServerCore(2)
-    error, grants, seq = core.acquire(1, 0, shared=False, request_id=1)
+    error, seq = core.acquire(1, 0, shared=False, request_id=1)
     assert error is None
-    assert grants == [] and seq == 2  # granted in the reply: REQ 1, GRANT 2
+    assert seq == 2  # granted in the reply: REQ 1, GRANT 2
     assert core.granted_count() == 1 and core.pending_count() == 0
 
 
 def test_core_queues_conflicting_exclusive():
     core = LockServerCore(1)
     core.acquire(1, 0, shared=False, request_id=1)
-    error, grants, seq = core.acquire(2, 0, shared=False, request_id=1)
-    assert error is None and grants == [] and seq is None
+    error, seq = core.acquire(2, 0, shared=False, request_id=1)
+    assert error is None and seq is None
     assert core.pending_count() == 1
 
 
@@ -128,7 +127,7 @@ def test_core_release_triggers_follow_on_grants():
 def test_core_rejects_duplicate_acquire():
     core = LockServerCore(1)
     core.acquire(1, 0, shared=True, request_id=1)
-    error, _, _ = core.acquire(1, 0, shared=True, request_id=2)
+    error, _ = core.acquire(1, 0, shared=True, request_id=2)
     assert error is not None
 
 
@@ -156,12 +155,10 @@ def test_core_records_requests_in_arrival_order():
 def test_core_sequences_each_items_requests_grants_and_releases():
     rec = TraceRecorder()
     core = LockServerCore(2, rec)
-    _, grants, seq = core.acquire(1, 0, shared=False, request_id=1)  # REQ 1, grant 2
-    assert grants == [] and seq == 2
-    core.acquire(2, 0, shared=True, request_id=1)  # REQ 3, queued
-    core.acquire(3, 0, shared=True, request_id=1)  # REQ 4, queued
-    _, grants, seq = core.acquire(1, 1, shared=True, request_id=2)  # item 1 counts apart
-    assert grants == [] and seq == 2
+    assert core.acquire(1, 0, shared=False, request_id=1) == (None, 2)  # REQ 1, grant 2
+    assert core.acquire(2, 0, shared=True, request_id=1) == (None, None)  # REQ 3, queued
+    assert core.acquire(3, 0, shared=True, request_id=1) == (None, None)  # REQ 4, queued
+    assert core.acquire(1, 1, shared=True, request_id=2) == (None, 2)  # item 1 counts apart
     _, grants, seq = core.release(1, 0)
     assert seq == 5
     assert [(g.client_id, g.seq) for g in grants] == [(2, 6), (3, 7)]
@@ -181,20 +178,21 @@ class _ListRecorder:
 
 
 class _ScanEveryAcquire(LockServerCore):
-    """The core without the empty-queue grant: every acquire joins the
-    queue and `grant_scan` decides it."""
+    """The reference core: every acquire joins the queue and `grant_scan`
+    decides it.  That scan must grant nothing but the caller."""
 
     def acquire(self, client_id, item_id, shared, request_id):
         mode = MODE_SHARED if shared else MODE_EXCLUSIVE
         item = self._items[item_id]
         with item.mutex:
             if client_id in item.granted or any(r.client_id == client_id for r in item.pending):
-                return f"client {client_id} already acquired item {item_id}", [], None
+                return f"client {client_id} already acquired item {item_id}", None
             request = LockRequest(request_id, client_id, item_id, mode)
             item.pending.append(request)
             self._stamp(TraceEvent(0, client_id, item_id, OP_ACQ, mode, OUT_REQ, next(item.seqs)))
-            grants = _grant(item)
-        return None, [g for g in grants if g is not request], request.seq or None
+            grants = grant_scan(item)
+        assert grants in ([], [request]), "an acquire's scan freed a waiter"
+        return None, request.seq or None
 
 
 def _state(core):
@@ -204,10 +202,19 @@ def _state(core):
     ]
 
 
+def _head_waits(item):
+    """A queued head is not admissible: some holder is EXCLUSIVE, or the
+    head is EXCLUSIVE and the item has a holder."""
+    holders = item.granted.values()
+    return not item.pending or MODE_EXCLUSIVE in holders or (item.pending[0].mode == MODE_EXCLUSIVE and holders)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_the_empty_queue_grant_matches_a_scan_of_every_acquire(seed):
     # Both cores serve one seeded stream of acquires, releases, duplicate
-    # acquires and departures; every reply, grant, seq and stamp must agree.
+    # acquires and departures; every reply, grant, seq and stamp must agree,
+    # and after every operation each queued head must wait, which is why
+    # an acquire need not scan.
     rng = random.Random(seed)
     n_clients, n_items = rng.choice((3, 4)), rng.choice((1, 2))
     recorders = [_ListRecorder(), _ListRecorder()]
@@ -225,17 +232,17 @@ def test_the_empty_queue_grant_matches_a_scan_of_every_acquire(seed):
         outcomes = []
         for core in cores:
             if kind == "drop":
-                error, grants, seq = None, core.drop_client(client), None
+                outcomes.append(core.drop_client(client))
             elif kind == "release":
-                error, grants, seq = core.release(client, item)
+                outcomes.append(core.release(client, item))
             else:
-                error, grants, seq = core.acquire(client, item, roll < 0.5, request_id)
-            outcomes.append((error, [(g.client_id, g.item_id, g.request_id, g.mode, g.seq) for g in grants], seq))
-        assert outcomes[0] == outcomes[1]
+                outcomes.append(core.acquire(client, item, roll < 0.5, request_id))
+        assert outcomes[0] == outcomes[1]  # grants compare by every field, seq too
         assert _state(cores[0]) == _state(cores[1])
+        assert all(_head_waits(q) for core in cores for q in core._items)
         if kind == "acquire" and outcomes[0][0] is None:
-            at_once += outcomes[0][2] is not None
-            queued += outcomes[0][2] is None
+            at_once += outcomes[0][1] is not None
+            queued += outcomes[0][1] is None
     # REQ stamps match in order, seq and content; only the clock differs.
     assert [e[1:] for e in recorders[0].events] == [e[1:] for e in recorders[1].events]
     assert at_once and queued  # both paths ran
